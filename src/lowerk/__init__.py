@@ -35,7 +35,6 @@ from .groups import (
     build_group,
     center,
     conjugacy_classes,
-    hom_check,
     is_isomorphic,
     quotient,
     subgroup_generated,

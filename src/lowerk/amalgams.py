@@ -24,7 +24,6 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    hom_check,
     subgroup_as_group,
 )
 from .presentations import Word
@@ -59,7 +58,7 @@ class Amalgam:
         for hom, vertex in ((iA, A), (iB, B)):
             if hom.source is not C or hom.target is not vertex:
                 raise NotHomomorphism("embedding endpoints do not match the amalgam data")
-            if not hom_check(hom):
+            if not hom.is_homomorphism():
                 raise NotHomomorphism(f"embedding into {vertex.name} is not a homomorphism")
             if not hom.is_injective():
                 raise NotInjective(f"embedding into {vertex.name} is not injective")

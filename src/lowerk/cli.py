@@ -35,7 +35,7 @@ from .fusion import (
     prime_factors,
     sc_rank,
 )
-from .groups import build_group, center, conjugacy_classes
+from .groups import build_group, center
 from .ktheory import (
     amalgam_k_assemble,
     assembly_spec_from_json,
@@ -65,8 +65,11 @@ def _rows_to_table(rows: list[tuple[str, ...]]) -> str:
 
 def cmd_group_info(args) -> int:
     G = build_group(args.name, args.coset_limit)
-    classes = conjugacy_classes(G)
-    histogram = Counter(G.element_order(g) for g in range(G.order))
+    inv = G.invariants()
+    classes = inv.classes
+    histogram = Counter()
+    for cls, pw in zip(classes, inv.powers):
+        histogram[len(pw)] += len(cls)
     data = {
         "name": G.name,
         "order": G.order,
@@ -208,19 +211,29 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # common flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--coset-limit", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--coset-limit", type=_positive_int, default=argparse.SUPPRESS,
                         help="cap on cosets defined during enumeration")
 
     parser = argparse.ArgumentParser(
         prog="lowerk",
         description="Lower K-theory of integral group rings of amalgams of finite groups.")
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--coset-limit", type=int, default=DEFAULT_COSET_LIMIT)
+    parser.add_argument("--coset-limit", type=_positive_int, default=DEFAULT_COSET_LIMIT)
     sub = parser.add_subparsers(dest="command", required=True)
 
     group = sub.add_parser("group", help="group inspection", parents=[common])

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotPrime
-from .groups import FiniteGroup, class_of, conjugacy_classes
+from .groups import FiniteGroup
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,8 @@ class FusedClasses:
         return len(self.blocks)
 
 
-def _unit_exponents(G: FiniteGroup, g: int, spec: FusionSpec) -> set[int]:
-    d = G.element_order(g)
+def _unit_exponents(d: int, spec: FusionSpec) -> set[int]:
+    """The exponents k by which `spec` acts on an element of order d."""
     if isinstance(spec, Rational):
         return {k for k in range(1, d + 1) if math.gcd(k, d) == 1}
     if isinstance(spec, Padic):
@@ -164,35 +164,34 @@ def fused_classes(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
     """Fuse conjugacy classes under the Galois action of `spec`.
 
     For ModP only p-regular classes (element order prime to p) appear.
+    The result is kept with the group's invariants.
     """
-    classes = conjugacy_classes(G)
-    cls_of = class_of(G)
-    keep = list(range(len(classes)))
-    if isinstance(spec, ModP):
-        keep = [k for k in keep if G.element_order(classes[k][0]) % spec.p]
-    parent = {k: k for k in keep}
+    cache = G.invariants().fused
+    if spec not in cache:
+        cache[spec] = _fuse(G, spec)
+    return cache[spec]
 
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for k in keep:
-        g = classes[k][0]
-        for e in _unit_exponents(G, g, spec):
-            union(k, cls_of[G.power(g, e)])
-    buckets: dict[int, list[int]] = {}
-    for k in keep:
-        buckets.setdefault(find(k), []).append(k)
-    blocks = tuple(tuple(classes[k] for k in sorted(members))
-                   for _, members in sorted(buckets.items()))
-    return FusedClasses(G, spec, blocks)
+def _fuse(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
+    """The exponents acting on order d form a subgroup of (Z/d)*, so the
+    block of a class with representative g is the classes of g^e over
+    those exponents e, and every class lies in the block of its first
+    member."""
+    inv = G.invariants()
+    units: dict[int, set[int]] = {}
+    done = [False] * len(inv.classes)
+    blocks = []
+    for k, pw in enumerate(inv.powers):
+        d = len(pw)
+        if done[k] or (isinstance(spec, ModP) and d % spec.p == 0):
+            continue
+        if d not in units:
+            units[d] = _unit_exponents(d, spec)
+        members = sorted({inv.class_of[pw[e % d]] for e in units[d]})
+        for m in members:
+            done[m] = True
+        blocks.append(tuple(inv.classes[m] for m in members))
+    return FusedClasses(G, spec, tuple(blocks))
 
 
 def count_irreducibles(G: FiniteGroup, spec: FusionSpec) -> int:
@@ -208,11 +207,8 @@ def p_singular_classes(G: FiniteGroup, p: int) -> list[tuple[int, tuple[int, ...
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    out = []
-    for cls in conjugacy_classes(G):
-        d = G.element_order(cls[0])
-        if d % p == 0:
-            out.append((d, cls))
+    inv = G.invariants()
+    out = [(len(pw), cls) for cls, pw in zip(inv.classes, inv.powers) if len(pw) % p == 0]
     out.sort(key=lambda t: (t[0], t[1][0]))
     return out
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     NotNormal,
@@ -31,7 +32,23 @@ from .presentations import (
 
 ORDER_CAP = 10_000
 ISO_ORDER_CAP = 200
-_AXIOM_CHECK_CAP = 64
+
+
+@dataclass(frozen=True)
+class GroupInvariants:
+    """Per-group data derived once from the table.
+
+    classes are the conjugacy classes sorted by minimal member, class_of
+    maps an element to its class index, and powers[k] is [1, g, g^2, ...]
+    for g = classes[k][0]: its length is the element order d, and g^e is
+    powers[k][e % d].  fused holds a FusedClasses per fusion spec, filled
+    by the fusion layer on first use.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
+    powers: tuple[tuple[int, ...], ...]
+    fused: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -52,6 +69,7 @@ class FiniteGroup:
 
     def __post_init__(self):
         self._gen_words: dict[int, tuple[str, ...]] | None = None
+        self._invariants: GroupInvariants | None = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -98,8 +116,14 @@ class FiniteGroup:
         return acc
 
     def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.order) for b in range(a))
+        gens = self.generators()
+        return all(self.table[s][t] == self.table[t][s] for s in gens for t in gens)
+
+    def generators(self) -> list[int]:
+        """The distinct elements named by generator labels, after checking
+        that they generate the group."""
+        self.generator_words()
+        return sorted(set(self.generator_labels.values()))
 
     def generator_words(self) -> tuple[tuple[str, ...], ...]:
         """For each element, a product of generator labels reaching it."""
@@ -120,6 +144,12 @@ class FiniteGroup:
                 raise UnknownSymbol(f"generator labels of {self.name} do not generate it")
             self._gen_words = words
         return tuple(self._gen_words[g] for g in range(self.order))
+
+    def invariants(self) -> GroupInvariants:
+        """Classes, class_of and class power lists, computed on first use."""
+        if self._invariants is None:
+            self._invariants = _invariants(self)
+        return self._invariants
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -164,18 +194,16 @@ class GroupHom:
         return self.full_map()[g]
 
     def is_homomorphism(self) -> bool:
+        """True iff the generator images extend to a homomorphism: f(g s) =
+        f(g) f(s) for every g and generator s, which gives f(g h) = f(g) f(h)
+        by induction on a word for h."""
         f = self.full_map()
         G, H = self.source, self.target
-        return all(f[G.table[a][b]] == H.table[f[a]][f[b]]
-                   for a in range(G.order) for b in range(G.order))
+        return all(f[G.table[a][s]] == H.table[f[a]][self.images[lab]]
+                   for lab, s in G.generator_labels.items() for a in range(G.order))
 
     def is_injective(self) -> bool:
         return len(set(self.full_map())) == self.source.order
-
-
-def hom_check(h: GroupHom) -> bool:
-    """True iff the generator images extend to a homomorphism."""
-    return h.is_homomorphism()
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +211,9 @@ def hom_check(h: GroupHom) -> bool:
 # ---------------------------------------------------------------------------
 
 def check_group_axioms(G: FiniteGroup) -> None:
+    """Identity, inverses and associativity by Light's test: (a s) b =
+    a (s b) for every a, b and generator s.  The elements s passing it are
+    closed under products, so once the labels generate, all of G passes."""
     n = G.order
     if len(G.table) != n or any(len(r) != n for r in G.table):
         raise PresentationCollapse(f"{G.name}: table shape mismatch")
@@ -191,43 +222,61 @@ def check_group_axioms(G: FiniteGroup) -> None:
             raise PresentationCollapse(f"{G.name}: identity fails at {a}")
         if G.table[a][G.inverses[a]] != G.identity or G.table[G.inverses[a]][a] != G.identity:
             raise PresentationCollapse(f"{G.name}: inverse fails at {a}")
-    if n <= _AXIOM_CHECK_CAP:
-        for a in range(n):
-            for b in range(n):
-                ab = G.table[a][b]
-                for c in range(n):
-                    if G.table[ab][c] != G.table[a][G.table[b][c]]:
-                        raise PresentationCollapse(f"{G.name}: associativity fails")
-    G.generator_words()  # labels must generate
+    gens = G.generators()  # labels must generate
+    if n > 1:
+        for s in gens:
+            times_s = itemgetter(*G.table[s])
+            for row in G.table:
+                if G.table[row[s]] != times_s(row):
+                    raise PresentationCollapse(f"{G.name}: associativity fails")
+
+
+def _invariants(G: FiniteGroup) -> GroupInvariants:
+    """Classes as orbits under conjugation by the generators, O(n k)."""
+    n = G.order
+    conj = []
+    for s in G.generators():
+        times_inv_s = [row[G.inverses[s]] for row in G.table]
+        conj.append([times_inv_s[x] for x in G.table[s]])   # x -> s x s^-1
+    cls_of = [-1] * n
+    classes, powers = [], []
+    for g in range(n):
+        if cls_of[g] >= 0:
+            continue
+        k = len(classes)
+        cls_of[g] = k
+        orbit = [g]
+        for x in orbit:
+            for c in conj:
+                y = c[x]
+                if cls_of[y] < 0:
+                    cls_of[y] = k
+                    orbit.append(y)
+        classes.append(tuple(sorted(orbit)))
+        row = G.table[g]
+        pw = [G.identity]
+        x = g
+        while x != G.identity:
+            pw.append(x)
+            x = row[x]
+        powers.append(tuple(pw))
+    return GroupInvariants(tuple(classes), tuple(cls_of), tuple(powers))
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Orbits under conjugation, sorted by minimal member."""
-    seen = [False] * G.order
-    classes = []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        orbit = {G.conjugate(g, h) for h in range(G.order)}
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+    return G.invariants().classes
 
 
 def class_of(G: FiniteGroup) -> tuple[int, ...]:
     """Element index -> index of its conjugacy class."""
-    out = [0] * G.order
-    for k, cls in enumerate(conjugacy_classes(G)):
-        for g in cls:
-            out[g] = k
-    return tuple(out)
+    return G.invariants().class_of
 
 
 def center(G: FiniteGroup) -> Subgroup:
+    gens = G.generators()
     elems = tuple(g for g in range(G.order)
-                  if all(G.table[g][h] == G.table[h][g] for h in range(G.order)))
+                  if all(G.table[g][s] == G.table[s][g] for s in gens))
     return Subgroup(G, elems)
 
 
@@ -248,9 +297,11 @@ def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
 
 
 def is_normal(N: Subgroup) -> bool:
+    """Conjugation by each generator maps N into N; being injective on a
+    finite set, it then maps N onto N."""
     G = N.parent
     members = set(N.elements)
-    return all(G.conjugate(x, g) in members for g in range(G.order) for x in N.elements)
+    return all(G.conjugate(x, s) in members for s in G.generators() for x in N.elements)
 
 
 def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -327,10 +378,10 @@ def subgroup_as_group(S: Subgroup, name: str,
 # ---------------------------------------------------------------------------
 
 def _profile(G: FiniteGroup):
-    classes = conjugacy_classes(G)
-    per_class = sorted((len(c), G.element_order(c[0])) for c in classes)
-    orders = sorted(G.element_order(g) for g in range(G.order))
-    return tuple(per_class), tuple(orders)
+    """Sorted (class size, element order) pairs; they also fix the
+    multiset of element orders."""
+    inv = G.invariants()
+    return tuple(sorted((len(c), len(pw)) for c, pw in zip(inv.classes, inv.powers)))
 
 
 def _greedy_generators(G: FiniteGroup) -> list[int]:
@@ -360,9 +411,8 @@ def _extends_to_isomorphism(G: FiniteGroup, gens: list[int],
         frontier = nxt
     if len(full) != G.order or len(set(full.values())) != G.order:
         return False
-    f = [full[a] for a in range(G.order)]
-    return all(f[G.table[a][b]] == H.table[f[a]][f[b]]
-               for a in range(G.order) for b in range(G.order))
+    return all(full[G.table[a][s]] == H.table[full[a]][t]
+               for s, t in zip(gens, imgs) for a in range(G.order))
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
@@ -376,19 +426,13 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     gens = _greedy_generators(G)
     if not gens:
         return True
-    g_class_size = {}
-    for cls in conjugacy_classes(G):
-        for g in cls:
-            g_class_size[g] = len(cls)
-    h_class_size = {}
-    for cls in conjugacy_classes(H):
-        for h in cls:
-            h_class_size[h] = len(cls)
+    g_inv, h_inv = G.invariants(), H.invariants()
+    h_kind = [(len(h_inv.classes[k]), len(h_inv.powers[k])) for k in h_inv.class_of]
     candidates = []
     for g in gens:
-        og, sg = G.element_order(g), g_class_size[g]
-        candidates.append([h for h in range(H.order)
-                           if H.element_order(h) == og and h_class_size[h] == sg])
+        k = g_inv.class_of[g]
+        kind = (len(g_inv.classes[k]), len(g_inv.powers[k]))
+        candidates.append([h for h in range(H.order) if h_kind[h] == kind])
     closure_sizes = []
     for k in range(len(gens)):
         closure_sizes.append(subgroup_generated(G, gens[:k + 1]).order)
@@ -411,6 +455,33 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _close_rows(n: int, gen_rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Cayley table of the group generated by the given generator rows.
+
+    row(a s) is row(a) read at row(s), one C-level gather per row; the
+    identity row is 0..n-1, and a's row at index s names the element a s.
+    Rows reached from the identity are shared-int tuples.
+    """
+    rows: list[tuple[int, ...] | None] = [None] * n
+    rows[0] = tuple(range(n))
+    if n > 1:
+        steps = [(row_s[0], itemgetter(*row_s)) for row_s in gen_rows]
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row_a = rows[a]
+                for s, times_s in steps:
+                    b = row_a[s]
+                    if rows[b] is None:
+                        rows[b] = times_s(row_a)
+                        nxt.append(b)
+            frontier = nxt
+    if None in rows:
+        raise PresentationCollapse("generator rows do not generate the group")
+    return tuple(rows)  # type: ignore[arg-type]
+
+
 def _power_name(letter: str, i: int) -> str:
     if i == 0:
         return "1"
@@ -420,7 +491,7 @@ def _power_name(letter: str, i: int) -> str:
 
 
 def _cyclic(n: int, letter: str = "g") -> FiniteGroup:
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    table = _close_rows(n, [tuple((1 + j) % n for j in range(n))])
     inverses = tuple((-i) % n for i in range(n))
     labels = {letter: 1 % n} if n > 1 else {}
     names = tuple(_power_name(letter, i) for i in range(n))
@@ -442,7 +513,7 @@ def _dihedral(n: int) -> FiniteGroup:
             return n + (ia + ib) % n
         return (ib - ia) % n
 
-    table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
+    table = _close_rows(size, [tuple(mul(s, b) for b in range(size)) for s in (1, n)])
     inverses = []
     names = []
     for a in range(size):
@@ -477,7 +548,7 @@ def _dicyclic(order: int, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
         return (n - ia + ib) % m
 
     size = 4 * n
-    table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
+    table = _close_rows(size, [tuple(mul(s, b) for b in range(size)) for s in (1, m)])
     inverses = []
     for a in range(size):
         f, i = divmod(a, m)
@@ -528,9 +599,6 @@ def _symmetric(n: int) -> FiniteGroup:
     def compose(p, q):
         return tuple(p[q[i]] for i in range(n))
 
-    size = len(elems)
-    table = tuple(tuple(index_of[compose(elems[a], elems[b])] for b in range(size))
-                  for a in range(size))
     inverses = []
     for p in elems:
         q = [0] * n
@@ -543,6 +611,9 @@ def _symmetric(n: int) -> FiniteGroup:
         labels["t"] = index_of[t]
         c = tuple((i + 1) % n for i in range(n))
         labels["c"] = index_of[c]
+    size = len(elems)
+    table = _close_rows(size, [tuple(index_of[compose(elems[g], q)] for q in elems)
+                               for g in labels.values()])
     names = tuple(_cycle_notation(p) for p in elems)
     return FiniteGroup(f"symmetric:{n}", size, table, tuple(inverses), labels, names)
 
@@ -572,12 +643,9 @@ def group_from_coset_table(ct, name: str, expected_order: int | None = None) -> 
             c = ct.table[c][ct.column(sym, sgn)]
         return c
 
-    table = tuple(tuple(apply(a, words[b]) for b in range(n)) for a in range(n))
-    inverses = []
-    for a in range(n):
-        row = table[a]
-        inverses.append(row.index(0))
     labels = {sym: ct.table[0][ct.column(sym, 1)] for sym in ct.generators}
+    table = _close_rows(n, [tuple(apply(s, w) for w in words) for s in labels.values()])
+    inverses = [row.index(0) for row in table]
     names = tuple("1" if not w else str(Word.of(*w)).replace(" ", "*") for w in words)
     return FiniteGroup(name, n, table, tuple(inverses), labels, names)
 

@@ -171,6 +171,16 @@ def test_tiny_coset_limit_is_usage_error(capsys):
     assert "limit" in err
 
 
+def test_nonpositive_coset_limit_is_usage_error(capsys):
+    for argv in (["--coset-limit", "0", "group", "info", "binary-octahedral"],
+                 ["group", "info", "binary-octahedral", "--coset-limit", "0"],
+                 ["--coset-limit", "-5", "ksheet", "binary-octahedral"],
+                 ["ksheet", "binary-octahedral", "--coset-limit", "-5"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert "--coset-limit" in err and "Traceback" not in err
+
+
 def test_reports_identical_bytes_across_processes():
     import subprocess
     import sys

@@ -14,7 +14,6 @@ from lowerk.groups import (
     check_group_axioms,
     conjugacy_classes,
     dicyclic_group,
-    hom_check,
     is_isomorphic,
     quotient,
     quotient_with_projection,
@@ -111,7 +110,7 @@ def test_quotients():
     Q, proj = quotient_with_projection(O, center(O))
     assert Q.order == 24
     assert is_isomorphic(Q, build_group("symmetric:4"))
-    assert hom_check(proj)
+    assert proj.is_homomorphism()
 
     D12 = build_group("dicyclic:12")
     assert is_isomorphic(quotient(D12, center(D12)), build_group("dihedral:3"))
@@ -163,11 +162,11 @@ def test_hom_check_cases():
     x = D24.generator_labels["x"]
     y = D24.generator_labels["y"]
     good = GroupHom(D12, D24, {"x": D24.power(x, 2), "y": y})
-    assert hom_check(good) and good.is_injective()
+    assert good.is_homomorphism() and good.is_injective()
     const = GroupHom(D12, D24, {"x": D24.identity, "y": D24.identity})
-    assert hom_check(const) and not const.is_injective()
+    assert const.is_homomorphism() and not const.is_injective()
     bad = GroupHom(D12, D24, {"x": x, "y": y})
-    assert not hom_check(bad)
+    assert not bad.is_homomorphism()
 
 
 def test_is_isomorphic_basics():
@@ -272,3 +271,55 @@ def test_presentation_collapse_guard():
     ct = todd_coxeter(Presentation(("g",), (Word.of(("g", 6)),)))
     with pytest.raises(PresentationCollapse):
         group_from_coset_table(ct, "wrong", expected_order=5)
+
+
+def test_associativity_checked_above_order_64():
+    from lowerk.errors import PresentationCollapse
+    from lowerk.groups import FiniteGroup
+
+    G = build_group("dicyclic:128")
+    check_group_axioms(G)
+    rows = [list(r) for r in G.table]
+    rows[5][7], rows[5][9] = rows[5][9], rows[5][7]
+    broken = FiniteGroup("broken", G.order, tuple(map(tuple, rows)), G.inverses,
+                         G.generator_labels, G.element_names)
+    with pytest.raises(PresentationCollapse):
+        check_group_axioms(broken)
+
+
+def test_generator_checks_reject_bad_inputs():
+    S3 = build_group("symmetric:3")
+    t, c = S3.generator_labels["t"], S3.generator_labels["c"]
+    assert not S3.is_abelian()
+    assert t not in center(S3).elements and c not in center(S3).elements
+    assert center(S3).elements == (S3.identity,)
+    from lowerk.groups import _extends_to_isomorphism, is_normal
+    assert not is_normal(subgroup_generated(S3, [t]))
+    assert is_normal(subgroup_generated(S3, [c]))
+    S4 = build_group("symmetric:4")
+    # the 4-cycle normalizes its own subgroup; the transposition does not
+    assert not is_normal(subgroup_generated(S4, [S4.generator_labels["c"]]))
+    # each bad map breaks the relation of a different generator
+    C6 = build_group("cyclic:6")
+    g = C6.generator_labels["g"]
+    assert not GroupHom(S3, C6, {"t": C6.power(g, 3), "c": g}).is_homomorphism()
+    assert not GroupHom(S3, C6, {"t": g, "c": C6.identity}).is_homomorphism()
+    assert GroupHom(S3, C6, {"t": C6.power(g, 3), "c": C6.identity}).is_homomorphism()
+    # r -> x, s -> y extends to a bijection from D8 onto Q8, not to a homomorphism
+    D8, Q8 = build_group("dihedral:4"), build_group("quaternion:8")
+    gens = [D8.generator_labels["r"], D8.generator_labels["s"]]
+    imgs = [Q8.generator_labels["x"], Q8.generator_labels["y"]]
+    assert not _extends_to_isomorphism(D8, gens, Q8, imgs)
+
+
+def test_invariants_need_generating_labels():
+    from lowerk.errors import UnknownSymbol
+    from lowerk.groups import FiniteGroup
+
+    G = build_group("dicyclic:12")
+    partial = FiniteGroup("partial", G.order, G.table, G.inverses,
+                          {"x": G.generator_labels["x"]}, G.element_names)
+    with pytest.raises(UnknownSymbol):
+        conjugacy_classes(partial)
+    with pytest.raises(UnknownSymbol):
+        center(partial)
