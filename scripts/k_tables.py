@@ -2,7 +2,9 @@
 """Print the K-data sheet for every bundled group, plus the singular
 class tables of the two dicyclic groups in the amalgam case study."""
 
-from lowerk.fusion import ModP, Padic, Rational, count_irreducibles, p_singular_classes, prime_factors
+from lowerk.abelian import prime_factors
+from lowerk.casebook import rows_to_table
+from lowerk.fusion import ModP, Padic, Rational, count_irreducibles, p_singular_classes
 from lowerk.groups import build_group, dicyclic_group
 from lowerk.ktheory import BUNDLED_KSHEETS, carter_rank, k_minus1
 from lowerk.errors import UnknownSchurData
@@ -23,9 +25,7 @@ def main() -> None:
         rows.append((name, str(G.order), str(count_irreducibles(G, Rational())),
                      str(sc), str(carter_rank(G)), km1,
                      str(sheet.entries["K0t"]), str(sheet.entries["Wh"])))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    for r in rows:
-        print("  ".join(r[i].ljust(widths[i]) for i in range(len(r))).rstrip())
+    print(rows_to_table(rows))
 
     print()
     for G, p in ((dicyclic_group(12, ("w", "z")), 2),

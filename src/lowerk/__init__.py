@@ -14,7 +14,6 @@ from .amalgams import (
     AmalgamElement,
     GraphWithAction,
     INFINITE,
-    amalgam_construct,
     graph_of_groups_quotient,
 )
 from .casebook import CASES, CaseReport, run_all, run_case

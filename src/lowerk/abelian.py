@@ -25,10 +25,6 @@ def eye(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a:
         return []
@@ -212,7 +208,8 @@ def solve_lattice(cols: list[list[int]], v: list[int]) -> list[int] | None:
 # abelian groups in invariant-factor form
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> dict[int, int]:
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: e} with n the product of the p^e, primes in increasing order."""
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
@@ -221,7 +218,7 @@ def _factorize(n: int) -> dict[int, int]:
             n //= p
         p += 1
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 
@@ -256,7 +253,7 @@ class FgAbelianGroup:
             if d == 0:
                 free_rank += 1
                 continue
-            for p, e in _factorize(d).items():
+            for p, e in prime_factors(d).items():
                 exponents.setdefault(p, []).append(e)
         for p in exponents:
             exponents[p].sort(reverse=True)
@@ -305,10 +302,6 @@ class FgAbelianGroup:
     def to_json(self) -> dict:
         return {"rank": self.free_rank, "torsion": list(self.torsion)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "FgAbelianGroup":
-        return cls.from_divisors(int(data["rank"]), [int(d) for d in data["torsion"]])
-
 
 TRIVIAL_GROUP = FgAbelianGroup()
 
@@ -330,23 +323,13 @@ class AbelianPresentation:
                 raise ValueError("relation length does not match generator count")
 
 
-def presentation_of(g: FgAbelianGroup) -> AbelianPresentation:
-    """Canonical presentation: torsion generators first, then free ones."""
-    n = len(g.torsion) + g.free_rank
-    rels = []
-    for i, d in enumerate(g.torsion):
-        rel = [0] * n
-        rel[i] = d
-        rels.append(tuple(rel))
-    return AbelianPresentation(n, tuple(rels))
-
-
 def presentation_of_sum(groups: list[FgAbelianGroup]) -> AbelianPresentation:
     """Presentation of a direct sum keeping each summand's coordinates.
 
     Generator order: all torsion generators (summand by summand), then all
     free generators (summand by summand).  Nothing is canonicalized, so
-    matrices written against this ordering keep their cited shape.
+    matrices written against this ordering keep their cited shape; for a
+    single group it is the canonical presentation.
     """
     torsion = [d for g in groups for d in g.torsion]
     free = sum(g.free_rank for g in groups)

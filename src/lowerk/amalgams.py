@@ -131,9 +131,6 @@ class Amalgam:
             return AmalgamElement(head, rest)
         return AmalgamElement(head, ((side, s2),) + rest)
 
-    def _left_mul_edge(self, c: int, e: AmalgamElement) -> AmalgamElement:
-        return AmalgamElement(self.C.table[c][e.head], e.syllables)
-
     def _vertex_sequence(self, e: AmalgamElement) -> list[tuple[int, int]]:
         """e as a product of vertex elements, left to right; the head is
         emitted through the A side (both embeddings agree on it)."""
@@ -207,11 +204,6 @@ class Amalgam:
         return V.element_order(V.table[self._embed[side][e.head]][t])
 
 
-def amalgam_construct(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
-                      iA: GroupHom, iB: GroupHom) -> Amalgam:
-    return Amalgam(A, B, C, iA, iB)
-
-
 # ---------------------------------------------------------------------------
 # finite group actions on finite graphs
 # ---------------------------------------------------------------------------
@@ -220,9 +212,10 @@ class GraphWithAction:
     """A finite group acting on an oriented graph without edge inversions.
 
     `generator_action` maps each generator label of the group to a pair
-    (vertex permutation, edge permutation); the action of every element
-    is derived from the multiplication table and checked to be a genuine
-    action preserving incidence and reversal.
+    (vertex permutation, edge permutation).  Each generator is checked to
+    be a permutation preserving incidence and reversal; products of such
+    permutations are again such, so the action of every element, derived
+    along the multiplication table, is one too.
     """
 
     def __init__(self, group: FiniteGroup, num_vertices: int,
@@ -243,64 +236,49 @@ class GraphWithAction:
             o, t = edge_endpoints[e]
             if edge_endpoints[r] != (t, o):
                 raise NotAnAction("reversal must swap endpoints")
-        self._vperm, self._eperm = self._extend(generator_action)
-        self._check_action()
-
-    def _extend(self, generator_action):
-        idv = tuple(range(self.num_vertices))
-        ide = tuple(range(len(self.edge_endpoints)))
-        vperm: dict[int, tuple[int, ...]] = {self.group.identity: idv}
-        eperm: dict[int, tuple[int, ...]] = {self.group.identity: ide}
-        gen_elems = {}
-        for lab, elem in self.group.generator_labels.items():
+        for lab in group.generator_labels:
             if lab not in generator_action:
                 raise NotAnAction(f"no action given for generator {lab!r}")
-            gen_elems[elem] = generator_action[lab]
-        frontier = [self.group.identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for elem, (vp, ep) in gen_elems.items():
-                    h = self.group.table[elem][g]
-                    cand_v = tuple(vp[vperm[g][i]] for i in range(self.num_vertices))
-                    cand_e = tuple(ep[eperm[g][i]] for i in range(len(ide)))
-                    if h in vperm:
-                        if vperm[h] != cand_v or eperm[h] != cand_e:
-                            raise NotAnAction("generator permutations are inconsistent")
-                    else:
-                        vperm[h] = cand_v
-                        eperm[h] = cand_e
-                        nxt.append(h)
-            frontier = nxt
-        if len(vperm) != self.group.order:
+            self._check_generator(*generator_action[lab])
+        self._vperm, self._eperm = self._extend(generator_action)
+        for g in range(group.order):
+            ep = self._eperm[g]
+            for e in range(ne):
+                if ep[e] == edge_reverse[e]:
+                    raise EdgeInversion(f"element {g} maps edge {e} to its own reversal")
+
+    def _check_generator(self, vp, ep) -> None:
+        if sorted(vp) != list(range(self.num_vertices)):
+            raise NotAnAction(f"{vp} is not a permutation of the vertices")
+        if sorted(ep) != list(range(len(self.edge_endpoints))):
+            raise NotAnAction(f"{ep} is not a permutation of the edges")
+        for e, (o, t) in enumerate(self.edge_endpoints):
+            if self.edge_endpoints[ep[e]] != (vp[o], vp[t]):
+                raise NotAnAction("action does not preserve incidence")
+            if ep[self.edge_reverse[e]] != self.edge_reverse[ep[e]]:
+                raise NotAnAction("action does not commute with reversal")
+
+    def _extend(self, generator_action):
+        """Permutations of every element with vperm[s g] = vp_s o vperm[g]
+        for every element g and generator s, by breadth-first search."""
+        G = self.group
+        gens = [(s, generator_action[lab]) for lab, s in G.generator_labels.items()]
+        vperm = {G.identity: tuple(range(self.num_vertices))}
+        eperm = {G.identity: tuple(range(len(self.edge_endpoints)))}
+        queue = [G.identity]
+        for g in queue:
+            for s, (vp, ep) in gens:
+                h = G.table[s][g]
+                cand_v = tuple(vp[i] for i in vperm[g])
+                cand_e = tuple(ep[i] for i in eperm[g])
+                if h not in vperm:
+                    vperm[h], eperm[h] = cand_v, cand_e
+                    queue.append(h)
+                elif vperm[h] != cand_v or eperm[h] != cand_e:
+                    raise NotAnAction("generator permutations are inconsistent")
+        if len(queue) != G.order:
             raise NotAnAction("generator labels do not generate the acting group")
         return vperm, eperm
-
-    def _check_action(self):
-        G = self.group
-        for g in range(G.order):
-            vp, ep = self._vperm[g], self._eperm[g]
-            if sorted(vp) != list(range(self.num_vertices)) or sorted(ep) != list(range(len(ep))):
-                raise NotAnAction("element action is not a permutation")
-            for e, (o, t) in enumerate(self.edge_endpoints):
-                img = ep[e]
-                if self.edge_endpoints[img] != (vp[o], vp[t]):
-                    raise NotAnAction("action does not preserve incidence")
-                if ep[self.edge_reverse[e]] != self.edge_reverse[img]:
-                    raise NotAnAction("action does not commute with reversal")
-                if img == self.edge_reverse[e]:
-                    raise EdgeInversion(f"element {g} maps edge {e} to its own reversal")
-        for a in range(G.order):
-            for b in range(G.order):
-                ab = G.table[a][b]
-                if self._vperm[ab] != tuple(self._vperm[a][i] for i in self._vperm[b]):
-                    raise NotAnAction("vertex action is not a homomorphism")
-
-    def vertex_image(self, g: int, v: int) -> int:
-        return self._vperm[g][v]
-
-    def edge_image(self, g: int, e: int) -> int:
-        return self._eperm[g][e]
 
     def vertex_stabilizer(self, v: int) -> Subgroup:
         elems = tuple(g for g in range(self.group.order) if self._vperm[g][v] == v)

@@ -37,6 +37,7 @@ from .ktheory import (
     NilValue,
     amalgam_k_assemble,
     assembly_spec_from_json,
+    k_value_str,
     nil_classify,
 )
 from .presentations import Word, parse_word, van_buskirk, verify_homomorphism
@@ -82,14 +83,16 @@ class CaseReport:
 
     def to_table(self) -> str:
         rows = [("check", "expected", "computed", "cite", "pass")]
-        for c in self.checks:
-            rows.append((c.name, c.expected, c.computed, c.cite,
-                         "ok" if c.passed else "FAIL"))
-        widths = [max(len(r[i]) for r in rows) for i in range(5)]
-        lines = [f"case {self.case}: {'pass' if self.passed else 'FAIL'}"]
-        for r in rows:
-            lines.append("  ".join(r[i].ljust(widths[i]) for i in range(5)).rstrip())
-        return "\n".join(lines)
+        rows += [(c.name, c.expected, c.computed, c.cite, "ok" if c.passed else "FAIL")
+                 for c in self.checks]
+        return f"case {self.case}: {'pass' if self.passed else 'FAIL'}\n" + rows_to_table(rows)
+
+
+def rows_to_table(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks stripped."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+                     for r in rows)
 
 
 class _Recorder:
@@ -113,14 +116,8 @@ def _render(value) -> str:
         return "no"
     if isinstance(value, float) and math.isinf(value):
         return "infinite"
-    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], FgAbelianGroup):
-        abelian, nil = value
-        if isinstance(nil, NilValue):
-            if nil.tag == NIL_ZERO:
-                return str(abelian)
-            if abelian.is_trivial:
-                return str(nil)
-            return f"{abelian} + {nil}"
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], NilValue):
+        return k_value_str(*value)
     if isinstance(value, (set, frozenset)):
         inner = sorted(" ".join(sorted(s)) if isinstance(s, (set, frozenset)) else str(s)
                        for s in value)

@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 
 from . import casebook
+from .abelian import FgAbelianGroup, prime_factors
 from .errors import (
     AssemblySpecError,
     IllFormedMap,
@@ -32,7 +33,6 @@ from .fusion import (
     count_irreducibles,
     fused_classes,
     p_singular_classes,
-    prime_factors,
     sc_rank,
 )
 from .groups import build_group, center
@@ -55,21 +55,13 @@ def _emit(data: dict, fmt: str, table: str) -> None:
         print(table)
 
 
-def _rows_to_table(rows: list[tuple[str, ...]]) -> str:
-    if not rows:
-        return ""
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(r[i].ljust(widths[i]) for i in range(len(r))).rstrip()
-                     for r in rows)
-
-
 def cmd_group_info(args) -> int:
     G = build_group(args.name, args.coset_limit)
     inv = G.invariants()
     classes = inv.classes
     histogram = Counter()
-    for cls, pw in zip(classes, inv.powers):
-        histogram[len(pw)] += len(cls)
+    for cls, d in zip(classes, inv.orders):
+        histogram[d] += len(cls)
     data = {
         "name": G.name,
         "order": G.order,
@@ -83,7 +75,7 @@ def cmd_group_info(args) -> int:
             ("conjugacy classes", str(len(classes))),
             ("class sizes", " ".join(map(str, data["class_sizes"]))),
             ("element orders", " ".join(f"{k}:{v}" for k, v in sorted(histogram.items())))]
-    _emit(data, args.format, _rows_to_table(rows))
+    _emit(data, args.format, casebook.rows_to_table(rows))
     return 0
 
 
@@ -120,7 +112,7 @@ def cmd_classes(args) -> int:
                               "classes": [[G.element_names[i] for i in cls] for cls in block]})
         data = {"group": G.name, "fusion": str(spec), "count": fused.count,
                 "blocks": data_rows}
-    _emit(data, args.format, _rows_to_table(rows))
+    _emit(data, args.format, casebook.rows_to_table(rows))
     return 0
 
 
@@ -151,7 +143,6 @@ def cmd_ksheet(args) -> int:
         data["K_-1_pretty"] = str(km1)
         rows.append(("K_-1", str(km1)))
     except UnknownSchurData:
-        from .abelian import FgAbelianGroup
         free = str(FgAbelianGroup(rank))
         data["K_-1"] = "unknown torsion (no bundled Schur data)"
         rows.append(("K_-1", f"{free} + unknown torsion (no bundled Schur data)"))
@@ -162,14 +153,17 @@ def cmd_ksheet(args) -> int:
         for deg in ("Wh", "K0t"):
             rows.append((f"bundled {deg}", str(sheet.entries[deg])))
     rows.append(("negk consistent", "yes" if data["negk_consistent"] else "NO"))
-    _emit(data, args.format, _rows_to_table(rows))
+    _emit(data, args.format, casebook.rows_to_table(rows))
     return exit_code
 
 
 def _resolve_spec(path: str) -> dict:
-    if os.path.exists(path):
+    if os.path.isfile(path):
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            try:
+                return json.load(fh)
+            except ValueError as exc:
+                raise AssemblySpecError(f"{path} is not valid JSON: {exc}") from None
     name = os.path.basename(path)
     try:
         return casebook.bundled_spec_json(name)
@@ -194,7 +188,7 @@ def cmd_assemble(args) -> int:
             "pretty": str(e),
         }
         rows.append((deg, str(e.coker), str(e.ker_shift), str(e.nil), str(e)))
-    _emit(data, args.format, _rows_to_table(rows))
+    _emit(data, args.format, casebook.rows_to_table(rows))
     return 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .abelian import prime_factors
 from .errors import NotPrime
 from .groups import FiniteGroup
 
@@ -28,72 +29,34 @@ from .groups import FiniteGroup
 # ---------------------------------------------------------------------------
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return prime_factors(p) == {p: 1}
 
 
 def _crt(a: int, m: int, b: int, n: int) -> int:
     """x mod m*n with x = a mod m, x = b mod n (m, n coprime)."""
-    old_r, r = m, n
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    inv = old_s % n  # m inverse mod n
-    return (a + m * ((b - a) * inv % n)) % (m * n)
+    return (a + m * ((b - a) * pow(m, -1, n) % n)) % (m * n)
+
+
+def _frobenius(p: int, m: int) -> set[int]:
+    """The powers of p mod m."""
+    frob = {1 % m}
+    f = p % m
+    while f not in frob:
+        frob.add(f)
+        f = (f * p) % m
+    return frob
 
 
 def padic_unit_subgroup(p: int, d: int) -> set[int]:
     """Units k mod d fixing the p-adic cyclotomic Galois orbit of order-d
     roots of unity: all units at the p-part, powers of p at the rest."""
-    if d == 1:
-        return {0}
     pa = 1
     dd = d
     while dd % p == 0:
         pa *= p
         dd //= p
-    frob = {1 % dd}
-    f = p % dd
-    while f not in frob:
-        frob.add(f)
-        f = (f * p) % dd
-    units = set()
-    for u in range(pa):
-        if math.gcd(u, pa) == 1:
-            for v in frob:
-                if pa == 1:
-                    units.add(v % d)
-                elif dd == 1:
-                    units.add(u % d)
-                else:
-                    units.add(_crt(u, pa, v, dd))
-    return units
+    frob = _frobenius(p, dd)
+    return {_crt(u, pa, v, dd) for u in range(pa) if math.gcd(u, pa) == 1 for v in frob}
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +115,7 @@ def _unit_exponents(d: int, spec: FusionSpec) -> set[int]:
         return {k for k in range(1, d + 1) if math.gcd(k, d) == 1}
     if isinstance(spec, Padic):
         return padic_unit_subgroup(spec.p, d)
-    frob = {1 % d}
-    f = spec.p % d
-    while f not in frob:
-        frob.add(f)
-        f = (f * spec.p) % d
-    return frob
+    return _frobenius(spec.p, d)
 
 
 def fused_classes(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
@@ -181,13 +139,13 @@ def _fuse(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
     units: dict[int, set[int]] = {}
     done = [False] * len(inv.classes)
     blocks = []
-    for k, pw in enumerate(inv.powers):
-        d = len(pw)
+    for k, d in enumerate(inv.orders):
         if done[k] or (isinstance(spec, ModP) and d % spec.p == 0):
             continue
         if d not in units:
             units[d] = _unit_exponents(d, spec)
-        members = sorted({inv.class_of[pw[e % d]] for e in units[d]})
+        g = inv.classes[k][0]
+        members = sorted({inv.class_of[G.power(g, e)] for e in units[d]})
         for m in members:
             done[m] = True
         blocks.append(tuple(inv.classes[m] for m in members))
@@ -208,7 +166,7 @@ def p_singular_classes(G: FiniteGroup, p: int) -> list[tuple[int, tuple[int, ...
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     inv = G.invariants()
-    out = [(len(pw), cls) for cls, pw in zip(inv.classes, inv.powers) if len(pw) % p == 0]
+    out = [(d, cls) for cls, d in zip(inv.classes, inv.orders) if d % p == 0]
     out.sort(key=lambda t: (t[0], t[1][0]))
     return out
 

@@ -39,15 +39,14 @@ class GroupInvariants:
     """Per-group data derived once from the table.
 
     classes are the conjugacy classes sorted by minimal member, class_of
-    maps an element to its class index, and powers[k] is [1, g, g^2, ...]
-    for g = classes[k][0]: its length is the element order d, and g^e is
-    powers[k][e % d].  fused holds a FusedClasses per fusion spec, filled
-    by the fusion layer on first use.
+    maps an element to its class index, and orders[k] is the element
+    order shared by the members of classes[k].  fused holds a
+    FusedClasses per fusion spec, filled by the fusion layer on first use.
     """
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    powers: tuple[tuple[int, ...], ...]
+    orders: tuple[int, ...]
     fused: dict = field(default_factory=dict)
 
 
@@ -68,7 +67,7 @@ class FiniteGroup:
     identity: int = 0
 
     def __post_init__(self):
-        self._gen_words: dict[int, tuple[str, ...]] | None = None
+        self._tree: list[tuple[int, int, int]] | None = None
         self._invariants: GroupInvariants | None = None
 
     def mul(self, a: int, b: int) -> int:
@@ -93,18 +92,12 @@ class FiniteGroup:
         return self.table[self.table[h][g]][self.inverses[h]]
 
     def element_order(self, g: int) -> int:
+        row = self.table[g]
         k, x = 1, g
         while x != self.identity:
-            x = self.table[x][g]
+            x = row[x]
             k += 1
         return k
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    @property
-    def identity_element(self) -> int:
-        return self.identity
 
     def evaluate(self, word: Word) -> int:
         """Evaluate a word over this group's generator labels."""
@@ -122,31 +115,22 @@ class FiniteGroup:
     def generators(self) -> list[int]:
         """The distinct elements named by generator labels, after checking
         that they generate the group."""
-        self.generator_words()
+        self.label_tree()
         return sorted(set(self.generator_labels.values()))
 
-    def generator_words(self) -> tuple[tuple[str, ...], ...]:
-        """For each element, a product of generator labels reaching it."""
-        if self._gen_words is None:
-            words: dict[int, tuple[str, ...]] = {self.identity: ()}
-            frontier = [self.identity]
-            labels = sorted(self.generator_labels.items())
-            while frontier:
-                nxt = []
-                for g in frontier:
-                    for lab, elem in labels:
-                        h = self.table[g][elem]
-                        if h not in words:
-                            words[h] = words[g] + (lab,)
-                            nxt.append(h)
-                frontier = nxt
-            if len(words) != self.order:
+    def label_tree(self) -> list[tuple[int, int, int]]:
+        """spanning_tree over the generator labels in sorted order; its
+        generator entries index sorted(generator_labels)."""
+        if self._tree is None:
+            labels = sorted(self.generator_labels)
+            tree = spanning_tree(self, [self.generator_labels[lab] for lab in labels])
+            if len(tree) != self.order:
                 raise UnknownSymbol(f"generator labels of {self.name} do not generate it")
-            self._gen_words = words
-        return tuple(self._gen_words[g] for g in range(self.order))
+            self._tree = tree
+        return self._tree
 
     def invariants(self) -> GroupInvariants:
-        """Classes, class_of and class power lists, computed on first use."""
+        """Classes, class_of and class orders, computed on first use."""
         if self._invariants is None:
             self._invariants = _invariants(self)
         return self._invariants
@@ -180,13 +164,13 @@ class GroupHom:
         self._full: tuple[int, ...] | None = None
 
     def full_map(self) -> tuple[int, ...]:
+        """f(g s) = f(g) f(s) along the source's label tree."""
         if self._full is None:
-            out = []
-            for word in self.source.generator_words():
-                acc = self.target.identity
-                for lab in word:
-                    acc = self.target.mul(acc, self.images[lab])
-                out.append(acc)
+            imgs = [self.images[lab] for lab in sorted(self.source.generator_labels)]
+            table = self.target.table
+            out = [self.target.identity] * self.source.order
+            for g, parent, k in self.source.label_tree()[1:]:
+                out[g] = table[out[parent]][imgs[k]]
             self._full = tuple(out)
         return self._full
 
@@ -239,7 +223,7 @@ def _invariants(G: FiniteGroup) -> GroupInvariants:
         times_inv_s = [row[G.inverses[s]] for row in G.table]
         conj.append([times_inv_s[x] for x in G.table[s]])   # x -> s x s^-1
     cls_of = [-1] * n
-    classes, powers = [], []
+    classes, orders = [], []
     for g in range(n):
         if cls_of[g] >= 0:
             continue
@@ -253,14 +237,8 @@ def _invariants(G: FiniteGroup) -> GroupInvariants:
                     cls_of[y] = k
                     orbit.append(y)
         classes.append(tuple(sorted(orbit)))
-        row = G.table[g]
-        pw = [G.identity]
-        x = g
-        while x != G.identity:
-            pw.append(x)
-            x = row[x]
-        powers.append(tuple(pw))
-    return GroupInvariants(tuple(classes), tuple(cls_of), tuple(powers))
+        orders.append(G.element_order(g))
+    return GroupInvariants(tuple(classes), tuple(cls_of), tuple(orders))
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -280,20 +258,27 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, elems)
 
 
-def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
-    closure = {G.identity}
-    frontier = [G.identity]
+def spanning_tree(G: FiniteGroup, gens) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning tree of the Cayley graph of <gens> under
+    right multiplication, a Schreier tree (Holt-Eick-O'Brien, Handbook of
+    Computational Group Theory, 4.1): (element, parent, k) in BFS order
+    with element = parent * gens[k], starting at (identity, -1, -1)."""
+    tree = [(G.identity, -1, -1)]
+    seen = bytearray(G.order)
+    seen[G.identity] = 1
     gens = list(gens)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = G.table[g][s]
-                if h not in closure:
-                    closure.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return Subgroup(G, tuple(sorted(closure)))
+    for g, _, _ in tree:
+        row = G.table[g]
+        for k, s in enumerate(gens):
+            h = row[s]
+            if not seen[h]:
+                seen[h] = 1
+                tree.append((h, g, k))
+    return tree
+
+
+def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
+    return Subgroup(G, tuple(sorted(g for g, _, _ in spanning_tree(G, gens))))
 
 
 def is_normal(N: Subgroup) -> bool:
@@ -310,33 +295,24 @@ def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, 
         raise NotNormal("subgroup does not live in the given group")
     if not is_normal(N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
-    members = set(N.elements)
+    # walking g upwards, each new coset gN is numbered by its least member g
     coset_of = [-1] * G.order
-    cosets: list[tuple[int, ...]] = []
+    reps: list[int] = []
     for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        coset = tuple(sorted(G.table[g][x] for x in members))
-        idx = len(cosets)
-        cosets.append(coset)
-        for x in coset:
-            coset_of[x] = idx
-    order = [c[0] for c in cosets]
-    ranking = sorted(range(len(cosets)), key=lambda i: order[i])
-    renumber = {old: new for new, old in enumerate(ranking)}
-    coset_of = [renumber[c] for c in coset_of]
-    reps = [0] * len(cosets)
-    for old, new in renumber.items():
-        reps[new] = cosets[old][0]
-    n = len(cosets)
-    table = tuple(tuple(coset_of[G.table[reps[a]][reps[b]]] for b in range(n)) for a in range(n))
-    inverses = tuple(coset_of[G.inverses[reps[a]]] for a in range(n))
+        if coset_of[g] < 0:
+            row = G.table[g]
+            for x in N.elements:
+                coset_of[row[x]] = len(reps)
+            reps.append(g)
+    n = len(reps)
     labels = {lab: coset_of[g] for lab, g in G.generator_labels.items()}
-    names = tuple(f"[{G.element_names[reps[a]]}]" for a in range(n))
+    table = _close_rows(n, [tuple(coset_of[G.table[s][g]] for g in reps)
+                            for s in G.generators()])
+    inverses = tuple(coset_of[G.inverses[g]] for g in reps)
+    names = tuple(f"[{G.element_names[g]}]" for g in reps)
     Q = FiniteGroup(f"{G.name}/N{N.order}", n, table, inverses, labels, names)
     check_group_axioms(Q)
-    proj = GroupHom(G, Q, {lab: coset_of[g] for lab, g in G.generator_labels.items()})
-    return Q, proj
+    return Q, GroupHom(G, Q, labels)
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
@@ -354,19 +330,14 @@ def subgroup_as_group(S: Subgroup, name: str,
     elems = tuple(sorted(S.elements))
     index_of = {g: i for i, g in enumerate(elems)}
     n = len(elems)
-    table = tuple(tuple(index_of[parent.table[a][b]] for b in elems) for a in elems)
-    inverses = tuple(index_of[parent.inverses[a]] for a in elems)
     if labels is None:
-        chosen: list[int] = []
-        closure = {parent.identity}
-        for g in elems:
-            if g not in closure:
-                chosen.append(g)
-                closure = set(subgroup_generated(parent, chosen).elements)
-            if len(closure) == n:
-                break
-        labels = {parent.element_names[g]: g for g in chosen}
+        labels = {parent.element_names[g]: g for g in _greedy_generators(parent, elems)}
     local = {lab: index_of[g] for lab, g in labels.items()}
+    if len(spanning_tree(parent, labels.values())) != n:
+        raise UnknownSymbol(f"generator labels of {name} do not generate it")
+    table = _close_rows(n, [tuple(index_of[parent.table[s][g]] for g in elems)
+                            for s in sorted(set(labels.values()))])
+    inverses = tuple(index_of[parent.inverses[a]] for a in elems)
     names = tuple(parent.element_names[g] for g in elems)
     H = FiniteGroup(name, n, table, inverses, local, names)
     check_group_axioms(H)
@@ -381,35 +352,32 @@ def _profile(G: FiniteGroup):
     """Sorted (class size, element order) pairs; they also fix the
     multiset of element orders."""
     inv = G.invariants()
-    return tuple(sorted((len(c), len(pw)) for c, pw in zip(inv.classes, inv.powers)))
+    return tuple(sorted(zip(map(len, inv.classes), inv.orders)))
 
 
-def _greedy_generators(G: FiniteGroup) -> list[int]:
+def _greedy_generators(G: FiniteGroup, elems) -> list[int]:
+    """Each member of elems, in order, that the earlier picks do not
+    generate, until they generate all of elems."""
     gens: list[int] = []
     closure = {G.identity}
-    for g in range(G.order):
+    for g in elems:
+        if len(closure) == len(elems):
+            break
         if g not in closure:
             gens.append(g)
             closure = set(subgroup_generated(G, gens).elements)
-            if len(closure) == G.order:
-                break
     return gens
 
 
 def _extends_to_isomorphism(G: FiniteGroup, gens: list[int],
                             H: FiniteGroup, imgs: list[int]) -> bool:
-    full: dict[int, int] = {G.identity: H.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s, t in zip(gens, imgs):
-                b = G.table[a][s]
-                if b not in full:
-                    full[b] = H.table[full[a]][t]
-                    nxt.append(b)
-        frontier = nxt
-    if len(full) != G.order or len(set(full.values())) != G.order:
+    tree = spanning_tree(G, gens)
+    if len(tree) != G.order:
+        return False
+    full = [H.identity] * G.order
+    for b, a, k in tree[1:]:
+        full[b] = H.table[full[a]][imgs[k]]
+    if len(set(full)) != G.order:
         return False
     return all(full[G.table[a][s]] == H.table[full[a]][t]
                for s, t in zip(gens, imgs) for a in range(G.order))
@@ -423,15 +391,15 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
         raise OrderLimitExceeded(f"isomorphism search capped at order {ISO_ORDER_CAP}")
     if _profile(G) != _profile(H):
         return False
-    gens = _greedy_generators(G)
+    gens = _greedy_generators(G, range(G.order))
     if not gens:
         return True
     g_inv, h_inv = G.invariants(), H.invariants()
-    h_kind = [(len(h_inv.classes[k]), len(h_inv.powers[k])) for k in h_inv.class_of]
+    h_kind = [(len(h_inv.classes[k]), h_inv.orders[k]) for k in h_inv.class_of]
     candidates = []
     for g in gens:
         k = g_inv.class_of[g]
-        kind = (len(g_inv.classes[k]), len(g_inv.powers[k]))
+        kind = (len(g_inv.classes[k]), g_inv.orders[k])
         candidates.append([h for h in range(H.order) if h_kind[h] == kind])
     closure_sizes = []
     for k in range(len(gens)):
@@ -684,6 +652,8 @@ def _binary_tetrahedral(coset_limit: int) -> FiniteGroup:
 
 def canonical_group_name(spec: str) -> str:
     """Normalize a group-name string; raises UnknownSpec/OrderLimitExceeded."""
+    if not isinstance(spec, str):
+        raise UnknownSpec(f"group name {spec!r} is not a string")
     spec = spec.strip()
     if spec in ("binary-octahedral", "binary-tetrahedral"):
         return spec

@@ -21,7 +21,6 @@ from .abelian import (
     TRIVIAL_GROUP,
     cokernel,
     kernel,
-    presentation_of,
     presentation_of_sum,
 )
 from .errors import (
@@ -111,12 +110,11 @@ class KSheet:
 
     @classmethod
     def from_json(cls, data: dict) -> "KSheet":
-        if "group" not in data or "cite" not in data:
-            raise AssemblySpecError("sheet needs 'group' and 'cite' fields")
+        _require(data, ("group", "cite"), "sheet")
         entries = {}
         for deg in DEGREES:
             if deg in data:
-                entries[deg] = FgAbelianGroup.from_json(data[deg])
+                entries[deg] = _group_from_json(data[deg], f"{data['group']} {deg}")
             elif deg == "Km2":
                 entries[deg] = TRIVIAL_GROUP
             else:
@@ -271,15 +269,19 @@ def nil_classify(vc: VcType) -> NilValue:
     return NilValue(NIL_UNKNOWN, f"no bundled result for {vc}")
 
 
+_VC_FIELDS = {"product": (DirectProductVC, ("finite",)),
+              "semidirect": (SemiDirectVC, ("finite",)),
+              "amalgam": (AmalgamVC, ("left", "edge", "right"))}
+
+
 def vc_from_json(data: dict) -> VcType:
-    kind = data.get("type")
-    if kind == "product":
-        return DirectProductVC(data["finite"])
-    if kind == "semidirect":
-        return SemiDirectVC(data["finite"])
-    if kind == "amalgam":
-        return AmalgamVC(data["left"], data["edge"], data["right"])
-    raise AssemblySpecError(f"unknown vc type {kind!r}")
+    _require(data, ("type",), "vc")
+    kind = data["type"]
+    if not isinstance(kind, str) or kind not in _VC_FIELDS:
+        raise AssemblySpecError(f"unknown vc type {kind!r}")
+    cls, keys = _VC_FIELDS[kind]
+    _require(data, keys, f"{kind} vc")
+    return cls(*(data[k] for k in keys))
 
 
 def vc_to_json(vc: VcType) -> dict:
@@ -337,30 +339,59 @@ class AssemblySpec:
         return self.sheets[key]
 
 
-def assembly_spec_from_json(data: dict) -> AssemblySpec:
-    for key in ("name", "A", "B", "C", "sheets", "maps", "nils"):
+def _require(data, keys, what: str) -> None:
+    if not isinstance(data, dict):
+        raise AssemblySpecError(f"{what} must be a JSON object, got {data!r}")
+    for key in keys:
         if key not in data:
-            raise AssemblySpecError(f"assembly spec lacks {key!r}")
+            raise AssemblySpecError(f"{what} lacks {key!r}")
+
+
+def _spec_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise AssemblySpecError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _spec_int(value, what: str, least: int | None = None) -> int:
+    """A JSON integer, at least `least`; floats and booleans are refused."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise AssemblySpecError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _group_from_json(data, what: str) -> FgAbelianGroup:
+    _require(data, ("rank", "torsion"), what)
+    torsion = _spec_list(data["torsion"], f"{what} torsion")
+    return FgAbelianGroup.from_divisors(_spec_int(data["rank"], f"{what} rank", 0),
+                                        [_spec_int(d, f"{what} torsion", 2) for d in torsion])
+
+
+def assembly_spec_from_json(data: dict) -> AssemblySpec:
+    _require(data, ("name", "A", "B", "C", "sheets", "maps", "nils"), "assembly spec")
     sheets = {}
-    for raw in data["sheets"]:
+    for raw in _spec_list(data["sheets"], "sheets"):
         sheet = KSheet.from_json(raw)
         sheets[canonical_group_name(sheet.group)] = sheet
     maps = {}
-    for raw in data["maps"]:
-        for key in ("degree", "matrix", "source", "cite"):
-            if key not in raw:
-                raise AssemblySpecError(f"map entry lacks {key!r}")
+    for raw in _spec_list(data["maps"], "maps"):
+        _require(raw, ("degree", "matrix", "source", "cite"), "map entry")
         if not raw["cite"]:
             raise AssemblySpecError("maps are cited data; empty cite refused")
         if raw["degree"] not in DEGREES:
             raise AssemblySpecError(f"unknown degree {raw['degree']!r}")
-        matrix = tuple(tuple(int(x) for x in row) for row in raw["matrix"])
+        what = f"{raw['degree']} matrix"
+        matrix = tuple(tuple(_spec_int(x, f"{what} entry") for x in _spec_list(row, f"{what} row"))
+                       for row in _spec_list(raw["matrix"], what))
         maps[raw["degree"]] = MapSpec(raw["degree"], matrix, raw["source"], raw["cite"])
     for deg in DEGREES:
         if deg not in maps:
             raise MissingDegree(f"assembly spec lacks a map in degree {deg}")
-    nils = [NilEntry(vc_from_json(raw["vc"]), raw.get("cite", ""))
-            for raw in data["nils"]]
+    nils = []
+    for raw in _spec_list(data["nils"], "nils"):
+        _require(raw, ("vc",), "nil entry")
+        nils.append(NilEntry(vc_from_json(raw["vc"]), raw.get("cite", "")))
     spec = AssemblySpec(data["name"], data["A"], data["B"], data["C"],
                         sheets, maps, nils)
     for g in (spec.group_a, spec.group_b, spec.group_c):
@@ -396,18 +427,23 @@ class AssembledDegree:
         return self.coker.direct_sum(self.ker_shift)
 
     def __str__(self) -> str:
-        if self.nil.tag == NIL_ZERO:
-            return str(self.abelian)
-        if self.abelian.is_trivial:
-            return str(self.nil)
-        return f"{self.abelian} + {self.nil}"
+        return k_value_str(self.abelian, self.nil)
+
+
+def k_value_str(abelian: FgAbelianGroup, nil: NilValue) -> str:
+    """An abelian group plus a Nil summand, as reports print it."""
+    if nil.tag == NIL_ZERO:
+        return str(abelian)
+    if abelian.is_trivial:
+        return str(nil)
+    return f"{abelian} + {nil}"
 
 
 def _degree_map(spec: AssemblySpec, degree: str) -> AbelianMap:
     sheet_a = spec.sheet(spec.group_a).entries[degree]
     sheet_b = spec.sheet(spec.group_b).entries[degree]
     sheet_c = spec.sheet(spec.group_c).entries[degree]
-    source = presentation_of(sheet_c)
+    source = presentation_of_sum([sheet_c])
     target = presentation_of_sum([sheet_a, sheet_b])
     return AbelianMap(source, target, spec.maps[degree].matrix)
 

@@ -350,8 +350,9 @@ def verify_homomorphism(pres: Presentation, target, images: dict) -> HomReport:
     """Check that generator images kill every relator of `pres`.
 
     `target` is any word-evaluable group: it must expose `evaluate(word)`,
-    `mul`, `power` and `identity_element`.  Image values may be Words over
-    the target's own generator labels or raw target elements.
+    `mul` and `power`, and evaluates the empty word to its identity.  Image
+    values may be Words over the target's own generator labels or raw
+    target elements.
     """
     resolved = {}
     for sym in pres.generators:
@@ -359,7 +360,7 @@ def verify_homomorphism(pres: Presentation, target, images: dict) -> HomReport:
             raise UnknownSymbol(f"no image given for generator {sym!r}")
         img = images[sym]
         resolved[sym] = target.evaluate(img) if isinstance(img, Word) else img
-    identity = target.identity_element
+    identity = target.evaluate(Word())
     failing = []
     for rel in pres.relators:
         acc = identity

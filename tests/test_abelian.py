@@ -13,7 +13,6 @@ from lowerk.abelian import (
     group_of,
     kernel,
     mat_mul,
-    presentation_of,
     presentation_of_sum,
     smith_normal_form,
     zero_map,
@@ -131,13 +130,13 @@ def test_group_of_presentation():
 
 
 def test_cokernel_zero_into_z2():
-    f = zero_map(presentation_of(TRIVIAL_GROUP), presentation_of(FgAbelianGroup(2)))
+    f = zero_map(presentation_of_sum([TRIVIAL_GROUP]), presentation_of_sum([FgAbelianGroup(2)]))
     assert cokernel(f) == FgAbelianGroup(2)
     assert kernel(f) == TRIVIAL_GROUP
 
 
 def test_cokernel_split_injection_of_z2():
-    source = presentation_of(FgAbelianGroup(0, (2,)))
+    source = presentation_of_sum([FgAbelianGroup(0, (2,))])
     target = presentation_of_sum([FgAbelianGroup(0, (2, 2)), FgAbelianGroup(0, (2, 2, 2))])
     f = AbelianMap(source, target, ((1,), (0,), (0,), (0,), (0,)))
     assert cokernel(f) == FgAbelianGroup(0, (2, 2, 2, 2))
@@ -145,7 +144,7 @@ def test_cokernel_split_injection_of_z2():
 
 
 def test_cokernel_cited_column():
-    source = presentation_of(FgAbelianGroup(1))
+    source = presentation_of_sum([FgAbelianGroup(1)])
     target = presentation_of_sum([FgAbelianGroup(1, (2,)), FgAbelianGroup(2, (2,))])
     f = AbelianMap(source, target, ((0,), (0,), (1,), (1,), (0,)))
     assert cokernel(f) == FgAbelianGroup(2, (2, 2))
@@ -154,7 +153,7 @@ def test_cokernel_cited_column():
 
 def test_cokernel_swap_invariance():
     # either choice of free summand receiving the identity gives the same value
-    source = presentation_of(FgAbelianGroup(1))
+    source = presentation_of_sum([FgAbelianGroup(1)])
     target = presentation_of_sum([FgAbelianGroup(1, (2,)), FgAbelianGroup(2, (2,))])
     for col in (((0,), (0,), (1,), (1,), (0,)), ((0,), (0,), (1,), (0,), (1,))):
         f = AbelianMap(source, target, col)
@@ -163,7 +162,7 @@ def test_cokernel_swap_invariance():
 
 def test_cokernel_identity_and_kernel_zero_map():
     g = FgAbelianGroup(1, (2, 4))
-    pres = presentation_of(g)
+    pres = presentation_of_sum([g])
     ident = AbelianMap(pres, pres, tuple(tuple(1 if i == j else 0 for j in range(pres.ngens))
                                          for i in range(pres.ngens)))
     assert cokernel(ident) == TRIVIAL_GROUP
@@ -175,8 +174,8 @@ def test_cokernel_identity_and_kernel_zero_map():
 
 def test_ill_formed_map_rejected():
     # Z/2 -> Z by 1 is not well defined
-    source = presentation_of(FgAbelianGroup(0, (2,)))
-    target = presentation_of(FgAbelianGroup(1))
+    source = presentation_of_sum([FgAbelianGroup(0, (2,))])
+    target = presentation_of_sum([FgAbelianGroup(1)])
     f = AbelianMap(source, target, ((1,),))
     with pytest.raises(IllFormedMap):
         cokernel(f)
@@ -207,7 +206,7 @@ def _random_finite_map(rng):
             step = e // math.gcd(d, e)
             row.append(step * rng.randint(0, max(1, e // step) - 1) if e else 0)
         matrix.append(tuple(row))
-    return src, tgt, AbelianMap(presentation_of(src), presentation_of(tgt), tuple(matrix))
+    return src, tgt, AbelianMap(presentation_of_sum([src]), presentation_of_sum([tgt]), tuple(matrix))
 
 
 def _brute_force_counts(src, tgt, f):
@@ -244,8 +243,8 @@ def test_direct_sum():
 
 def test_kernel_with_free_source():
     # Z^2 -> Z by (x, y) -> x + y has kernel Z
-    free2 = presentation_of(FgAbelianGroup(2))
-    free1 = presentation_of(FgAbelianGroup(1))
+    free2 = presentation_of_sum([FgAbelianGroup(2)])
+    free1 = presentation_of_sum([FgAbelianGroup(1)])
     f = AbelianMap(free2, free1, ((1, 1),))
     assert kernel(f) == FgAbelianGroup(1)
     assert cokernel(f) == TRIVIAL_GROUP
@@ -257,13 +256,13 @@ def test_kernel_with_free_source():
 
 def test_kernel_mixed_free_and_torsion():
     # Z -> Z/4 by 1 has kernel 4Z inside Z, i.e. Z again
-    free1 = presentation_of(FgAbelianGroup(1))
-    z4 = presentation_of(FgAbelianGroup(0, (4,)))
+    free1 = presentation_of_sum([FgAbelianGroup(1)])
+    z4 = presentation_of_sum([FgAbelianGroup(0, (4,))])
     f = AbelianMap(free1, z4, ((1,),))
     assert kernel(f) == FgAbelianGroup(1)
     assert cokernel(f) == TRIVIAL_GROUP
     # Z/4 -> Z/2 surjection has kernel Z/2
-    z2 = presentation_of(FgAbelianGroup(0, (2,)))
+    z2 = presentation_of_sum([FgAbelianGroup(0, (2,))])
     g = AbelianMap(z4, z2, ((1,),))
     assert kernel(g) == FgAbelianGroup(0, (2,))
     assert cokernel(g) == TRIVIAL_GROUP
@@ -274,8 +273,8 @@ def test_kernel_rank_on_free_maps_matches_snf_rank():
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        f = AbelianMap(presentation_of(FgAbelianGroup(m)),
-                       presentation_of(FgAbelianGroup(n)),
+        f = AbelianMap(presentation_of_sum([FgAbelianGroup(m)]),
+                       presentation_of_sum([FgAbelianGroup(n)]),
                        tuple(tuple(r) for r in mat))
         r = smith_normal_form(mat).rank
         ker = kernel(f)
@@ -290,7 +289,7 @@ def test_multiplication_map_on_cyclic_group(n, k):
     # multiplication by k on Z/n: kernel and cokernel both Z/gcd(n, k)
     import math as m
 
-    pres = presentation_of(FgAbelianGroup.from_divisors(0, [n]))
+    pres = presentation_of_sum([FgAbelianGroup.from_divisors(0, [n])])
     if pres.ngens == 0:
         return
     f = AbelianMap(pres, pres, ((k,),))

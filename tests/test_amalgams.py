@@ -8,7 +8,6 @@ from lowerk.amalgams import (
     INFINITE,
     SIDE_A,
     SIDE_B,
-    amalgam_construct,
     graph_of_groups_quotient,
 )
 from lowerk.casebook import PHI_IMAGES, full_braid_amalgam, phi, pure_braid_graph_fixture
@@ -29,7 +28,7 @@ def pb3_amalgam():
     Z2 = build_group("cyclic:2")
     iA = GroupHom(Z2, Z4, {"g": Z4.power(Z4.generator_labels["g"], 2)})
     iB = GroupHom(Z2, Q8, {"g": Q8.power(Q8.generator_labels["x"], 2)})
-    return amalgam_construct(Z4, Q8, Z2, iA, iB)
+    return Amalgam(Z4, Q8, Z2, iA, iB)
 
 
 def test_degenerate_amalgam_every_element_has_empty_syllables():
@@ -55,11 +54,11 @@ def test_construct_rejects_bad_embeddings():
     not_inj = GroupHom(Z2, Z4, {"g": Z4.identity})
     ok = GroupHom(Z2, Q8, {"g": Q8.power(Q8.generator_labels["x"], 2)})
     with pytest.raises(NotInjective):
-        amalgam_construct(Z4, Q8, Z2, not_inj, ok)
+        Amalgam(Z4, Q8, Z2, not_inj, ok)
     Z3 = build_group("cyclic:3")
     not_hom = GroupHom(Z3, Z4, {"g": Z4.generator_labels["g"]})
     with pytest.raises((NotHomomorphism, NotInjective)):
-        amalgam_construct(Z4, Q8, Z3, not_hom, GroupHom(Z3, Q8, {"g": Q8.identity}))
+        Amalgam(Z4, Q8, Z3, not_hom, GroupHom(Z3, Q8, {"g": Q8.identity}))
 
 
 def _random_word(rng, symbols, max_len=6):
@@ -214,3 +213,54 @@ def test_inconsistent_action_detected():
     with pytest.raises((NotAnAction, EdgeInversion)):
         GraphWithAction(Z4, 3, ((0, 1), (1, 0), (1, 2), (2, 1)), (1, 0, 3, 2),
                         {"g": ((0, 2, 1), (2, 3, 0, 1))})
+
+
+# one test per rejection; the generator checks run before the action is extended
+
+def _z2_on_segment(vp, ep):
+    return GraphWithAction(build_group("cyclic:2"), 2, ((0, 1), (1, 0)), (1, 0), {"g": (vp, ep)})
+
+
+def test_action_rejects_non_permutation():
+    with pytest.raises(NotAnAction):
+        _z2_on_segment((0, 0), (0, 1))
+    with pytest.raises(NotAnAction):
+        _z2_on_segment((0, 1), (1, 1))
+
+
+def test_action_rejects_short_tuple():
+    with pytest.raises(NotAnAction):
+        _z2_on_segment((0,), (0, 1))
+    with pytest.raises(NotAnAction):
+        _z2_on_segment((0, 1), (0,))
+
+
+def test_action_rejects_broken_incidence():
+    # swapping the endpoints while fixing the edge 0 -> 1
+    with pytest.raises(NotAnAction):
+        _z2_on_segment((1, 0), (0, 1))
+
+
+def test_action_rejects_broken_reversal():
+    # two parallel edges 0 -> 1 (0 and 2) with reversals 1 and 3; swapping
+    # edges 0 and 2 alone preserves incidence but not reversal
+    Z2 = build_group("cyclic:2")
+    with pytest.raises(NotAnAction):
+        GraphWithAction(Z2, 2, ((0, 1), (1, 0), (0, 1), (1, 0)), (1, 0, 3, 2),
+                        {"g": ((0, 1), (2, 1, 0, 3))})
+
+
+def test_action_rejects_inconsistent_generator_permutations():
+    # the generator has order 2 but its vertex permutation has order 3
+    Z2 = build_group("cyclic:2")
+    with pytest.raises(NotAnAction, match="inconsistent"):
+        GraphWithAction(Z2, 3, (), (), {"g": ((1, 2, 0), ())})
+
+
+def test_edge_inverted_only_by_a_square():
+    # Z/4 turns the square 0 -> 1 -> 2 -> 3; its generator moves both
+    # diagonals, its square maps 0 -> 2 onto the reversal 2 -> 0
+    Z4 = build_group("cyclic:4")
+    with pytest.raises(EdgeInversion, match="element 2 "):
+        GraphWithAction(Z4, 4, ((0, 2), (2, 0), (1, 3), (3, 1)), (1, 0, 3, 2),
+                        {"g": ((1, 2, 3, 0), (2, 3, 1, 0))})

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from lowerk import casebook
 from lowerk.cli import main
+from lowerk.errors import AssemblySpecError
+from lowerk.ktheory import assembly_spec_from_json
 
 
 def run_cli(capsys, *argv):
@@ -204,3 +209,46 @@ def test_table_and_json_contain_same_check_count(capsys):
     # one table row per check plus header and case line
     table_rows = [l for l in table_out.splitlines() if l.strip()]
     assert len(table_rows) == len(data["checks"]) + 2
+
+
+def _b3_with(edit):
+    raw = casebook.bundled_spec_json("b3rp2")
+    edit(raw)
+    return json.dumps(raw)
+
+
+def _set(path, value):
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+MALFORMED_SPECS = {
+    "float matrix": _b3_with(_set(("maps", 2, "matrix"), [[0.9], [0.2], [1.7], [1], [0]])),
+    "boolean matrix": _b3_with(_set(("maps", 2, "matrix"), [[False], [False], [True], [True], [False]])),
+    "float rank": _b3_with(_set(("sheets", 0, "Km1", "rank"), 1.5)),
+    "float torsion": _b3_with(_set(("sheets", 0, "Km1", "torsion"), [2.5])),
+    "negative rank": _b3_with(_set(("sheets", 0, "Km1", "rank"), -1)),
+    "string matrix": _b3_with(_set(("maps", 2, "matrix"), "0 0 1 1 0")),
+    "string matrix entries": _b3_with(_set(("maps", 2, "matrix"), [["0"], ["0"], ["1"], ["1"], ["0"]])),
+    "sheets not a list": _b3_with(_set(("sheets",), 5)),
+    "amalgam vc lacks edge": _b3_with(_set(("nils", 0, "vc"),
+                                           {"type": "amalgam", "left": "cyclic:4", "right": "cyclic:4"})),
+    "invalid json": '{"name": "b3rp2", ',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+def test_assemble_refuses_malformed_spec(name, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(MALFORMED_SPECS[name])
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    if name != "invalid json":
+        with pytest.raises(AssemblySpecError):
+            assembly_spec_from_json(json.loads(MALFORMED_SPECS[name]))

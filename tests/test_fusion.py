@@ -129,7 +129,7 @@ def test_singular_union_is_all_classes():
 
 
 def test_monotonicity():
-    from lowerk.fusion import prime_factors
+    from lowerk.abelian import prime_factors
 
     for name in ("cyclic:12", "quaternion:8", "dicyclic:12", "dicyclic:24",
                  "symmetric:4", "dihedral:6", "binary-octahedral"):

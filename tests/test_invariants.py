@@ -3,8 +3,10 @@ routines they replace.
 
 The oracles below are the plain constructions: Cayley tables from the
 closed-form products of each family, classes by conjugating every element
-by every element, element orders by repeated multiplication, and Galois
-fusion by union-find over every class.
+by every element, element orders by repeated multiplication, Galois
+fusion by union-find over every class, quotient tables filled entry by
+entry from sorted and renumbered cosets, homomorphisms walked along one
+word per element, and subgroup generators picked by a greedy loop.
 """
 
 import itertools
@@ -12,13 +14,16 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from lowerk.fusion import ModP, Padic, Rational, fused_classes, padic_unit_subgroup, prime_factors
+from lowerk.abelian import prime_factors
+from lowerk.fusion import ModP, Padic, Rational, fused_classes, padic_unit_subgroup
 from lowerk.groups import (
+    GroupHom,
     build_group,
     center,
     class_of,
     conjugacy_classes,
     quotient,
+    quotient_with_projection,
     subgroup_as_group,
     subgroup_generated,
 )
@@ -146,6 +151,72 @@ def oracle_fused_blocks(G, spec):
                  for _, members in sorted(buckets.items()))
 
 
+# --- quotients, homomorphisms and subgroup labels, built directly ------------
+
+
+def oracle_quotient(G, N):
+    """(table, inverses, labels, names, coset_of) with cosets numbered by
+    sorting them on their least member."""
+    cosets = sorted({tuple(sorted(G.mul(g, x) for x in N.elements)) for g in range(G.order)})
+    coset_of = [0] * G.order
+    for i, coset in enumerate(cosets):
+        for x in coset:
+            coset_of[x] = i
+    reps = [c[0] for c in cosets]
+    n = len(cosets)
+    table = tuple(tuple(coset_of[G.mul(reps[a], reps[b])] for b in range(n)) for a in range(n))
+    inverses = tuple(coset_of[G.inv(r)] for r in reps)
+    labels = {lab: coset_of[g] for lab, g in G.generator_labels.items()}
+    names = tuple(f"[{G.element_names[r]}]" for r in reps)
+    return table, inverses, labels, names, tuple(coset_of)
+
+
+def oracle_full_map(hom):
+    """Each source element read as the first word over the sorted labels
+    that a breadth-first search reaches it by, then evaluated in the target."""
+    G = hom.source
+    words = {G.identity: ()}
+    frontier = [G.identity]
+    labels = sorted(G.generator_labels.items())
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for lab, elem in labels:
+                h = G.mul(g, elem)
+                if h not in words:
+                    words[h] = words[g] + (lab,)
+                    nxt.append(h)
+        frontier = nxt
+    out = []
+    for g in range(G.order):
+        acc = hom.target.identity
+        for lab in words[g]:
+            acc = hom.target.mul(acc, hom.images[lab])
+        out.append(acc)
+    return tuple(out)
+
+
+def oracle_subgroup_labels(S):
+    parent, elems = S.parent, tuple(sorted(S.elements))
+    chosen, closure = [], {parent.identity}
+    for g in elems:
+        if g not in closure:
+            chosen.append(g)
+            closure = set(subgroup_generated(parent, chosen).elements)
+        if len(closure) == len(elems):
+            break
+    return {parent.element_names[g]: elems.index(g) for g in chosen}
+
+
+def assert_quotient_matches(G, N):
+    Q, proj = quotient_with_projection(G, N)
+    table, inverses, labels, names, coset_of = oracle_quotient(G, N)
+    assert (Q.table, Q.inverses, Q.generator_labels, Q.element_names) == (
+        table, inverses, labels, names)
+    assert proj.full_map() == coset_of == oracle_full_map(proj)
+    return Q
+
+
 def specs_for(G):
     out = [Rational()]
     for p in sorted(set(prime_factors(G.order)) | {2, 3}):
@@ -158,10 +229,8 @@ def assert_invariants_match(G):
     assert conjugacy_classes(G) == classes
     assert class_of(G) == oracle_class_of(G, classes)
     inv = G.invariants()
-    for cls, pw in zip(classes, inv.powers):
-        g = cls[0]
-        assert len(pw) == oracle_order(G, g)
-        assert list(pw) == [G.power(g, e) for e in range(len(pw))]
+    assert inv.orders == tuple(oracle_order(G, cls[0]) for cls in classes)
+    assert all(oracle_order(G, g) == d for cls, d in zip(classes, inv.orders) for g in cls)
     for spec in specs_for(G):
         assert fused_classes(G, spec).blocks == oracle_fused_blocks(G, spec), spec
     # a second call hands back the cached objects
@@ -196,7 +265,28 @@ def test_quotients_by_the_center_match_direct_routines(name):
     Z = center(G)
     assert Z.elements == tuple(g for g in range(G.order)
                                if all(G.mul(g, h) == G.mul(h, g) for h in range(G.order)))
-    assert_invariants_match(quotient(G, Z))
+    assert_invariants_match(assert_quotient_matches(G, Z))
+    assert quotient(G, Z).table == quotient_with_projection(G, Z)[0].table
+
+
+@settings(max_examples=30, deadline=None)
+@given(group_names.filter(lambda name: build_group(name).order <= 128), st.data())
+def test_quotients_by_normal_closures_match_direct_routines(name, data):
+    G = build_group(name)
+    g = data.draw(st.integers(0, G.order - 1))
+    N = subgroup_generated(G, {G.conjugate(g, h) for h in range(G.order)})
+    assert_quotient_matches(G, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(group_names.filter(lambda name: build_group(name).order <= 128),
+       group_names.filter(lambda name: build_group(name).order <= 128), st.data())
+def test_full_map_matches_word_walk(source, target, data):
+    """Any label images, homomorphic or not, give the oracle's map."""
+    G, H = build_group(source), build_group(target)
+    images = {lab: data.draw(st.integers(0, H.order - 1)) for lab in G.generator_labels}
+    hom = GroupHom(G, H, images)
+    assert hom.full_map() == oracle_full_map(hom)
 
 
 @settings(max_examples=20, deadline=None)
@@ -204,9 +294,11 @@ def test_quotients_by_the_center_match_direct_routines(name):
 def test_subgroups_as_groups_match_direct_routines(name, data):
     G = build_group(name)
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
-    H, elems = subgroup_as_group(subgroup_generated(G, gens), "sub")
+    S = subgroup_generated(G, gens)
+    H, elems = subgroup_as_group(S, "sub")
     index_of = {g: i for i, g in enumerate(elems)}
     assert H.table == tuple(tuple(index_of[G.mul(a, b)] for b in elems) for a in elems)
+    assert H.generator_labels == oracle_subgroup_labels(S)
     assert_invariants_match(H)
 
 
