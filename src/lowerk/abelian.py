@@ -10,6 +10,8 @@ integers; entry growth during elimination is harmless.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import IllFormedMap
@@ -183,25 +185,19 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
     return SmithForm(u, a, v, ui, vi)
 
 
-def solve_lattice(cols: list[list[int]], v: list[int]) -> list[int] | None:
-    """Integer coefficients z with sum_j z_j * cols[j] = v, or None."""
-    n = len(v)
-    if not cols:
-        return [] if all(x == 0 for x in v) else None
-    mat = [[col[i] for col in cols] for i in range(n)]
-    s = smith_normal_form(mat, cols=len(cols))
-    w = mat_vec(s.u, v)
+def _smith_solve(s: SmithForm, v: list[int]) -> list[int] | None:
+    """y with d * y = u * v, or None; then x = s.v * y solves m * x = v."""
     diag = s.diagonal
-    y = [0] * len(cols)
-    for i in range(n):
+    y = [0] * len(s.v)
+    for i, w in enumerate(mat_vec(s.u, v)):
         di = diag[i] if i < len(diag) else 0
         if di:
-            if w[i] % di:
+            if w % di:
                 return None
-            y[i] = w[i] // di
-        elif w[i]:
+            y[i] = w // di
+        elif w:
             return None
-    return mat_vec(s.v, y)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +241,23 @@ class FgAbelianGroup:
             prev = d
 
     @classmethod
-    def from_divisors(cls, free_rank: int, divisors: "itertools.chain | list[int] | tuple[int, ...]") -> "FgAbelianGroup":
-        """Canonicalize an arbitrary direct sum of cyclic groups."""
-        exponents: dict[int, list[int]] = {}
+    def from_divisors(cls, free_rank: int, divisors: Iterable[int]) -> "FgAbelianGroup":
+        """Canonicalize an arbitrary direct sum of cyclic groups (Z/0 = Z).
+
+        Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so exchanging every pair
+        a_i, a_j (i < j) for their gcd and lcm leaves the group unchanged
+        and ends in a divisibility chain with the 0s last; no divisor is
+        factored.
+        """
+        ds = []
         for d in divisors:
-            d = abs(int(d))
-            if d == 0:
-                free_rank += 1
-                continue
-            for p, e in prime_factors(d).items():
-                exponents.setdefault(p, []).append(e)
-        for p in exponents:
-            exponents[p].sort(reverse=True)
-        depth = max((len(v) for v in exponents.values()), default=0)
-        factors = []
-        for k in range(depth):
-            f = 1
-            for p, es in exponents.items():
-                if k < len(es):
-                    f *= p ** es[k]
-            factors.append(f)
-        return cls(free_rank, tuple(reversed(factors)))
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError(f"cyclic divisor {d!r} is not an int")
+            ds.append(abs(d))
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                ds[i], ds[j] = math.gcd(ds[i], ds[j]), math.lcm(ds[i], ds[j])
+        return cls(free_rank + ds.count(0), tuple(d for d in ds if d > 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -344,13 +336,9 @@ def presentation_of_sum(groups: list[FgAbelianGroup]) -> AbelianPresentation:
 
 def group_of(pres: AbelianPresentation) -> FgAbelianGroup:
     """Invariant-factor form of a presented abelian group."""
-    if pres.ngens == 0:
-        return TRIVIAL_GROUP
     mat = [[rel[i] for rel in pres.relations] for i in range(pres.ngens)]
-    s = smith_normal_form(mat, cols=len(pres.relations))
-    diag = [d for d in s.diagonal if d != 0]
-    free = pres.ngens - len(diag)
-    return FgAbelianGroup.from_divisors(free, [d for d in diag if d > 1])
+    diag = smith_normal_form(mat, cols=len(pres.relations)).diagonal
+    return FgAbelianGroup.from_divisors(pres.ngens - len(diag), diag)
 
 
 @dataclass(frozen=True)
@@ -379,10 +367,11 @@ class AbelianMap:
 
     def check_well_defined(self) -> None:
         """Every source relation must land in the target relation lattice."""
-        target_rels = [list(r) for r in self.target.relations]
+        rels = self.target.relations
+        s = smith_normal_form([[rel[i] for rel in rels] for i in range(self.target.ngens)],
+                              cols=len(rels))
         for rel in self.source.relations:
-            img = self.image_of(list(rel))
-            if solve_lattice(target_rels, img) is None:
+            if _smith_solve(s, self.image_of(list(rel))) is None:
                 raise IllFormedMap(f"image of source relation {rel} misses the target lattice")
 
 
@@ -395,16 +384,8 @@ def zero_map(source: AbelianPresentation, target: AbelianPresentation) -> Abelia
 def cokernel(f: AbelianMap) -> FgAbelianGroup:
     """Target modulo (image + target relations), in canonical form."""
     f.check_well_defined()
-    n = f.target.ngens
-    if n == 0:
-        return TRIVIAL_GROUP
-    cols = [[f.matrix[i][j] for i in range(n)] for j in range(f.source.ngens)]
-    cols.extend(list(r) for r in f.target.relations)
-    mat = [[col[i] for col in cols] for i in range(n)]
-    s = smith_normal_form(mat, cols=len(cols))
-    diag = [d for d in s.diagonal if d != 0]
-    free = n - len(diag)
-    return FgAbelianGroup.from_divisors(free, [d for d in diag if d > 1])
+    images = tuple(zip(*f.matrix))
+    return group_of(AbelianPresentation(f.target.ngens, images + f.target.relations))
 
 
 def kernel(f: AbelianMap) -> FgAbelianGroup:
@@ -415,44 +396,20 @@ def kernel(f: AbelianMap) -> FgAbelianGroup:
     """
     f.check_well_defined()
     m = f.source.ngens
-    if m == 0:
-        return TRIVIAL_GROUP
-    n = f.target.ngens
-    k = len(f.target.relations)
-    q = m + k
-    if n == 0:
-        proj = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    else:
-        g = [[0] * q for _ in range(n)]
-        for i in range(n):
-            for j in range(m):
-                g[i][j] = f.matrix[i][j]
-            for j, rel in enumerate(f.target.relations):
-                g[i][m + j] = rel[i]
-        s = smith_normal_form(g, cols=q)
-        rank = s.rank
-        proj = [[s.v[i][j] for i in range(m)] for j in range(rank, q)]
-    if not proj:
-        return TRIVIAL_GROUP
-    # basis of the projected solution lattice
-    pmat = [[col[i] for col in proj] for i in range(m)]
-    sp = smith_normal_form(pmat, cols=len(proj))
+    rels = f.target.relations
+    q = m + len(rels)
+    g = [list(row) + [rel[i] for rel in rels] for i, row in enumerate(f.matrix)]
+    s = smith_normal_form(g, cols=q)
+    # the columns of v past the rank span the solutions; keep their x part
+    proj = [row[s.rank:] for row in s.v[:m]]
+    sp = smith_normal_form(proj, cols=q - s.rank)
+    # the projected lattice has basis d_i * (column i of sp.u_inv), i < rank;
+    # a relation's coordinates in it are the y of d * y = sp.u * rel
     rp = sp.rank
-    if rp == 0:
-        return TRIVIAL_GROUP
-    diag = sp.diagonal
     coeff_cols = []
     for rel in f.source.relations:
-        w = mat_vec(sp.u, list(rel))
-        z = []
-        for i in range(m):
-            di = diag[i] if i < len(diag) else 0
-            if i < rp:
-                if w[i] % di:
-                    raise IllFormedMap("source relation escapes the kernel lattice")
-                z.append(w[i] // di)
-            elif w[i]:
-                raise IllFormedMap("source relation escapes the kernel lattice")
-        coeff_cols.append(z)
-    quotient = AbelianPresentation(rp, tuple(tuple(c) for c in coeff_cols))
-    return group_of(quotient)
+        y = _smith_solve(sp, list(rel))
+        if y is None:
+            raise IllFormedMap("source relation escapes the kernel lattice")
+        coeff_cols.append(tuple(y[:rp]))
+    return group_of(AbelianPresentation(rp, tuple(coeff_cols)))

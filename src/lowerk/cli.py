@@ -164,9 +164,10 @@ def _resolve_spec(path: str) -> dict:
                 return json.load(fh)
             except ValueError as exc:
                 raise AssemblySpecError(f"{path} is not valid JSON: {exc}") from None
-    name = os.path.basename(path)
+    if os.path.dirname(path):
+        raise AssemblySpecError(f"no such spec file: {path}")
     try:
-        return casebook.bundled_spec_json(name)
+        return casebook.bundled_spec_json(path)
     except FileNotFoundError:
         raise AssemblySpecError(f"no such spec file or bundled spec: {path}")
 

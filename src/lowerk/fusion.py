@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .abelian import prime_factors
-from .errors import NotPrime
+from .errors import NotPrime, UnknownSpec
 from .groups import FiniteGroup
 
 
@@ -28,8 +28,35 @@ from .groups import FiniteGroup
 # small number theory helpers
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson-Webster 2017); the bound itself is a strong pseudoprime to them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    return prime_factors(p) == {p: 1}
+    """Deterministic Miller-Rabin; p at or above PRIME_BOUND is refused."""
+    if p >= PRIME_BOUND:
+        raise UnknownSpec(f"{p} is too large: primes must be below {PRIME_BOUND}")
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _crt(a: int, m: int, b: int, n: int) -> int:

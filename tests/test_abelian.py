@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +17,9 @@ from lowerk.abelian import (
     group_of,
     kernel,
     mat_mul,
+    mat_vec,
     presentation_of_sum,
+    prime_factors,
     smith_normal_form,
     zero_map,
 )
@@ -297,3 +303,151 @@ def test_multiplication_map_on_cyclic_group(n, k):
     want = FgAbelianGroup.from_divisors(0, [g])
     assert kernel(f) == want
     assert cokernel(f) == want
+
+
+# ---------------------------------------------------------------------------
+# the earlier prime-power canonicalization and per-relation lattice solve,
+# kept as oracles for the gcd/lcm exchange and the single Smith-form solve
+# ---------------------------------------------------------------------------
+
+def _prime_power_divisors(free_rank, divisors):
+    exponents = {}
+    for d in divisors:
+        d = abs(d)
+        if d == 0:
+            free_rank += 1
+            continue
+        for p, e in prime_factors(d).items():
+            exponents.setdefault(p, []).append(e)
+    for p in exponents:
+        exponents[p].sort(reverse=True)
+    depth = max((len(v) for v in exponents.values()), default=0)
+    factors = []
+    for k in range(depth):
+        f = 1
+        for p, es in exponents.items():
+            if k < len(es):
+                f *= p ** es[k]
+        factors.append(f)
+    return FgAbelianGroup(free_rank, tuple(reversed(factors)))
+
+
+def _solve_lattice(cols, v):
+    """Integer coefficients z with sum_j z_j * cols[j] = v, or None."""
+    n = len(v)
+    if not cols:
+        return [] if all(x == 0 for x in v) else None
+    mat = [[col[i] for col in cols] for i in range(n)]
+    s = smith_normal_form(mat, cols=len(cols))
+    w = mat_vec(s.u, v)
+    diag = s.diagonal
+    y = [0] * len(cols)
+    for i in range(n):
+        di = diag[i] if i < len(diag) else 0
+        if di:
+            if w[i] % di:
+                return None
+            y[i] = w[i] // di
+        elif w[i]:
+            return None
+    return mat_vec(s.v, y)
+
+
+_LARGE_PRIMES = (10007, 10009, 65521, 65537)
+_divisor = st.one_of(
+    st.integers(min_value=-64, max_value=64),
+    st.sampled_from((0, 1)),
+    st.tuples(st.sampled_from(_LARGE_PRIMES), st.sampled_from(_LARGE_PRIMES),
+              st.integers(min_value=1, max_value=12)).map(lambda t: t[0] * t[1] * t[2]),
+)
+
+
+@given(st.lists(_divisor, max_size=8), st.integers(min_value=0, max_value=3))
+def test_from_divisors_matches_prime_power_oracle(divisors, rank):
+    assert FgAbelianGroup.from_divisors(rank, divisors) == _prime_power_divisors(rank, divisors)
+
+
+def test_from_divisors_refuses_non_integers():
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError):
+            FgAbelianGroup.from_divisors(0, [4, bad])
+
+
+_small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def _maps(draw):
+    n = draw(st.integers(min_value=0, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=3))
+    vec = lambda k: tuple(draw(st.lists(_small, min_size=k, max_size=k)))
+    target = AbelianPresentation(n, tuple(vec(n) for _ in range(draw(st.integers(0, 3)))))
+    source = AbelianPresentation(m, tuple(vec(m) for _ in range(draw(st.integers(0, 3)))))
+    return AbelianMap(source, target, tuple(vec(m) for _ in range(n)))
+
+
+@given(_maps())
+def test_check_well_defined_matches_per_relation_oracle(f):
+    target_rels = [list(r) for r in f.target.relations]
+    want = True
+    for rel in f.source.relations:
+        img = f.image_of(list(rel))
+        z = _solve_lattice(target_rels, img)
+        if z is None:
+            want = False
+        else:
+            assert [sum(c * col[i] for c, col in zip(z, target_rels)) for i in range(len(img))] == img
+    try:
+        f.check_well_defined()
+        got = True
+    except IllFormedMap:
+        got = False
+    assert got == want
+
+
+def test_kernel_and_cokernel_with_no_generators():
+    z_2_4 = FgAbelianGroup(1, (2, 4))
+    source = presentation_of_sum([z_2_4])
+    empty = AbelianPresentation(0, ((), ()))    # no generators, two length-0 relations
+    into_nothing = AbelianMap(source, empty, ())
+    assert kernel(into_nothing) == z_2_4
+    assert cokernel(into_nothing) == TRIVIAL_GROUP
+    target = presentation_of_sum([FgAbelianGroup(1, (6,))])
+    from_nothing = AbelianMap(empty, target, ((),) * target.ngens)
+    assert kernel(from_nothing) == TRIVIAL_GROUP
+    assert cokernel(from_nothing) == FgAbelianGroup(1, (6,))
+    nothing = AbelianMap(empty, AbelianPresentation(0), ())
+    assert kernel(nothing) == TRIVIAL_GROUP
+    assert cokernel(nothing) == TRIVIAL_GROUP
+    assert group_of(empty) == TRIVIAL_GROUP
+
+
+def test_kernel_when_no_solution_meets_the_source():
+    # Z -> Z (a zero relation) by 1: every solution of x + 0*y = 0 has x = 0
+    f = AbelianMap(AbelianPresentation(1), AbelianPresentation(1, ((0,),)), ((1,),))
+    assert kernel(f) == TRIVIAL_GROUP
+    assert cokernel(f) == TRIVIAL_GROUP
+
+
+ROOT = Path(__file__).resolve().parent.parent
+_DENSE_24 = """
+import random
+from lowerk.abelian import (AbelianMap, AbelianPresentation, FgAbelianGroup, cokernel,
+                            determinant, kernel)
+rng = random.Random("dense-24")
+mat = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+f = AbelianMap(AbelianPresentation(24), AbelianPresentation(24), tuple(map(tuple, mat)))
+det = abs(determinant(mat))
+assert det and kernel(f) == FgAbelianGroup()
+assert cokernel(f).order == det
+print("ok")
+"""
+
+
+def test_dense_24x24_kernel_and_cokernel_finish():
+    # a full-rank square map has a cokernel of order |det|, here about 2 * 10^29
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _DENSE_24], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

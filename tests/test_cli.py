@@ -86,9 +86,19 @@ def test_assemble_bundled_by_name_and_by_path(capsys):
     code, out, _ = run_cli(capsys, "assemble", "b3rp2")
     assert code == 0
     assert "Z^2 + (Z/2)^2" in out
-    code, out, _ = run_cli(capsys, "assemble", "specs/pb3rp2.json")
+    import importlib.resources
+
+    path = importlib.resources.files("lowerk") / "specs" / "pb3rp2.json"
+    code, out, _ = run_cli(capsys, "assemble", str(path))
     assert code == 0
     assert "Z/2" in out
+
+
+def test_assemble_missing_path_is_not_a_bundled_name(capsys):
+    code, out, err = run_cli(capsys, "assemble", "/nonexistent/dir/b3rp2.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "/nonexistent/dir/b3rp2.json" in err
 
 
 def test_assemble_json_round_trip(capsys):
@@ -252,3 +262,35 @@ def test_assemble_refuses_malformed_spec(name, capsys, tmp_path):
     if name != "invalid json":
         with pytest.raises(AssemblySpecError):
             assembly_spec_from_json(json.loads(MALFORMED_SPECS[name]))
+
+
+def _run_module(*argv, timeout=30):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "lowerk", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_assemble_cited_torsion_of_a_large_prime(tmp_path):
+    # Z/(2^61 - 1) in the edge group's lowest degree passes into K_-1 as a
+    # kernel summand; nothing on the way may factor it
+    m = 2 ** 61 - 1
+    path = tmp_path / "spec.json"
+    path.write_text(_b3_with(_set(("sheets", 2, "Km2", "torsion"), [m])))
+    done = _run_module("--format", "json", "assemble", str(path))
+    assert done.returncode == 0, done.stderr
+    km1 = json.loads(done.stdout)["degrees"]["Km1"]
+    assert km1["ker_shift"] == {"rank": 0, "torsion": [m]}
+    assert km1["pretty"] == f"Z^2 + Z/2 + Z/{2 * m}"
+
+
+def test_fusion_prime_of_nineteen_digits():
+    done = _run_module("classes", "cyclic:6", "--fusion", "fp:1000000000000000003")
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 7    # header and six singleton blocks
+    done = _run_module("classes", "cyclic:6", "--fusion", "fp:1000000000000000001")
+    assert done.returncode == 2 and "not prime" in done.stderr

@@ -2,13 +2,15 @@ import math
 
 import pytest
 
-from lowerk.errors import NotPrime
+from lowerk.errors import NotPrime, UnknownSpec
 from lowerk.fusion import (
+    PRIME_BOUND,
     ModP,
     Padic,
     Rational,
     count_irreducibles,
     fused_classes,
+    is_prime,
     p_singular_classes,
     sc_rank,
 )
@@ -171,3 +173,26 @@ def test_modp_blocks_are_p_regular():
     for block in fused.blocks:
         for cls in block:
             assert G.element_order(cls[0]) % 2 == 1
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+    assert not is_prime(0) and not is_prime(1)
+    assert not is_prime(561)     # Carmichael number
+    assert not is_prime(2047)    # strong pseudoprime to base 2
+    assert not is_prime(3825123056546413051)    # strong pseudoprime to bases 2..23
+    assert is_prime(1000000000000000003)
+    assert not is_prime(1000000000000000001)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    assert is_prime(PRIME_BOUND - 1) is False    # even, and still answered
+    for p in (PRIME_BOUND, 2 ** 127 - 1):
+        with pytest.raises(UnknownSpec):
+            is_prime(p)
+    with pytest.raises(UnknownSpec):
+        ModP(PRIME_BOUND)
