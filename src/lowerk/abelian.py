@@ -384,17 +384,27 @@ def zero_map(source: AbelianPresentation, target: AbelianPresentation) -> Abelia
 def cokernel(f: AbelianMap) -> FgAbelianGroup:
     """Target modulo (image + target relations), in canonical form."""
     f.check_well_defined()
+    return _cokernel(f)
+
+
+def kernel(f: AbelianMap) -> FgAbelianGroup:
+    """Kernel of the induced map on quotients, in canonical form."""
+    f.check_well_defined()
+    return _kernel(f)
+
+
+def _cokernel(f: AbelianMap) -> FgAbelianGroup:
+    """`cokernel` of a map already checked to be well defined."""
     images = tuple(zip(*f.matrix))
     return group_of(AbelianPresentation(f.target.ngens, images + f.target.relations))
 
 
-def kernel(f: AbelianMap) -> FgAbelianGroup:
-    """Kernel of the induced map on quotients, in canonical form.
+def _kernel(f: AbelianMap) -> FgAbelianGroup:
+    """`kernel` of a map already checked to be well defined.
 
     Solve M x + R_T y = 0 for x, project the solution lattice to the
     source coordinates, then quotient by the source relations.
     """
-    f.check_well_defined()
     m = f.source.ngens
     rels = f.target.relations
     q = m + len(rels)

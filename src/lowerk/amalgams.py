@@ -2,10 +2,13 @@
 
 An element of A *_C B is stored as a head in the edge group C followed by
 an alternating sequence of non-identity right-coset representatives from
-the two vertex groups.  Multiplying a vertex element onto the left of a
-normal form needs a bounded number of coset factorizations, so words are
-evaluated right to left; uniqueness of the form makes equality a plain
-comparison (Serre, Trees).
+the two vertex groups.  Left-multiplying a vertex element onto a normal
+form takes at most two coset factorizations and changes only its first
+syllable, so every operation builds its result once from a reversed list
+of syllables, linear in the syllables it touches: a product reduces only
+at the junction, a power squares and multiplies, and an element order
+comes from one two-pointer pass of cyclic reduction.  Uniqueness of the
+form makes equality a plain comparison (Serre, Trees).
 """
 
 from __future__ import annotations
@@ -112,56 +115,63 @@ class Amalgam:
 
     # -- arithmetic on normal forms ------------------------------------------
 
-    def _left_mul_vertex(self, side: int, x: int, e: AmalgamElement) -> AmalgamElement:
-        """(x in vertex group `side`) * e, renormalized."""
+    def _left_mul(self, side: int, x: int, head: int,
+                  rev: list[tuple[int, int]]) -> int:
+        """Left-multiply x (in vertex group `side`) onto the normal form
+        (head, reversed(rev)).  Updates `rev`, whose last entry is the
+        leftmost syllable, in place and returns the new head: one coset
+        factorization, and a second where x's side meets the first
+        syllable."""
         V = self._vertex[side]
-        image = self._embed[side]
-        u = V.table[x][image[e.head]]
-        c1, s1 = self._factor[side][u]
-        if s1 == V.identity:
-            return AmalgamElement(c1, e.syllables)
-        syll = e.syllables
-        if not syll or syll[0][0] != side:
-            return AmalgamElement(c1, ((side, s1),) + syll)
-        v = V.table[s1][syll[0][1]]
-        c2, s2 = self._factor[side][v]
-        head = self.C.table[c1][c2]
-        rest = syll[1:]
-        if s2 == V.identity:
-            return AmalgamElement(head, rest)
-        return AmalgamElement(head, ((side, s2),) + rest)
-
-    def _vertex_sequence(self, e: AmalgamElement) -> list[tuple[int, int]]:
-        """e as a product of vertex elements, left to right; the head is
-        emitted through the A side (both embeddings agree on it)."""
-        seq = []
-        if e.head != self.C.identity:
-            seq.append((SIDE_A, self._embed[SIDE_A][e.head]))
-        seq.extend(e.syllables)
-        return seq
+        factor = self._factor[side]
+        c, t = factor[V.table[x][self._embed[side][head]]]
+        if t == V.identity:
+            return c
+        if rev and rev[-1][0] == side:
+            c2, t = factor[V.table[t][rev[-1][1]]]
+            c = self.C.table[c][c2]
+            if t == V.identity:
+                rev.pop()
+            else:
+                rev[-1] = (side, t)
+        else:
+            rev.append((side, t))
+        return c
 
     def mul(self, e1: AmalgamElement, e2: AmalgamElement) -> AmalgamElement:
-        out = e2
-        for side, x in reversed(self._vertex_sequence(e1)):
-            out = self._left_mul_vertex(side, x, out)
-        return out
+        """e1's syllables cancel against e2's only at the junction; once a
+        representative survives, each further syllable of e1 costs one
+        factorization carrying the edge element leftwards."""
+        rev = list(reversed(e2.syllables))
+        head = e2.head
+        for side, x in reversed(e1.syllables):
+            head = self._left_mul(side, x, head, rev)
+        return AmalgamElement(self.C.table[e1.head][head], tuple(reversed(rev)))
 
     def inv(self, e: AmalgamElement) -> AmalgamElement:
-        out = self.identity_element
-        for side, x in self._vertex_sequence(e):
-            out = self._left_mul_vertex(side, self._vertex[side].inverses[x], out)
-        return out
+        rev: list[tuple[int, int]] = []
+        head = self.C.inverses[e.head]
+        for side, x in e.syllables:
+            head = self._left_mul(side, self._vertex[side].inverses[x], head, rev)
+        return AmalgamElement(head, tuple(reversed(rev)))
 
     def power(self, e: AmalgamElement, n: int) -> AmalgamElement:
+        """e^n by square-and-multiply."""
         if n < 0:
             e, n = self.inv(e), -n
         out = self.identity_element
-        for _ in range(n):
-            out = self.mul(out, e)
+        while n:
+            if n & 1:
+                out = self.mul(out, e)
+            n >>= 1
+            if n:
+                e = self.mul(e, e)
         return out
 
     def embed_vertex(self, side: int, x: int) -> AmalgamElement:
-        return self._left_mul_vertex(side, x, self.identity_element)
+        rev: list[tuple[int, int]] = []
+        head = self._left_mul(side, x, self.C.identity, rev)
+        return AmalgamElement(head, tuple(rev))
 
     def _resolve(self, sym: str) -> tuple[int, int]:
         if sym in self.A.generator_labels:
@@ -172,11 +182,12 @@ class Amalgam:
 
     def evaluate(self, word: Word) -> AmalgamElement:
         """Normal form of a word over the vertex groups' generator labels."""
-        out = self.identity_element
+        rev: list[tuple[int, int]] = []
+        head = self.C.identity
         for sym, exp in reversed(word.entries):
             side, g = self._resolve(sym)
-            out = self._left_mul_vertex(side, self._vertex[side].power(g, exp), out)
-        return out
+            head = self._left_mul(side, self._vertex[side].power(g, exp), head, rev)
+        return AmalgamElement(head, tuple(reversed(rev)))
 
     def describe(self, e: AmalgamElement) -> str:
         """Human-readable normal form: head name, then syllable names."""
@@ -190,18 +201,30 @@ class Amalgam:
 
     def order_of(self, e: AmalgamElement) -> int | float:
         """Element order; INFINITE when the cyclically reduced syllable
-        length is at least 2, otherwise the order inside a vertex group."""
-        while e.syllable_count >= 2 and e.syllables[0][0] == e.syllables[-1][0]:
-            side, s1 = e.syllables[0]
-            lead = AmalgamElement(e.head, ((side, s1),))
-            e = self.mul(self.mul(self.inv(lead), e), lead)
-        if e.syllable_count >= 2:
-            return INFINITE
-        if e.syllable_count == 0:
+        length is at least 2, otherwise the order inside a vertex group.
+
+        The head folds into the first syllable, giving a reduced word of
+        vertex letters x_lo .. x_hi.  While the two ends lie on one side,
+        conjugating by the last letter merges it into the first; the word
+        stays reduced unless the merged letter lies in the edge group,
+        which then folds into the next letter (Serre, Trees, 1.2)."""
+        syll = e.syllables
+        if not syll:
             return self.C.element_order(e.head)
-        side, t = e.syllables[0]
-        V = self._vertex[side]
-        return V.element_order(V.table[self._embed[side][e.head]][t])
+        side, t = syll[0]
+        first = self._vertex[side].table[self._embed[side][e.head]][t]
+        lo, hi = 0, len(syll) - 1
+        while hi - lo >= 2 and syll[lo][0] == syll[hi][0]:
+            V = self._vertex[side]
+            c, t = self._factor[side][V.table[syll[hi][1]][first]]
+            if t != V.identity:
+                return INFINITE
+            lo, hi = lo + 1, hi - 1
+            side, x = syll[lo]
+            first = self._vertex[side].table[self._embed[side][c]][x]
+        if hi > lo:
+            return INFINITE
+        return self._vertex[side].element_order(first)
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,13 @@ def _parse_fusion(flag: str):
     if flag == "q":
         return Rational()
     kind, _, p = flag.partition(":")
-    if kind in ("qp", "fp", "singular") and p.isdigit():
-        p = int(p)
+    # ASCII only: str.isdigit() also holds for superscripts, which int()
+    # refuses, and for other scripts' digits, which int() reads
+    if kind in ("qp", "fp", "singular") and p.isascii() and p.isdigit():
+        try:
+            p = int(p)
+        except ValueError:          # more digits than int() converts
+            raise UnknownSpec("fusion prime has too many digits") from None
         return Padic(p) if kind == "qp" else (ModP(p) if kind == "fp" else ("singular", p))
     raise UnknownSpec(f"cannot parse fusion flag {flag!r}")
 

@@ -19,8 +19,8 @@ from .abelian import (
     AbelianMap,
     FgAbelianGroup,
     TRIVIAL_GROUP,
-    cokernel,
-    kernel,
+    _cokernel,
+    _kernel,
     presentation_of_sum,
 )
 from .errors import (
@@ -454,14 +454,17 @@ def amalgam_k_assemble(spec: AssemblySpec) -> dict[str, AssembledDegree]:
     Each degree contributes the cokernel of its own map, the kernel of
     the map one degree lower, and the symbolic Nil sum (nonzero only in
     Wh and reduced-K_0 degrees; everything vanishes below degree -1).
+    Each degree map is checked to be well defined once, before use.
     """
     maps = {deg: _degree_map(spec, deg) for deg in DEGREES}
+    for f in maps.values():
+        f.check_well_defined()
     nil_values = [nil_classify(entry.vc) for entry in spec.nils]
     out = {}
     for deg in DEGREES:
-        coker = cokernel(maps[deg])
+        coker = _cokernel(maps[deg])
         lower = _NEXT_LOWER[deg]
-        ker_shift = kernel(maps[lower]) if lower else TRIVIAL_GROUP
+        ker_shift = _kernel(maps[lower]) if lower else TRIVIAL_GROUP
         if deg in _NIL_DEGREES:
             nil = nil_sum(nil_values)
         else:

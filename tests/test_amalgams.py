@@ -1,9 +1,16 @@
+import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowerk.amalgams import (
     Amalgam,
+    AmalgamElement,
     GraphWithAction,
     INFINITE,
     SIDE_A,
@@ -163,6 +170,203 @@ def test_vertex_words_agree_with_group_evaluation():
         for _ in range(100):
             w = _random_word(rng, symbols)
             assert am.evaluate(w) == am.embed_vertex(side, G.evaluate(w))
+
+
+# --- the seed's normal-form arithmetic, kept as the oracle -----------------
+# One vertex element at a time, left-multiplied onto a tuple; products,
+# inverses and powers by repeated multiplication; cyclic reduction by
+# conjugating with the leading syllable until the ends differ.
+
+def seed_left_mul_vertex(am, side, x, e):
+    V = am._vertex[side]
+    image = am._embed[side]
+    u = V.table[x][image[e.head]]
+    c1, s1 = am._factor[side][u]
+    if s1 == V.identity:
+        return AmalgamElement(c1, e.syllables)
+    syll = e.syllables
+    if not syll or syll[0][0] != side:
+        return AmalgamElement(c1, ((side, s1),) + syll)
+    v = V.table[s1][syll[0][1]]
+    c2, s2 = am._factor[side][v]
+    head = am.C.table[c1][c2]
+    rest = syll[1:]
+    if s2 == V.identity:
+        return AmalgamElement(head, rest)
+    return AmalgamElement(head, ((side, s2),) + rest)
+
+
+def seed_vertex_sequence(am, e):
+    seq = []
+    if e.head != am.C.identity:
+        seq.append((SIDE_A, am._embed[SIDE_A][e.head]))
+    seq.extend(e.syllables)
+    return seq
+
+
+def seed_mul(am, e1, e2):
+    out = e2
+    for side, x in reversed(seed_vertex_sequence(am, e1)):
+        out = seed_left_mul_vertex(am, side, x, out)
+    return out
+
+
+def seed_inv(am, e):
+    out = am.identity_element
+    for side, x in seed_vertex_sequence(am, e):
+        out = seed_left_mul_vertex(am, side, am._vertex[side].inverses[x], out)
+    return out
+
+
+def seed_power(am, e, n):
+    if n < 0:
+        e, n = seed_inv(am, e), -n
+    out = am.identity_element
+    for _ in range(n):
+        out = seed_mul(am, out, e)
+    return out
+
+
+def seed_evaluate(am, word):
+    out = am.identity_element
+    for sym, exp in reversed(word.entries):
+        side, g = am._resolve(sym)
+        out = seed_left_mul_vertex(am, side, am._vertex[side].power(g, exp), out)
+    return out
+
+
+def seed_order_of(am, e):
+    while e.syllable_count >= 2 and e.syllables[0][0] == e.syllables[-1][0]:
+        side, s1 = e.syllables[0]
+        lead = AmalgamElement(e.head, ((side, s1),))
+        e = seed_mul(am, seed_mul(am, seed_inv(am, lead), e), lead)
+    if e.syllable_count >= 2:
+        return INFINITE
+    if e.syllable_count == 0:
+        return am.C.element_order(e.head)
+    side, t = e.syllables[0]
+    V = am._vertex[side]
+    return V.element_order(V.table[am._embed[side][e.head]][t])
+
+
+@functools.cache
+def amalgam_named(which):
+    return {"pb3": pb3_amalgam, "b3": full_braid_amalgam, "degenerate": degenerate_amalgam}[which]()
+
+
+amalgam_names = st.sampled_from(["pb3", "b3", "degenerate"])
+
+
+@st.composite
+def normal_forms(draw, am, max_len=10):
+    """Any normal form: a head, then alternating non-identity representatives."""
+    head = draw(st.integers(0, am.C.order - 1))
+    reps = [[t for t in am.transversal(side) if t != am._vertex[side].identity]
+            for side in (SIDE_A, SIDE_B)]
+    side = draw(st.sampled_from((SIDE_A, SIDE_B)))
+    syll = []
+    for _ in range(draw(st.integers(0, max_len))):
+        if not reps[side]:
+            break
+        syll.append((side, draw(st.sampled_from(reps[side]))))
+        side = 1 - side
+    return AmalgamElement(head, tuple(syll))
+
+
+def words_over(am, max_len=12):
+    symbols = sorted(am.A.generator_labels) + sorted(am.B.generator_labels)
+    entries = st.tuples(st.sampled_from(symbols), st.integers(-4, 4))
+    return st.lists(entries, max_size=max_len).map(lambda es: Word.of(*es))
+
+
+@settings(max_examples=150, deadline=None)
+@given(amalgam_names, st.data())
+def test_evaluate_matches_seed_oracle(which, data):
+    am = amalgam_named(which)
+    w = data.draw(words_over(am))
+    assert am.evaluate(w) == seed_evaluate(am, w)
+
+
+@pytest.mark.parametrize("which", ["pb3", "b3", "degenerate"])
+def test_embed_vertex_matches_seed_oracle(which):
+    am = amalgam_named(which)
+    for side, V in ((SIDE_A, am.A), (SIDE_B, am.B)):
+        for x in range(V.order):
+            want = seed_left_mul_vertex(am, side, x, am.identity_element)
+            assert am.embed_vertex(side, x) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(amalgam_names, st.data())
+def test_mul_inv_power_match_seed_oracle(which, data):
+    am = amalgam_named(which)
+    e = data.draw(normal_forms(am))
+    f = data.draw(normal_forms(am))
+    n = data.draw(st.integers(-6, 6))
+    assert am.mul(e, f) == seed_mul(am, e, f)
+    assert am.inv(e) == seed_inv(am, e)
+    assert am.power(e, n) == seed_power(am, e, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(amalgam_names, st.data())
+def test_mul_with_a_cancelling_junction_matches_seed_oracle(which, data):
+    # e = u v and f = v^-1 w: e's tail and f's head cancel, here completely
+    # when w is trivial, and e e^-1 cancels down to the identity
+    am = amalgam_named(which)
+    u, v, w = (data.draw(normal_forms(am)) for _ in range(3))
+    e = seed_mul(am, u, v)
+    f = seed_mul(am, seed_inv(am, v), w)
+    assert am.mul(e, f) == seed_mul(am, e, f) == seed_mul(am, u, w)
+    assert am.mul(e, am.inv(e)) == am.identity_element
+    assert am.mul(am.inv(e), e) == am.identity_element
+
+
+@settings(max_examples=150, deadline=None)
+@given(amalgam_names, st.data())
+def test_order_of_matches_seed_oracle(which, data):
+    # conjugates u v u^-1 of a short v have long ends on one side, which the
+    # cyclic reduction peels letter by letter
+    am = amalgam_named(which)
+    u = data.draw(normal_forms(am, max_len=12))
+    v = data.draw(normal_forms(am, max_len=3))
+    conj = seed_mul(am, seed_mul(am, u, v), seed_inv(am, u))
+    for e in (u, v, conj):
+        assert am.order_of(e) == seed_order_of(am, e)
+    assert am.order_of(conj) == am.order_of(v)
+
+
+_B3_SCALE = """
+from lowerk.amalgams import SIDE_A
+from lowerk.casebook import full_braid_amalgam
+from lowerk.presentations import Word, parse_word
+
+am = full_braid_amalgam()
+w = parse_word("P Y Q Y^3 P^-1 Y Q Y^-1")
+e = am.evaluate(w)
+assert e.syllable_count == 8
+big = am.power(e, 2000)
+half = am.power(e, 1000)
+assert big == am.mul(half, half)
+assert big == am.evaluate(Word.of(*(w.entries * 2000)))
+assert am.power(big, -1) == am.inv(big) == am.power(am.inv(e), 2000)
+
+u = am.evaluate(Word.of(*[("P" if i % 2 == 0 else "Y", 1) for i in range(2000)]))
+assert u.syllable_count == 2000
+x = am.A.generator_labels["P"]
+conj = am.mul(am.mul(u, am.embed_vertex(SIDE_A, x)), am.inv(u))
+assert conj.syllable_count >= 3999
+assert am.order_of(conj) == am.A.element_order(x)
+print("ok")
+"""
+
+
+def test_b3_power_2000_and_long_conjugate_finish():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", _B3_SCALE], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 # --- graph of groups ---------------------------------------------------------

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowerk import casebook
 from lowerk.cli import main
@@ -58,6 +61,30 @@ def test_classes_trivial_modp(capsys):
 def test_classes_bad_prime(capsys):
     code, _, err = run_cli(capsys, "classes", "cyclic:6", "--fusion", "fp:6")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["fp:\u00b2", "qp:\u0663", "singular:\uff13", "fp:" + "1" * 5000],
+                         ids=["superscript-2", "arabic-indic-3", "fullwidth-3", "5000-digits"])
+def test_fusion_prime_takes_ascii_digits_only(flag, capsys):
+    # 5000 digits are more than int() converts
+    code, out, err = run_cli(capsys, "classes", "cyclic:6", "--fusion", flag)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+fusion_flags = st.one_of(
+    st.text(),
+    st.builds("{}:{}".format, st.sampled_from(["q", "qp", "fp", "singular"]),
+              st.one_of(st.text(), st.from_regex(r"\A[0-9]{1,30}\Z"))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fusion_flags)
+def test_any_fusion_flag_exits_0_or_2(flag):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classes", "cyclic:6", "--fusion", flag])
+    assert code in (0, 2), err.getvalue()
 
 
 def test_ksheet_values(capsys):
@@ -262,6 +289,19 @@ def test_assemble_refuses_malformed_spec(name, capsys, tmp_path):
     if name != "invalid json":
         with pytest.raises(AssemblySpecError):
             assembly_spec_from_json(json.loads(MALFORMED_SPECS[name]))
+
+
+def test_assemble_refuses_an_ill_defined_cited_map(capsys, tmp_path):
+    # the edge group's Z/2 in K0t sent onto the octahedral side's Z/4
+    # generator; an ill-formed map is a data gap, exit 3
+    def edit(raw):
+        raw["sheets"][0]["K0t"] = {"rank": 0, "torsion": [2, 4]}
+        raw["maps"][1]["matrix"] = [[0], [1], [0], [0], [0]]
+    path = tmp_path / "spec.json"
+    path.write_text(_b3_with(edit))
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert code == 3 and out == ""
+    assert "misses the target lattice" in err
 
 
 def _run_module(*argv, timeout=30):
