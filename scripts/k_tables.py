@@ -2,9 +2,8 @@
 """Print the K-data sheet for every bundled group, plus the singular
 class tables of the two dicyclic groups in the amalgam case study."""
 
-from lowerk.abelian import prime_factors
 from lowerk.casebook import rows_to_table
-from lowerk.fusion import ModP, Padic, Rational, count_irreducibles, p_singular_classes
+from lowerk.fusion import Rational, count_irreducibles, p_singular_classes, sc_rank
 from lowerk.groups import build_group, dicyclic_group
 from lowerk.ktheory import BUNDLED_KSHEETS, carter_rank, k_minus1
 from lowerk.errors import UnknownSchurData
@@ -20,10 +19,8 @@ def main() -> None:
             km1 = str(k_minus1(G))
         except UnknownSchurData:
             km1 = "?"
-        sc = sum(count_irreducibles(G, Padic(p)) - count_irreducibles(G, ModP(p))
-                 for p in prime_factors(G.order))
         rows.append((name, str(G.order), str(count_irreducibles(G, Rational())),
-                     str(sc), str(carter_rank(G)), km1,
+                     str(sc_rank(G)), str(carter_rank(G)), km1,
                      str(sheet.entries["K0t"]), str(sheet.entries["Wh"])))
     print(rows_to_table(rows))
 

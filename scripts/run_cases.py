@@ -3,11 +3,11 @@
 
 import sys
 
-from lowerk.casebook import run_all
+from lowerk.casebook import CASES, run_case
 
 
 def main() -> int:
-    reports = run_all()
+    reports = [run_case(name) for name in CASES]
     for report in reports:
         print(report.to_table())
         print()

@@ -27,39 +27,8 @@ def eye(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return []
-    bc = len(b[0]) if b else 0
-    return [[sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(bc)]
-            for ra in a]
-
-
 def mat_vec(m: Matrix, v: list[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in m]
-
-
-def determinant(mat: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in mat]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass
@@ -354,6 +323,8 @@ class AbelianMap:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        """Refuse a matrix of the wrong shape, or one that sends a source
+        relation outside the target relation lattice."""
         if len(self.matrix) != self.target.ngens:
             raise IllFormedMap(
                 f"matrix has {len(self.matrix)} rows, target has {self.target.ngens} generators")
@@ -361,12 +332,6 @@ class AbelianMap:
             if len(row) != self.source.ngens:
                 raise IllFormedMap(
                     f"matrix row length {len(row)} does not match {self.source.ngens} source generators")
-
-    def image_of(self, vec: list[int]) -> list[int]:
-        return [sum(row[j] * vec[j] for j in range(len(vec))) for row in self.matrix]
-
-    def check_well_defined(self) -> None:
-        """Every source relation must land in the target relation lattice."""
         rels = self.target.relations
         s = smith_normal_form([[rel[i] for rel in rels] for i in range(self.target.ngens)],
                               cols=len(rels))
@@ -374,33 +339,18 @@ class AbelianMap:
             if _smith_solve(s, self.image_of(list(rel))) is None:
                 raise IllFormedMap(f"image of source relation {rel} misses the target lattice")
 
-
-def zero_map(source: AbelianPresentation, target: AbelianPresentation) -> AbelianMap:
-    return AbelianMap(source, target,
-                      tuple(tuple(0 for _ in range(source.ngens))
-                            for _ in range(target.ngens)))
+    def image_of(self, vec: list[int]) -> list[int]:
+        return [sum(row[j] * vec[j] for j in range(len(vec))) for row in self.matrix]
 
 
 def cokernel(f: AbelianMap) -> FgAbelianGroup:
     """Target modulo (image + target relations), in canonical form."""
-    f.check_well_defined()
-    return _cokernel(f)
-
-
-def kernel(f: AbelianMap) -> FgAbelianGroup:
-    """Kernel of the induced map on quotients, in canonical form."""
-    f.check_well_defined()
-    return _kernel(f)
-
-
-def _cokernel(f: AbelianMap) -> FgAbelianGroup:
-    """`cokernel` of a map already checked to be well defined."""
     images = tuple(zip(*f.matrix))
     return group_of(AbelianPresentation(f.target.ngens, images + f.target.relations))
 
 
-def _kernel(f: AbelianMap) -> FgAbelianGroup:
-    """`kernel` of a map already checked to be well defined.
+def kernel(f: AbelianMap) -> FgAbelianGroup:
+    """Kernel of the induced map on quotients, in canonical form.
 
     Solve M x + R_T y = 0 for x, project the solution lattice to the
     source coordinates, then quotient by the source relations.

@@ -48,10 +48,6 @@ class AmalgamElement:
     head: int
     syllables: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def syllable_count(self) -> int:
-        return len(self.syllables)
-
 
 class Amalgam:
     """A *_C B built from two verified injective embeddings of C."""

@@ -78,9 +78,6 @@ class CaseReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_table(self) -> str:
         rows = [("check", "expected", "computed", "cite", "pass")]
         rows += [(c.name, c.expected, c.computed, c.cite, "ok" if c.passed else "FAIL")
@@ -475,7 +472,3 @@ def run_case(name: str) -> CaseReport:
     if name not in _CASE_RUNNERS:
         raise KeyError(f"unknown case {name!r}; choose from {CASES}")
     return _CASE_RUNNERS[name]()
-
-
-def run_all() -> list[CaseReport]:
-    return [run_case(name) for name in CASES]

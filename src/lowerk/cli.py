@@ -42,7 +42,6 @@ from .ktheory import (
     bundled_ksheet,
     carter_rank,
     k_minus1,
-    negk_consistency,
     DEGREES,
 )
 from .presentations import DEFAULT_COSET_LIMIT
@@ -128,13 +127,19 @@ def cmd_ksheet(args) -> int:
     for p in prime_factors(G.order):
         per_prime[p] = (count_irreducibles(G, Padic(p)), count_irreducibles(G, ModP(p)))
     rank = carter_rank(G)
+    sheet = bundled_ksheet(G.name)
+    try:
+        km1 = k_minus1(G)
+    except UnknownSchurData:
+        km1 = None
     data = {
         "group": G.name,
         "r_Q": r_q,
         "per_prime": {str(p): {"r_Qp": a, "r_Fp": b} for p, (a, b) in per_prime.items()},
         "sc_rank": sc_rank(G),
         "carter_rank": rank,
-        "negk_consistent": negk_consistency(G),
+        # a bundled sheet must cite the K_-1 that Carter's formula computes
+        "negk_consistent": sheet is None or km1 is None or sheet.entries["Km1"] == km1,
     }
     rows = [("group", G.name), ("r_Q", str(r_q))]
     for p, (a, b) in sorted(per_prime.items()):
@@ -142,17 +147,15 @@ def cmd_ksheet(args) -> int:
     rows.append(("sc rank", str(data["sc_rank"])))
     rows.append(("carter rank", str(rank)))
     exit_code = 0
-    try:
-        km1 = k_minus1(G)
+    if km1 is not None:
         data["K_-1"] = km1.to_json()
         data["K_-1_pretty"] = str(km1)
         rows.append(("K_-1", str(km1)))
-    except UnknownSchurData:
+    else:
         free = str(FgAbelianGroup(rank))
         data["K_-1"] = "unknown torsion (no bundled Schur data)"
         rows.append(("K_-1", f"{free} + unknown torsion (no bundled Schur data)"))
         exit_code = 3
-    sheet = bundled_ksheet(G.name)
     if sheet is not None:
         data["bundled"] = sheet.to_json()
         for deg in ("Wh", "K0t"):

@@ -108,10 +108,6 @@ class FiniteGroup:
             acc = self.table[acc][self.power(self.generator_labels[sym], exp)]
         return acc
 
-    def is_abelian(self) -> bool:
-        gens = self.generators()
-        return all(self.table[s][t] == self.table[t][s] for s in gens for t in gens)
-
     def generators(self) -> list[int]:
         """The distinct elements named by generator labels, after checking
         that they generate the group."""
@@ -147,9 +143,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, g: int) -> bool:
-        return g in set(self.elements)
 
 
 @dataclass(eq=False)
@@ -244,11 +237,6 @@ def _invariants(G: FiniteGroup) -> GroupInvariants:
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Orbits under conjugation, sorted by minimal member."""
     return G.invariants().classes
-
-
-def class_of(G: FiniteGroup) -> tuple[int, ...]:
-    """Element index -> index of its conjugacy class."""
-    return G.invariants().class_of
 
 
 def center(G: FiniteGroup) -> Subgroup:

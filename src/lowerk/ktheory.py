@@ -19,8 +19,8 @@ from .abelian import (
     AbelianMap,
     FgAbelianGroup,
     TRIVIAL_GROUP,
-    _cokernel,
-    _kernel,
+    cokernel,
+    kernel,
     presentation_of_sum,
 )
 from .errors import (
@@ -43,14 +43,6 @@ _NIL_DEGREES = {"Wh", "K0t"}
 def carter_rank(G: FiniteGroup) -> int:
     """Free rank of K_{-1}(Z[G]) (Carter 1980)."""
     return 1 - count_irreducibles(G, Rational()) + sc_rank(G)
-
-
-def negk_consistency(G: FiniteGroup) -> bool:
-    """Rank bookkeeping of the exact sequence relating the reduced
-    rational K_0, the singular characters and K_{-1}: the singular rank
-    minus (r_Q - 1) must equal Carter's free rank."""
-    r_q = count_irreducibles(G, Rational())
-    return sc_rank(G) - (r_q - 1) == carter_rank(G)
 
 
 # Count of rational irreducibles with even Schur index but odd local
@@ -119,7 +111,7 @@ class KSheet:
                 entries[deg] = TRIVIAL_GROUP
             else:
                 raise MissingDegree(f"sheet for {data['group']} lacks degree {deg}")
-        return cls(data["group"], entries, data["cite"])
+        return cls(data["group"], entries, _spec_str(data["cite"], f"{data['group']} sheet cite"))
 
 
 def _sheet(group: str, cite: str, Wh=None, K0t=None, Km1=None) -> KSheet:
@@ -281,15 +273,7 @@ def vc_from_json(data: dict) -> VcType:
         raise AssemblySpecError(f"unknown vc type {kind!r}")
     cls, keys = _VC_FIELDS[kind]
     _require(data, keys, f"{kind} vc")
-    return cls(*(data[k] for k in keys))
-
-
-def vc_to_json(vc: VcType) -> dict:
-    if isinstance(vc, DirectProductVC):
-        return {"type": "product", "finite": vc.finite}
-    if isinstance(vc, SemiDirectVC):
-        return {"type": "semidirect", "finite": vc.finite}
-    return {"type": "amalgam", "left": vc.left, "edge": vc.edge, "right": vc.right}
+    return cls(*(_spec_str(data[k], f"{kind} vc {k}") for k in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +294,6 @@ class MapSpec:
     matrix: tuple[tuple[int, ...], ...]
     source: str
     cite: str
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "matrix": [list(r) for r in self.matrix],
-                "source": self.source, "cite": self.cite}
 
 
 @dataclass
@@ -361,6 +341,13 @@ def _spec_int(value, what: str, least: int | None = None) -> int:
     return value
 
 
+def _spec_str(value, what: str) -> str:
+    """A JSON string; nothing else is coerced into one."""
+    if not isinstance(value, str):
+        raise AssemblySpecError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _group_from_json(data, what: str) -> FgAbelianGroup:
     _require(data, ("rank", "torsion"), what)
     torsion = _spec_list(data["torsion"], f"{what} torsion")
@@ -377,7 +364,7 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
     maps = {}
     for raw in _spec_list(data["maps"], "maps"):
         _require(raw, ("degree", "matrix", "source", "cite"), "map entry")
-        if not raw["cite"]:
+        if not _spec_str(raw["cite"], "map cite"):
             raise AssemblySpecError("maps are cited data; empty cite refused")
         if raw["degree"] not in DEGREES:
             raise AssemblySpecError(f"unknown degree {raw['degree']!r}")
@@ -391,8 +378,8 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
     nils = []
     for raw in _spec_list(data["nils"], "nils"):
         _require(raw, ("vc",), "nil entry")
-        nils.append(NilEntry(vc_from_json(raw["vc"]), raw.get("cite", "")))
-    spec = AssemblySpec(data["name"], data["A"], data["B"], data["C"],
+        nils.append(NilEntry(vc_from_json(raw["vc"]), _spec_str(raw.get("cite", ""), "nil cite")))
+    spec = AssemblySpec(_spec_str(data["name"], "spec name"), data["A"], data["B"], data["C"],
                         sheets, maps, nils)
     for g in (spec.group_a, spec.group_b, spec.group_c):
         spec.sheet(g)
@@ -401,18 +388,6 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
             raise AssemblySpecError(
                 f"map in degree {deg} has source {ms.source}, expected {spec.group_c}")
     return spec
-
-
-def assembly_spec_to_json(spec: AssemblySpec) -> dict:
-    return {
-        "name": spec.name,
-        "A": spec.group_a,
-        "B": spec.group_b,
-        "C": spec.group_c,
-        "sheets": [spec.sheets[k].to_json() for k in sorted(spec.sheets)],
-        "maps": [spec.maps[d].to_json() for d in DEGREES],
-        "nils": [{"vc": vc_to_json(n.vc), "cite": n.cite} for n in spec.nils],
-    }
 
 
 @dataclass
@@ -454,17 +429,15 @@ def amalgam_k_assemble(spec: AssemblySpec) -> dict[str, AssembledDegree]:
     Each degree contributes the cokernel of its own map, the kernel of
     the map one degree lower, and the symbolic Nil sum (nonzero only in
     Wh and reduced-K_0 degrees; everything vanishes below degree -1).
-    Each degree map is checked to be well defined once, before use.
+    Building a degree map checks that it is well defined.
     """
     maps = {deg: _degree_map(spec, deg) for deg in DEGREES}
-    for f in maps.values():
-        f.check_well_defined()
     nil_values = [nil_classify(entry.vc) for entry in spec.nils]
     out = {}
     for deg in DEGREES:
-        coker = _cokernel(maps[deg])
+        coker = cokernel(maps[deg])
         lower = _NEXT_LOWER[deg]
-        ker_shift = _kernel(maps[lower]) if lower else TRIVIAL_GROUP
+        ker_shift = kernel(maps[lower]) if lower else TRIVIAL_GROUP
         if deg in _NIL_DEGREES:
             nil = nil_sum(nil_values)
         else:

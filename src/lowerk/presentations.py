@@ -110,30 +110,6 @@ class Presentation:
             if extra:
                 raise UnknownSymbol(f"relator {rel} uses undeclared symbols {sorted(extra)}")
 
-    def __str__(self) -> str:
-        head = "gens: " + " ".join(self.generators)
-        rels = "".join(f"; rel: {r}" for r in self.relators)
-        return head + rels
-
-
-def parse_presentation(text: str) -> Presentation:
-    """Inverse of Presentation.__str__ (format: `gens: a b; rel: a^2; ...`)."""
-    gens: tuple[str, ...] = ()
-    relators = []
-    for clause in text.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        key, _, rest = clause.partition(":")
-        key = key.strip()
-        if key == "gens":
-            gens = tuple(rest.split())
-        elif key == "rel":
-            relators.append(parse_word(rest))
-        else:
-            raise ValueError(f"unknown clause {key!r}")
-    return Presentation(gens, tuple(relators))
-
 
 # ---------------------------------------------------------------------------
 # the braid presentation family for the projective plane
@@ -210,11 +186,6 @@ class CosetTable:
     def column(self, sym: str, sgn: int) -> int:
         k = self.generators.index(sym)
         return 2 * k if sgn > 0 else 2 * k + 1
-
-    def trace(self, coset: int, word: Word) -> int:
-        for sym, sgn in word.letters():
-            coset = self.table[coset][self.column(sym, sgn)]
-        return coset
 
 
 def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),

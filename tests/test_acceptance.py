@@ -17,8 +17,9 @@ from lowerk.ktheory import (
     NIL_COUNTABLE_SUM_Z2,
     amalgam_k_assemble,
     assembly_spec_from_json,
+    BUNDLED_KSHEETS,
     carter_rank,
-    negk_consistency,
+    k_minus1,
 )
 
 
@@ -171,15 +172,12 @@ def test_criterion_7_property_suites():
             w1, w2 = _random_word(rng, symbols), _random_word(rng, symbols)
             assert am.evaluate(w1 * w2) == am.mul(am.evaluate(w1), am.evaluate(w2))
 
-    # rank bookkeeping holds on every bundled group
-    for name in ("cyclic:1", "cyclic:2", "cyclic:4", "cyclic:8", "dihedral:2",
-                 "dihedral:3", "dihedral:6", "quaternion:8", "dicyclic:12",
-                 "dicyclic:16", "dicyclic:24", "symmetric:3", "symmetric:4",
-                 "binary-tetrahedral", "binary-octahedral"):
-        assert negk_consistency(build_group(name)), name
+    # every bundled sheet cites the K_-1 that Carter's formula computes
+    for name, sheet in BUNDLED_KSHEETS.items():
+        assert sheet.entries["Km1"] == k_minus1(build_group(name)), name
     _line(7, "cyclic fusion oracles, 200 SNF postcondition checks, "
-          "kernel/image counts, 2x500 normal-form words, and the rank "
-          "identity all hold")
+          "kernel/image counts, 2x500 normal-form words, and the bundled "
+          "K_-1 sheets all hold")
 
 
 def test_criterion_8_desk_scale_honesty():

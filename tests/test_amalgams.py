@@ -236,13 +236,13 @@ def seed_evaluate(am, word):
 
 
 def seed_order_of(am, e):
-    while e.syllable_count >= 2 and e.syllables[0][0] == e.syllables[-1][0]:
+    while len(e.syllables) >= 2 and e.syllables[0][0] == e.syllables[-1][0]:
         side, s1 = e.syllables[0]
         lead = AmalgamElement(e.head, ((side, s1),))
         e = seed_mul(am, seed_mul(am, seed_inv(am, lead), e), lead)
-    if e.syllable_count >= 2:
+    if len(e.syllables) >= 2:
         return INFINITE
-    if e.syllable_count == 0:
+    if len(e.syllables) == 0:
         return am.C.element_order(e.head)
     side, t = e.syllables[0]
     V = am._vertex[side]
@@ -344,7 +344,7 @@ from lowerk.presentations import Word, parse_word
 am = full_braid_amalgam()
 w = parse_word("P Y Q Y^3 P^-1 Y Q Y^-1")
 e = am.evaluate(w)
-assert e.syllable_count == 8
+assert len(e.syllables) == 8
 big = am.power(e, 2000)
 half = am.power(e, 1000)
 assert big == am.mul(half, half)
@@ -352,10 +352,10 @@ assert big == am.evaluate(Word.of(*(w.entries * 2000)))
 assert am.power(big, -1) == am.inv(big) == am.power(am.inv(e), 2000)
 
 u = am.evaluate(Word.of(*[("P" if i % 2 == 0 else "Y", 1) for i in range(2000)]))
-assert u.syllable_count == 2000
+assert len(u.syllables) == 2000
 x = am.A.generator_labels["P"]
 conj = am.mul(am.mul(u, am.embed_vertex(SIDE_A, x)), am.inv(u))
-assert conj.syllable_count >= 3999
+assert len(conj.syllables) >= 3999
 assert am.order_of(conj) == am.A.element_order(x)
 print("ok")
 """

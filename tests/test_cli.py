@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowerk import casebook
+from lowerk.abelian import FgAbelianGroup
 from lowerk.cli import main
 from lowerk.errors import AssemblySpecError
-from lowerk.ktheory import assembly_spec_from_json
+from lowerk.ktheory import BUNDLED_KSHEETS, assembly_spec_from_json
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +102,20 @@ def test_ksheet_trivial(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["carter_rank"] == 0 and data["sc_rank"] == 0
+
+
+def test_ksheet_flags_a_bundled_sheet_that_contradicts_carter(capsys, monkeypatch):
+    # Carter's formula gives Z + Z/2 for the binary octahedral group
+    sheet = BUNDLED_KSHEETS["binary-octahedral"]
+    monkeypatch.setitem(sheet.entries, "Km1", FgAbelianGroup(1, (4,)))
+    code, out, _ = run_cli(capsys, "--format", "json", "ksheet", "binary-octahedral")
+    assert code == 0
+    data = json.loads(out)
+    assert data["negk_consistent"] is False
+    assert data["K_-1_pretty"] == "Z + Z/2"
+    code, out, _ = run_cli(capsys, "ksheet", "binary-octahedral")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["negk", "consistent", "NO"]
 
 
 def test_ksheet_unknown_schur_data_exits_3(capsys):
@@ -275,6 +290,12 @@ MALFORMED_SPECS = {
     "amalgam vc lacks edge": _b3_with(_set(("nils", 0, "vc"),
                                            {"type": "amalgam", "left": "cyclic:4", "right": "cyclic:4"})),
     "invalid json": '{"name": "b3rp2", ',
+    "list name": _b3_with(_set(("name",), ["b3rp2"])),
+    "list sheet cite": _b3_with(_set(("sheets", 0, "cite"), ["GJM"])),
+    "list map cite": _b3_with(_set(("maps", 2, "cite"), ["GJM"])),
+    "list nil cite": _b3_with(_set(("nils", 0, "cite"), ["Weibel 2009"])),
+    "list semidirect vc group": _b3_with(_set(("nils", 0, "vc"),
+                                              {"type": "semidirect", "finite": ["cyclic:2"]})),
 }
 
 

@@ -6,7 +6,6 @@ from lowerk.groups import build_group, group_from_coset_table, is_isomorphic
 from lowerk.presentations import (
     Presentation,
     Word,
-    parse_presentation,
     parse_word,
     todd_coxeter,
     van_buskirk,
@@ -40,14 +39,6 @@ def test_word_algebra(raw1, raw2):
 def test_word_parser_round_trip(raw):
     w = Word.of(*raw)
     assert parse_word(str(w)) == w
-
-
-def test_presentation_round_trip():
-    p = van_buskirk(3)
-    assert parse_presentation(str(p)) == p
-    q = parse_presentation("gens: a b; rel: a^2 b^-1 a b; rel: b^3")
-    assert q.generators == ("a", "b")
-    assert q.relators == (parse_word("a^2 b^-1 a b"), parse_word("b^3"))
 
 
 def test_presentation_rejects_undeclared_symbols():
@@ -131,13 +122,19 @@ def test_two_strand_group_is_generalized_quaternion():
     assert is_isomorphic(G, build_group("dicyclic:16"))
 
 
+def _trace(ct, coset, word):
+    for sym, sgn in word.letters():
+        coset = ct.table[coset][ct.column(sym, sgn)]
+    return coset
+
+
 def test_coset_table_self_consistency():
     for pres in (van_buskirk(1), van_buskirk(2),
                  Presentation(("g",), (Word.of(("g", 12)),))):
         ct = todd_coxeter(pres)
         for rel in pres.relators:
             for c in range(ct.index):
-                assert ct.trace(c, rel) == c
+                assert _trace(ct, c, rel) == c
 
 
 def test_verify_homomorphism_identity_images():
