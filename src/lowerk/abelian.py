@@ -3,7 +3,10 @@
 Groups are kept in invariant-factor form (free rank plus a divisibility
 chain of torsion coefficients).  Maps between presented abelian groups
 are integer matrices; kernels and cokernels are computed through the
-Smith normal form.  All arithmetic uses Python's arbitrary-precision
+Smith normal form.  One elimination serves every caller and carries only
+the transforms that caller reads: a cokernel reads the diagonal alone, a
+kernel one column transform and one row transform, the well-definedness
+check one row transform.  All arithmetic uses Python's arbitrary-precision
 integers; entry growth during elimination is harmless.
 """
 
@@ -36,8 +39,9 @@ class SmithForm:
     """Decomposition u * m * v = d with u, v unimodular and d diagonal.
 
     The diagonal is nonnegative and forms a divisibility chain.  u_inv and
-    v_inv are maintained alongside so lattice computations never need a
-    separate matrix inversion.
+    v_inv are the inverses of u and v, kept by the same elimination.  The
+    lattice computations below do not build a SmithForm: each runs the
+    elimination with only the transform it reads.
     """
 
     u: Matrix
@@ -55,53 +59,54 @@ class SmithForm:
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
-    """Smith normal form over the integers.
+def _eliminate(a: Matrix, u: Matrix | None = None, ui: Matrix | None = None,
+               v: Matrix | None = None, vi: Matrix | None = None) -> list[int]:
+    """Diagonalize `a` in place into Smith form and return its diagonal.
 
-    `cols` is only needed to fix the width of a matrix with zero rows.
+    Each row operation is applied to u and its inverse to ui, each column
+    operation to v and its inverse to vi, for those of the four that are
+    given.  The steps depend on `a` alone, so a transform left out changes
+    nothing else.  A column operation acts on each row of v by itself, so
+    v may be some rows of the identity, giving just those rows of v.
     """
-    r = len(mat)
-    c = len(mat[0]) if r else (cols or 0)
-    a = [list(map(int, row)) for row in mat]
-    for row in a:
-        if len(row) != c:
-            raise ValueError("ragged matrix")
-    u, ui = eye(r), eye(r)
-    v, vi = eye(c), eye(c)
+    r = len(a)
+    c = len(a[0]) if r else 0
+    rowed = [a] if u is None else [a, u]
+    coled = [a] if v is None else [a, v]
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for row in ui:
+        for m in rowed:
+            m[i], m[j] = m[j], m[i]
+        for row in ui or ():
             row[i], row[j] = row[j], row[i]
 
     def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for row in ui:
+        for m in rowed:
+            m[i] = [-x for x in m[i]]
+        for row in ui or ():
             row[i] = -row[i]
 
     def row_add(i, t, q):
         # row_i += q * row_t
-        a[i] = [x + q * y for x, y in zip(a[i], a[t])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[t])]
-        for row in ui:
+        for m in rowed:
+            m[i] = [x + q * y for x, y in zip(m[i], m[t])]
+        for row in ui or ():
             row[t] -= q * row[i]
 
     def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
+        for m in coled:
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
 
     def col_add(j, t, q):
         # col_j += q * col_t
-        for row in a:
-            row[j] += q * row[t]
-        for row in v:
-            row[j] += q * row[t]
-        vi[t] = [x - q * y for x, y in zip(vi[t], vi[j])]
+        for m in coled:
+            for row in m:
+                row[j] += q * row[t]
+        if vi is not None:
+            vi[t] = [x - q * y for x, y in zip(vi[t], vi[j])]
 
     t = 0
     limit = min(r, c)
@@ -151,15 +156,32 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
             row_add(t, offender, 1)
             continue
         t += 1
+    return [a[i][i] for i in range(limit)]
+
+
+def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
+    """Smith normal form over the integers, with all four transforms.
+
+    `cols` is only needed to fix the width of a matrix with zero rows.
+    """
+    r = len(mat)
+    c = len(mat[0]) if r else (cols or 0)
+    a = [list(map(int, row)) for row in mat]
+    for row in a:
+        if len(row) != c:
+            raise ValueError("ragged matrix")
+    u, ui, v, vi = eye(r), eye(r), eye(c), eye(c)
+    _eliminate(a, u, ui, v, vi)
     return SmithForm(u, a, v, ui, vi)
 
 
-def _smith_solve(s: SmithForm, v: list[int]) -> list[int] | None:
-    """y with d * y = u * v, or None; then x = s.v * y solves m * x = v."""
-    diag = s.diagonal
-    y = [0] * len(s.v)
-    for i, w in enumerate(mat_vec(s.u, v)):
-        di = diag[i] if i < len(diag) else 0
+def _smith_solve(u: Matrix, diagonal: list[int], ncols: int, vec: list[int]) -> list[int] | None:
+    """y with d * y = u * vec, or None, for the Smith form d (this diagonal,
+    `ncols` columns) that the row transform u reaches; then x = v * y
+    solves m * x = vec."""
+    y = [0] * ncols
+    for i, w in enumerate(mat_vec(u, vec)):
+        di = diagonal[i] if i < len(diagonal) else 0
         if di:
             if w % di:
                 return None
@@ -305,8 +327,7 @@ def presentation_of_sum(groups: list[FgAbelianGroup]) -> AbelianPresentation:
 
 def group_of(pres: AbelianPresentation) -> FgAbelianGroup:
     """Invariant-factor form of a presented abelian group."""
-    mat = [[rel[i] for rel in pres.relations] for i in range(pres.ngens)]
-    diag = smith_normal_form(mat, cols=len(pres.relations)).diagonal
+    diag = _eliminate([[rel[i] for rel in pres.relations] for i in range(pres.ngens)])
     return FgAbelianGroup.from_divisors(pres.ngens - len(diag), diag)
 
 
@@ -333,10 +354,10 @@ class AbelianMap:
                 raise IllFormedMap(
                     f"matrix row length {len(row)} does not match {self.source.ngens} source generators")
         rels = self.target.relations
-        s = smith_normal_form([[rel[i] for rel in rels] for i in range(self.target.ngens)],
-                              cols=len(rels))
+        u = eye(self.target.ngens)
+        diag = _eliminate([[rel[i] for rel in rels] for i in range(self.target.ngens)], u=u)
         for rel in self.source.relations:
-            if _smith_solve(s, self.image_of(list(rel))) is None:
+            if _smith_solve(u, diag, len(rels), self.image_of(list(rel))) is None:
                 raise IllFormedMap(f"image of source relation {rel} misses the target lattice")
 
     def image_of(self, vec: list[int]) -> list[int]:
@@ -359,17 +380,16 @@ def kernel(f: AbelianMap) -> FgAbelianGroup:
     rels = f.target.relations
     q = m + len(rels)
     g = [list(row) + [rel[i] for rel in rels] for i, row in enumerate(f.matrix)]
-    s = smith_normal_form(g, cols=q)
-    # the columns of v past the rank span the solutions; keep their x part
-    proj = [row[s.rank:] for row in s.v[:m]]
-    sp = smith_normal_form(proj, cols=q - s.rank)
-    # the projected lattice has basis d_i * (column i of sp.u_inv), i < rank;
-    # a relation's coordinates in it are the y of d * y = sp.u * rel
-    rp = sp.rank
-    coeff_cols = []
-    for rel in f.source.relations:
-        y = _smith_solve(sp, list(rel))
-        if y is None:
-            raise IllFormedMap("source relation escapes the kernel lattice")
-        coeff_cols.append(tuple(y[:rp]))
-    return group_of(AbelianPresentation(rp, tuple(coeff_cols)))
+    v = eye(q)[:m]
+    rank = sum(1 for x in _eliminate(g, v=v) if x)
+    # the columns of v past the rank span the solutions; v holds their x part
+    proj = [row[rank:] for row in v]
+    u = eye(m) if f.source.relations else None    # read only to solve for them
+    diag = _eliminate(proj, u=u)
+    rp = sum(1 for x in diag if x)
+    # the projected lattice has basis d_i * (column i of u^-1), i < rp;
+    # a relation's coordinates in it are the y of d * y = u * rel
+    # (never None: M rel = R_T z when f is built, so (rel, -z) is a solution)
+    coeff_cols = tuple(tuple(_smith_solve(u, diag, q - rank, list(rel))[:rp])
+                       for rel in f.source.relations)
+    return group_of(AbelianPresentation(rp, coeff_cols))

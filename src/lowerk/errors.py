@@ -32,12 +32,14 @@ class NotHomomorphism(LowerKError):
 class LimitExceeded(LowerKError):
     """Coset enumeration did not close within the coset limit.
 
-    A normal outcome for infinite groups; carries the limit that was hit.
+    A normal outcome for infinite groups; carries the limit that was hit
+    and how many cosets were live (not merged away) when it was.
     """
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, live: int):
         self.limit = limit
-        super().__init__(f"coset enumeration exceeded limit {limit}")
+        self.live = live
+        super().__init__(f"coset enumeration exceeded limit {limit} ({live} cosets live)")
 
 
 class UnknownSymbol(LowerKError):

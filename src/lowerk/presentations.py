@@ -227,7 +227,7 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
 
     def define(a: int, x: int) -> int:
         if len(table) >= coset_limit:
-            raise LimitExceeded(coset_limit)
+            raise LimitExceeded(coset_limit, sum(1 for c, p in enumerate(parent) if c == p))
         b = len(table)
         table.append([None] * ncols)
         parent.append(b)

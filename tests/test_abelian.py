@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from lowerk import abelian
 from lowerk.abelian import (
     AbelianMap,
     AbelianPresentation,
     FgAbelianGroup,
+    SmithForm,
     TRIVIAL_GROUP,
     cokernel,
     group_of,
@@ -20,7 +22,9 @@ from lowerk.abelian import (
     prime_factors,
     smith_normal_form,
 )
+from lowerk.casebook import bundled_spec_json
 from lowerk.errors import IllFormedMap
+from lowerk.ktheory import DEGREES, _degree_map, assembly_spec_from_json
 
 
 def mat_mul(a, b):
@@ -485,3 +489,210 @@ def test_dense_24x24_kernel_and_cokernel_finish():
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"{det}\n"
+
+
+# ---------------------------------------------------------------------------
+# the earlier lattice path, every elimination carrying all four transforms,
+# kept as an oracle for the elimination that carries only what is read
+# ---------------------------------------------------------------------------
+
+def _seed_smith_normal_form(mat, cols=None):
+    r = len(mat)
+    c = len(mat[0]) if r else (cols or 0)
+    a = [list(map(int, row)) for row in mat]
+    eye = lambda n: [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u, ui = eye(r), eye(r)
+    v, vi = eye(c), eye(c)
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for row in ui:
+            row[i], row[j] = row[j], row[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for row in ui:
+            row[i] = -row[i]
+
+    def row_add(i, t, q):
+        a[i] = [x + q * y for x, y in zip(a[i], a[t])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[t])]
+        for row in ui:
+            row[t] -= q * row[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        vi[i], vi[j] = vi[j], vi[i]
+
+    def col_add(j, t, q):
+        for row in a:
+            row[j] += q * row[t]
+        for row in v:
+            row[j] += q * row[t]
+        vi[t] = [x - q * y for x, y in zip(vi[t], vi[j])]
+
+    t = 0
+    while t < min(r, c):
+        pivot = best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    pivot, best = (i, j), x
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        if a[t][t] < 0:
+            row_neg(t)
+        dirty = False
+        for i in range(t + 1, r):
+            if a[i][t]:
+                q = a[i][t] // a[t][t]
+                if q:
+                    row_add(i, t, -q)
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, c):
+            if a[t][j]:
+                q = a[t][j] // a[t][t]
+                if q:
+                    col_add(j, t, -q)
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        offender = next((i for i in range(t + 1, r) for j in range(t + 1, c)
+                         if a[i][j] % a[t][t]), None)
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
+    return SmithForm(u, a, v, ui, vi)
+
+
+def _seed_smith_solve(s, vec):
+    diag = s.diagonal
+    y = [0] * len(s.v)
+    for i, w in enumerate(mat_vec(s.u, vec)):
+        di = diag[i] if i < len(diag) else 0
+        if di:
+            if w % di:
+                return None
+            y[i] = w // di
+        elif w:
+            return None
+    return y
+
+
+def _seed_group_of(pres):
+    mat = [[rel[i] for rel in pres.relations] for i in range(pres.ngens)]
+    diag = _seed_smith_normal_form(mat, cols=len(pres.relations)).diagonal
+    return FgAbelianGroup.from_divisors(pres.ngens - len(diag), diag)
+
+
+def _seed_cokernel(f):
+    images = tuple(zip(*f.matrix))
+    return _seed_group_of(AbelianPresentation(f.target.ngens, images + f.target.relations))
+
+
+def _seed_kernel(f):
+    m = f.source.ngens
+    rels = f.target.relations
+    q = m + len(rels)
+    g = [list(row) + [rel[i] for rel in rels] for i, row in enumerate(f.matrix)]
+    s = _seed_smith_normal_form(g, cols=q)
+    proj = [row[s.rank:] for row in s.v[:m]]
+    sp = _seed_smith_normal_form(proj, cols=q - s.rank)
+    coeff_cols = []
+    for rel in f.source.relations:
+        y = _seed_smith_solve(sp, list(rel))
+        assert y is not None
+        coeff_cols.append(tuple(y[:sp.rank]))
+    return _seed_group_of(AbelianPresentation(sp.rank, tuple(coeff_cols)))
+
+
+def _assert_matches_seed(f):
+    assert group_of(f.source) == _seed_group_of(f.source)
+    assert group_of(f.target) == _seed_group_of(f.target)
+    assert cokernel(f) == _seed_cokernel(f)
+    assert kernel(f) == _seed_kernel(f)
+
+
+@st.composite
+def _well_defined_maps(draw):
+    """A map M with arbitrary source relations S: the target relations are
+    arbitrary vectors plus M s + R w for each s in S, and M is shifted by
+    target relations, so both sides have free parts, torsion and relations
+    that are not diagonal."""
+    m = draw(st.integers(min_value=0, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=4))
+    vec = lambda k, lo=-4, hi=4: [draw(st.integers(lo, hi)) for _ in range(k)]
+    src_rels = [vec(m) for _ in range(draw(st.integers(0, 3)))]
+    base = [vec(n) for _ in range(draw(st.integers(0, 3)))]
+    matrix = [vec(m) for _ in range(n)]
+    for rel in base:
+        c = vec(m, -2, 2)
+        for i in range(n):
+            for j in range(m):
+                matrix[i][j] += rel[i] * c[j]
+    tgt_rels = list(base)
+    for s in src_rels:
+        w = vec(len(base), -2, 2)
+        tgt_rels.append([sum(matrix[i][j] * s[j] for j in range(m))
+                         + sum(wk * rel[i] for wk, rel in zip(w, base)) for i in range(n)])
+    source = AbelianPresentation(m, tuple(map(tuple, src_rels)))
+    target = AbelianPresentation(n, tuple(map(tuple, draw(st.permutations(tgt_rels)))))
+    return AbelianMap(source, target, tuple(map(tuple, matrix)))
+
+
+@given(_well_defined_maps())
+def test_lattice_path_matches_seed_oracle(f):
+    _assert_matches_seed(f)
+
+
+def test_lattice_path_matches_seed_oracle_on_finite_maps():
+    rng = random.Random(7)
+    for _ in range(40):
+        _assert_matches_seed(_random_finite_map(rng)[2])
+
+
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6), st.data())
+def test_snf_matches_seed_oracle(r, c, data):
+    mat = [[data.draw(st.integers(min_value=-9, max_value=9)) for _ in range(c)]
+           for _ in range(r)]
+    assert smith_normal_form(mat, cols=c) == _seed_smith_normal_form(mat, cols=c)
+
+
+def _b3_degree_maps():
+    spec = assembly_spec_from_json(bundled_spec_json("b3rp2"))
+    return [_degree_map(spec, deg) for deg in DEGREES]
+
+
+def test_lattice_path_runs_without_the_full_smith_form(monkeypatch):
+    # group_of, cokernel, kernel and building a map read at most one
+    # transform each; none of them may pay for the four-transform form
+    rng = random.Random("dense-12")
+    dense = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+    assert smith_normal_form(dense) == _seed_smith_normal_form(dense)
+    maps = [(AbelianPresentation(12), AbelianPresentation(12), tuple(map(tuple, dense)))]
+    maps += [(f.source, f.target, f.matrix) for f in _b3_degree_maps()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+    for source, target, matrix in maps:
+        f = AbelianMap(source, target, matrix)
+        _assert_matches_seed(f)
+    with pytest.raises(IllFormedMap):
+        AbelianMap(presentation_of_sum([FgAbelianGroup(0, (2,))]),
+                   presentation_of_sum([FgAbelianGroup(1)]), ((1,),))

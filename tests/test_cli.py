@@ -228,6 +228,12 @@ def test_tiny_coset_limit_is_usage_error(capsys):
     assert "limit" in err
 
 
+def test_coset_limit_error_reports_live_cosets():
+    proc = _run_module("--coset-limit", "5", "group", "info", "binary-octahedral")
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == "error: coset enumeration exceeded limit 5 (5 cosets live)\n"
+
+
 def test_nonpositive_coset_limit_is_usage_error(capsys):
     for argv in (["--coset-limit", "0", "group", "info", "binary-octahedral"],
                  ["group", "info", "binary-octahedral", "--coset-limit", "0"],
