@@ -31,6 +31,7 @@ from .groups import (
 )
 from .ktheory import (
     AmalgamVC,
+    DEGREES,
     DirectProductVC,
     NIL_COUNTABLE_SUM_Z2,
     NIL_ZERO,
@@ -104,6 +105,16 @@ class _Recorder:
 
     def report(self) -> CaseReport:
         return CaseReport(self.case, self.checks)
+
+
+_DEGREE_NAMES = ("Whitehead group", "reduced K0", "K in degree -1", "K below degree -1")
+
+
+def _check_degrees(rec: _Recorder, assembled: dict, expected, cite: str) -> None:
+    """One check per assembled degree, Wh down to K_-2, of its (abelian
+    part, Nil term) against the expected pair."""
+    for deg, name, want in zip(DEGREES, _DEGREE_NAMES, expected, strict=True):
+        rec.check(name, want, (assembled[deg].abelian, assembled[deg].nil), cite)
 
 
 def _render(value) -> str:
@@ -246,14 +257,8 @@ def case_pb3() -> CaseReport:
     spec = assembly_spec_from_json(bundled_spec_json("pb3rp2"))
     assembled = amalgam_k_assemble(spec)
     zero = NilValue(NIL_ZERO, "")
-    rec.check("Whitehead group", (TRIVIAL_GROUP, zero),
-              (assembled["Wh"].abelian, assembled["Wh"].nil), _JPM_CITE)
-    rec.check("reduced K0", (FgAbelianGroup(0, (2,)), zero),
-              (assembled["K0t"].abelian, assembled["K0t"].nil), _JPM_CITE)
-    rec.check("K in degree -1", (TRIVIAL_GROUP, zero),
-              (assembled["Km1"].abelian, assembled["Km1"].nil), _JPM_CITE)
-    rec.check("K below degree -1", (TRIVIAL_GROUP, zero),
-              (assembled["Km2"].abelian, assembled["Km2"].nil), _JPM_CITE)
+    _check_degrees(rec, assembled, ((TRIVIAL_GROUP, zero), (FgAbelianGroup(0, (2,)), zero),
+                                    (TRIVIAL_GROUP, zero), (TRIVIAL_GROUP, zero)), _JPM_CITE)
     return rec.report()
 
 
@@ -313,14 +318,10 @@ def case_b3() -> CaseReport:
     zero = NilValue(NIL_ZERO, "")
     rec.check("Km1 map matrix is the cited column", ((0,), (0,), (1,), (1,), (0,)),
               spec.maps["Km1"].matrix, _GJM_CITE)
-    rec.check("Whitehead group", (FgAbelianGroup(2), nil_inf),
-              (assembled["Wh"].abelian, assembled["Wh"].nil), _JLMP_CITE)
-    rec.check("reduced K0", (FgAbelianGroup(0, (2, 2, 2, 2)), nil_inf),
-              (assembled["K0t"].abelian, assembled["K0t"].nil), _JLMP_CITE)
-    rec.check("K in degree -1", (FgAbelianGroup(2, (2, 2)), zero),
-              (assembled["Km1"].abelian, assembled["Km1"].nil), _JLMP_CITE)
-    rec.check("K below degree -1", (TRIVIAL_GROUP, zero),
-              (assembled["Km2"].abelian, assembled["Km2"].nil), _JLMP_CITE)
+    _check_degrees(rec, assembled, ((FgAbelianGroup(2), nil_inf),
+                                    (FgAbelianGroup(0, (2, 2, 2, 2)), nil_inf),
+                                    (FgAbelianGroup(2, (2, 2)), zero),
+                                    (TRIVIAL_GROUP, zero)), _JLMP_CITE)
     return rec.report()
 
 
@@ -436,14 +437,9 @@ def case_mcg_rp2_3() -> CaseReport:
     spec = assembly_spec_from_json(bundled_spec_json("mcg_rp2_3"))
     assembled = amalgam_k_assemble(spec)
     zero = NilValue(NIL_ZERO, "")
-    rec.check("Whitehead group", (TRIVIAL_GROUP, zero),
-              (assembled["Wh"].abelian, assembled["Wh"].nil), _JLMP_CITE)
-    rec.check("reduced K0", (TRIVIAL_GROUP, zero),
-              (assembled["K0t"].abelian, assembled["K0t"].nil), _JLMP_CITE)
-    rec.check("K in degree -1", (FgAbelianGroup(1), zero),
-              (assembled["Km1"].abelian, assembled["Km1"].nil), _JLMP_CITE)
-    rec.check("K below degree -1", (TRIVIAL_GROUP, zero),
-              (assembled["Km2"].abelian, assembled["Km2"].nil), _JLMP_CITE)
+    _check_degrees(rec, assembled, ((TRIVIAL_GROUP, zero), (TRIVIAL_GROUP, zero),
+                                    (FgAbelianGroup(1), zero), (TRIVIAL_GROUP, zero)),
+                   _JLMP_CITE)
     return rec.report()
 
 

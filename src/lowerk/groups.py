@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -277,8 +278,9 @@ def is_normal(N: Subgroup) -> bool:
     return all(G.conjugate(x, s) in members for s in G.generators() for x in N.elements)
 
 
-def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """G/N together with the canonical projection."""
+def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
+    """G/N, with generator labels the cosets of G's; the projection is
+    GroupHom(G, Q, Q.generator_labels)."""
     if N.parent is not G:
         raise NotNormal("subgroup does not live in the given group")
     if not is_normal(N):
@@ -300,11 +302,7 @@ def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, 
     names = tuple(f"[{G.element_names[g]}]" for g in reps)
     Q = FiniteGroup(f"{G.name}/N{N.order}", n, table, inverses, labels, names)
     check_group_axioms(Q)
-    return Q, GroupHom(G, Q, labels)
-
-
-def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
-    return quotient_with_projection(G, N)[0]
+    return Q
 
 
 def subgroup_as_group(S: Subgroup, name: str,
@@ -446,86 +444,40 @@ def _power_name(letter: str, i: int) -> str:
     return f"{letter}^{i}"
 
 
-def _cyclic(n: int, letter: str = "g") -> FiniteGroup:
+def _cyclic(n: int, name: str) -> FiniteGroup:
     table = _close_rows(n, [tuple((1 + j) % n for j in range(n))])
     inverses = tuple((-i) % n for i in range(n))
-    labels = {letter: 1 % n} if n > 1 else {}
-    names = tuple(_power_name(letter, i) for i in range(n))
-    return FiniteGroup(f"cyclic:{n}", n, table, inverses, labels, names)
+    labels = {"g": 1 % n} if n > 1 else {}
+    names = tuple(_power_name("g", i) for i in range(n))
+    return FiniteGroup(name, n, table, inverses, labels, names)
 
 
-def _dihedral(n: int) -> FiniteGroup:
-    """Order 2n: rotations r^i at 0..n-1, reflections s r^i at n..2n-1."""
-    size = 2 * n
+def _metacyclic(m: int, t: int, letters: tuple[str, str], name: str) -> FiniteGroup:
+    """Order 2m, <x, y | x^m, y x y^-1 x, y^2 x^-t> with x^i at i and y x^i
+    at m + i; t = 0 gives the dihedral group, t = m/2 the dicyclic one.
 
-    def mul(a, b):
-        fa, ia = divmod(a, n)
-        fb, ib = divmod(b, n)
-        if fa == 0 and fb == 0:
-            return (ia + ib) % n
-        if fa == 0:
-            return n + (ib - ia) % n
-        if fb == 0:
-            return n + (ia + ib) % n
-        return (ib - ia) % n
-
-    table = _close_rows(size, [tuple(mul(s, b) for b in range(size)) for s in (1, n)])
-    inverses = []
-    names = []
-    for a in range(size):
-        f, i = divmod(a, n)
-        if f == 0:
-            inverses.append((-i) % n)
-            names.append(_power_name("r", i))
-        else:
-            inverses.append(a)  # reflections are involutions
-            names.append("s" if i == 0 else f"s*{_power_name('r', i)}")
-    labels = {"s": n}
-    if n > 1:
-        labels["r"] = 1
-    return FiniteGroup(f"dihedral:{n}", size, table, tuple(inverses), labels, tuple(names))
-
-
-def _dicyclic(order: int, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
-    """Order 4n with x of order 2n, y^2 = x^n, y x y^-1 = x^-1."""
-    n = order // 4
-    m = 2 * n
+    The generator rows: x.x^i = x^(i+1), x.(y x^i) = y x^(i-1),
+    y.x^i = y x^i and y.(y x^i) = x^(t+i).
+    """
     ax, ay = letters
+    x_row = tuple((i + 1) % m for i in range(m)) + tuple(m + (i - 1) % m for i in range(m))
+    y_row = tuple(range(m, 2 * m)) + tuple((t + i) % m for i in range(m))
+    table = _close_rows(2 * m, [x_row, y_row])
+    inverses = tuple((-i) % m for i in range(m)) + tuple(m + (i - t) % m for i in range(m))
+    labels = {ax: 1, ay: m} if m > 1 else {ay: m}
+    names = tuple(_power_name(ax, i) for i in range(m)) + tuple(
+        ay if i == 0 else f"{ay}*{_power_name(ax, i)}" for i in range(m))
+    return FiniteGroup(name, 2 * m, table, inverses, labels, names)
 
-    def mul(a, b):
-        fa, ia = divmod(a, m)
-        fb, ib = divmod(b, m)
-        if fa == 0 and fb == 0:
-            return (ia + ib) % m
-        if fa == 0:
-            return m + (ib - ia) % m
-        if fb == 0:
-            return m + (ia + ib) % m
-        return (n - ia + ib) % m
 
-    size = 4 * n
-    table = _close_rows(size, [tuple(mul(s, b) for b in range(size)) for s in (1, m)])
-    inverses = []
-    for a in range(size):
-        f, i = divmod(a, m)
-        inverses.append((-i) % m if f == 0 else m + (i + n) % m)
-    labels = {ax: 1, ay: m}
-    names = []
-    for a in range(size):
-        f, i = divmod(a, m)
-        if f == 0:
-            names.append(_power_name(ax, i))
-        else:
-            names.append(ay if i == 0 else f"{ay}*{_power_name(ax, i)}")
-    name = "quaternion:8" if order == 8 else f"dicyclic:{order}"
-    return FiniteGroup(name, size, table, tuple(inverses), labels, tuple(names))
+def _dicyclic(order: int, name: str, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
+    """x of order order/2, y^2 = x^(order/4), y x y^-1 = x^-1."""
+    return _metacyclic(order // 2, order // 4, letters, name)
 
 
 def dicyclic_group(order: int, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
     """Dicyclic group of the given order (a multiple of 4, at least 8)."""
-    if order % 4 or order < 8:
-        raise UnknownSpec(f"no dicyclic group of order {order}")
-    G = _dicyclic(order, letters)
+    G = _dicyclic(order, canonical_group_name(f"dicyclic:{order}"), letters)
     check_group_axioms(G)
     return G
 
@@ -548,7 +500,7 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-def _symmetric(n: int) -> FiniteGroup:
+def _symmetric(n: int, name: str) -> FiniteGroup:
     elems = list(itertools.permutations(range(n)))
     index_of = {p: i for i, p in enumerate(elems)}
 
@@ -571,7 +523,7 @@ def _symmetric(n: int) -> FiniteGroup:
     table = _close_rows(size, [tuple(index_of[compose(elems[g], q)] for q in elems)
                                for g in labels.values()])
     names = tuple(_cycle_notation(p) for p in elems)
-    return FiniteGroup(f"symmetric:{n}", size, table, tuple(inverses), labels, names)
+    return FiniteGroup(name, size, table, tuple(inverses), labels, names)
 
 
 def group_from_coset_table(ct, name: str, expected_order: int | None = None) -> FiniteGroup:
@@ -638,79 +590,66 @@ def _binary_tetrahedral(coset_limit: int) -> FiniteGroup:
     return H
 
 
-def canonical_group_name(spec: str) -> str:
-    """Normalize a group-name string; raises UnknownSpec/OrderLimitExceeded."""
+# The grammar.  A family maps to (least n, order of member n or None when n
+# names no member, constructor taking n and the canonical name); a presented
+# group maps to its builder, which takes the coset limit.
+_FAMILIES = {
+    "cyclic": (1, lambda n: n, _cyclic),
+    "dihedral": (1, lambda n: 2 * n, lambda n, name: _metacyclic(n, 0, ("r", "s"), name)),
+    "dicyclic": (8, lambda n: None if n % 4 else n, _dicyclic),
+    "quaternion": (8, lambda n: 8 if n == 8 else None, _dicyclic),
+    "symmetric": (1, math.factorial, _symmetric),
+}
+_PRESENTED = {
+    "binary-octahedral": _binary_octahedral,
+    "binary-tetrahedral": _binary_tetrahedral,
+}
+_ALIASES = {"dicyclic:8": "quaternion:8"}
+
+
+def _parse(spec: str):
+    """The canonical name of spec and a builder taking the coset limit."""
     if not isinstance(spec, str):
         raise UnknownSpec(f"group name {spec!r} is not a string")
-    spec = spec.strip()
-    if spec in ("binary-octahedral", "binary-tetrahedral"):
-        return spec
-    family, _, arg = spec.partition(":")
-    if not arg or not arg.isdigit():
+    text = spec.strip()
+    if text in _PRESENTED:
+        return text, _PRESENTED[text]
+    family, _, arg = text.partition(":")
+    # ASCII only: str.isdigit() also holds for superscripts, which int()
+    # refuses, and for other scripts' digits, which int() reads
+    if family not in _FAMILIES or not (arg.isascii() and arg.isdigit()):
         raise UnknownSpec(f"cannot parse group name {spec!r}")
-    n = int(arg)
-    if family == "cyclic":
-        if n < 1:
-            raise UnknownSpec("cyclic groups need order >= 1")
-        _check_cap(n)
-        return f"cyclic:{n}"
-    if family == "quaternion":
-        if n != 8:
-            raise UnknownSpec("quaternion:8 is the only quaternion spelling; use dicyclic:4n")
-        return "quaternion:8"
-    if family == "dicyclic":
-        if n % 4 or n < 8:
-            raise UnknownSpec(f"no dicyclic group of order {n}")
-        _check_cap(n)
-        return "quaternion:8" if n == 8 else f"dicyclic:{n}"
-    if family == "dihedral":
-        if n < 1:
-            raise UnknownSpec("dihedral groups need n >= 1")
-        _check_cap(2 * n)
-        return f"dihedral:{n}"
-    if family == "symmetric":
-        if n < 1:
-            raise UnknownSpec("symmetric groups need n >= 1")
-        order = 1
-        for k in range(2, n + 1):
-            order *= k
-        _check_cap(order)
-        return f"symmetric:{n}"
-    raise UnknownSpec(f"unknown group family {family!r}")
+    least, order, build = _FAMILIES[family]
+    digits = arg.lstrip("0") or "0"
+    # every member's order is at least n, so n is held to the cap before any
+    # order is computed, and by its length before int() reads a long one
+    n = int(digits) if len(digits) <= len(str(ORDER_CAP)) else ORDER_CAP + 1
+    size = order(n) if n <= ORDER_CAP else n
+    if n < least or size is None:
+        raise UnknownSpec(f"no group named {spec!r}")
+    if size > ORDER_CAP:
+        raise OrderLimitExceeded(f"group {spec!r} exceeds the order cap {ORDER_CAP}")
+    name = _ALIASES.get(f"{family}:{n}", f"{family}:{n}")
+    return name, lambda coset_limit: build(n, name)
 
 
-def _check_cap(order: int) -> None:
-    if order > ORDER_CAP:
-        raise OrderLimitExceeded(f"order {order} exceeds the cap {ORDER_CAP}")
-
-
-@functools.lru_cache(maxsize=None)
-def _build_canonical(name: str, coset_limit: int) -> FiniteGroup:
-    if name == "binary-octahedral":
-        G = _binary_octahedral(coset_limit)
-    elif name == "binary-tetrahedral":
-        return _binary_tetrahedral(coset_limit)
-    else:
-        family, _, arg = name.partition(":")
-        n = int(arg)
-        if family == "cyclic":
-            G = _cyclic(n)
-        elif family == "quaternion":
-            G = _dicyclic(8)
-        elif family == "dicyclic":
-            G = _dicyclic(n)
-        elif family == "dihedral":
-            G = _dihedral(n)
-        else:
-            G = _symmetric(n)
-    check_group_axioms(G)
-    return G
+def canonical_group_name(spec: str) -> str:
+    """Normalize a group-name string; raises UnknownSpec/OrderLimitExceeded."""
+    return _parse(spec)[0]
 
 
 def build_group(spec: str, coset_limit: int = DEFAULT_COSET_LIMIT) -> FiniteGroup:
-    """Build a group from its canonical name.
+    """Build a group from its name.
 
     Grammar: cyclic:n | dicyclic:4n | quaternion:8 | binary-octahedral |
-    binary-tetrahedral | symmetric:n | dihedral:n, resulting order <= 10000.
+    binary-tetrahedral | symmetric:n | dihedral:n, with n in ASCII digits
+    and resulting order <= 10000.
     """
-    return _build_canonical(canonical_group_name(spec), coset_limit)
+    return _build(canonical_group_name(spec), coset_limit)
+
+
+@functools.lru_cache(maxsize=None)
+def _build(name: str, coset_limit: int) -> FiniteGroup:
+    G = _parse(name)[1](coset_limit)
+    check_group_axioms(G)
+    return G

@@ -46,8 +46,8 @@ def carter_rank(G: FiniteGroup) -> int:
 
 
 # Count of rational irreducibles with even Schur index but odd local
-# indices, per canonical group name.  Cyclic groups are all 0 (commutative
-# group algebras split into fields).  Sources: Carter 1980;
+# indices, per canonical group name; k_minus1 takes 0 for every abelian
+# group (commutative group algebras split into fields).  Sources: Carter 1980;
 # Guaschi-Juan-Pineda-Millan 2018, Table 2.1; Lafont-Ortiz (reflection
 # group computations).
 _SCHUR_EVEN_COUNT = {
@@ -63,17 +63,18 @@ _SCHUR_EVEN_COUNT = {
 
 def schur_even_count(name: str) -> int:
     key = canonical_group_name(name)
-    if key.startswith("cyclic:"):
-        return 0
     if key in _SCHUR_EVEN_COUNT:
         return _SCHUR_EVEN_COUNT[key]
     raise UnknownSchurData(f"no bundled Schur-index data for {key}")
 
 
 def k_minus1(G: FiniteGroup, s: int | None = None) -> FgAbelianGroup:
-    """K_{-1}(Z[G]) = Z^carter_rank + (Z/2)^s, with s looked up."""
+    """K_{-1}(Z[G]) = Z^carter_rank + (Z/2)^s, with s 0 for an abelian G
+    and looked up otherwise."""
     if s is None:
-        s = schur_even_count(G.name)
+        gens = G.generators()
+        abelian = all(G.table[a][b] == G.table[b][a] for a in gens for b in gens)
+        s = 0 if abelian else schur_even_count(G.name)
     return FgAbelianGroup.from_divisors(carter_rank(G), [2] * s)
 
 

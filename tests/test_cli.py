@@ -361,3 +361,32 @@ def test_fusion_prime_of_nineteen_digits():
     assert len(done.stdout.splitlines()) == 7    # header and six singleton blocks
     done = _run_module("classes", "cyclic:6", "--fusion", "fp:1000000000000000001")
     assert done.returncode == 2 and "not prime" in done.stderr
+
+
+GROUP_NAME_DEFECTS = {
+    "superscript-2": "cyclic:\u00b2",
+    "fullwidth-12": "cyclic:\uff11\uff12",
+    "arabic-indic-3": "dihedral:\u0663",
+    "5000-digits": "cyclic:" + "1" * 5000,
+    "order-200000-factorial": "symmetric:200000",
+}
+
+
+@pytest.mark.parametrize("name", GROUP_NAME_DEFECTS.values(), ids=GROUP_NAME_DEFECTS)
+def test_group_name_defects_exit_2(name):
+    # n is ASCII digits (int() refuses a superscript and reads other
+    # scripts' digits), and is held to the cap before any order is computed
+    done = _run_module("group", "info", name)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert repr(name) in done.stderr
+
+
+@pytest.mark.parametrize("path", [("C",), ("sheets", 2, "group"), ("maps", 0, "source")],
+                         ids=["edge-group", "sheet-group", "map-source"])
+def test_assemble_refuses_a_superscript_group_name(path, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(_b3_with(_set(path, "cyclic:\u00b2")))
+    done = _run_module("assemble", str(spec))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr

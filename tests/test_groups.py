@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowerk.errors import (
     NotNormal,
@@ -10,13 +12,13 @@ from lowerk.errors import (
 from lowerk.groups import (
     GroupHom,
     build_group,
+    canonical_group_name,
     center,
     check_group_axioms,
     conjugacy_classes,
     dicyclic_group,
     is_isomorphic,
     quotient,
-    quotient_with_projection,
     subgroup_as_group,
     subgroup_generated,
 )
@@ -107,7 +109,8 @@ def test_dicyclic_family_unique_central_involution():
 
 def test_quotients():
     O = build_group("binary-octahedral")
-    Q, proj = quotient_with_projection(O, center(O))
+    Q = quotient(O, center(O))
+    proj = GroupHom(O, Q, Q.generator_labels)
     assert Q.order == 24
     assert is_isomorphic(Q, build_group("symmetric:4"))
     assert proj.is_homomorphism()
@@ -226,6 +229,43 @@ def test_build_errors():
         build_group("cyclic:20000")
     with pytest.raises(OrderLimitExceeded):
         build_group("symmetric:8")
+
+
+def test_over_cap_names_are_refused_before_any_order():
+    start = time.perf_counter()
+    for name in ("symmetric:200000", "symmetric:" + "9" * 6000, "quaternion:" + "8" * 6000):
+        with pytest.raises(OrderLimitExceeded):
+            build_group(name)
+    assert time.perf_counter() - start < 1
+    # leading zeros are read, however many
+    assert canonical_group_name("dicyclic:" + "0" * 6000 + "12") == "dicyclic:12"
+
+
+FAMILIES = ["cyclic", "dihedral", "dicyclic", "quaternion", "symmetric",
+            "binary-octahedral", "binary-tetrahedral", "so"]
+DIGITS = "0123456789"
+digit_strings = st.one_of(
+    st.text(DIGITS, min_size=1, max_size=12),
+    # up to 6000 digits: a short head, then one digit repeated
+    st.builds(lambda head, k, d: head + d * k,
+              st.text(DIGITS, min_size=1, max_size=6), st.integers(0, 5994),
+              st.sampled_from(DIGITS)),
+)
+group_name_texts = st.one_of(
+    st.text(),
+    st.builds("{}:{}".format, st.sampled_from(FAMILIES), st.one_of(st.text(), digit_strings)),
+    st.builds(" {} ".format, st.sampled_from(FAMILIES)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_name_texts)
+def test_group_name_grammar_has_canonical_fixed_points(spec):
+    try:
+        name = canonical_group_name(spec)
+    except (UnknownSpec, OrderLimitExceeded):
+        return
+    assert canonical_group_name(name) == name
 
 
 def test_dicyclic_letters():

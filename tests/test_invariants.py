@@ -2,7 +2,9 @@
 routines they replace.
 
 The oracles below are the plain constructions: Cayley tables from the
-closed-form products of each family, classes by conjugating every element
+closed-form products of each family (for the dihedral and dicyclic groups,
+the whole constructors from before their merge into one), classes by
+conjugating every element
 by every element, element orders by repeated multiplication, Galois
 fusion by union-find over every class, quotient tables filled entry by
 entry from sorted and renumbered cosets, homomorphisms walked along one
@@ -21,8 +23,8 @@ from lowerk.groups import (
     build_group,
     center,
     conjugacy_classes,
+    dicyclic_group,
     quotient,
-    quotient_with_projection,
     subgroup_as_group,
     subgroup_generated,
 )
@@ -34,7 +36,16 @@ def cyclic_table(n):
     return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
-def dihedral_table(n):
+def power_name(letter, i):
+    return "1" if i == 0 else letter if i == 1 else f"{letter}^{i}"
+
+
+def earlier_dihedral(n):
+    """The dihedral constructor from before the two-generator merge, as
+    (name, table, inverses, labels, names); order 2n, rotations r^i at
+    0..n-1, reflections s r^i at n..2n-1."""
+    size = 2 * n
+
     def mul(a, b):
         fa, ia = divmod(a, n)
         fb, ib = divmod(b, n)
@@ -46,12 +57,29 @@ def dihedral_table(n):
             return n + (ia + ib) % n
         return (ib - ia) % n
 
-    return tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
+    table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
+    inverses = []
+    names = []
+    for a in range(size):
+        f, i = divmod(a, n)
+        if f == 0:
+            inverses.append((-i) % n)
+            names.append(power_name("r", i))
+        else:
+            inverses.append(a)  # reflections are involutions
+            names.append("s" if i == 0 else f"s*{power_name('r', i)}")
+    labels = {"s": n}
+    if n > 1:
+        labels["r"] = 1
+    return f"dihedral:{n}", table, tuple(inverses), labels, tuple(names)
 
 
-def dicyclic_table(order):
+def earlier_dicyclic(order, letters=("x", "y")):
+    """The dicyclic constructor from before the merge: order 4n with x of
+    order 2n, y^2 = x^n, y x y^-1 = x^-1."""
     n = order // 4
     m = 2 * n
+    ax, ay = letters
 
     def mul(a, b):
         fa, ia = divmod(a, m)
@@ -64,7 +92,22 @@ def dicyclic_table(order):
             return m + (ia + ib) % m
         return (n - ia + ib) % m
 
-    return tuple(tuple(mul(a, b) for b in range(order)) for a in range(order))
+    size = 4 * n
+    table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
+    inverses = []
+    for a in range(size):
+        f, i = divmod(a, m)
+        inverses.append((-i) % m if f == 0 else m + (i + n) % m)
+    labels = {ax: 1, ay: m}
+    names = []
+    for a in range(size):
+        f, i = divmod(a, m)
+        if f == 0:
+            names.append(power_name(ax, i))
+        else:
+            names.append(ay if i == 0 else f"{ay}*{power_name(ax, i)}")
+    name = "quaternion:8" if order == 8 else f"dicyclic:{order}"
+    return name, table, tuple(inverses), labels, tuple(names)
 
 
 def symmetric_table(n):
@@ -74,8 +117,22 @@ def symmetric_table(n):
                  for p in elems)
 
 
-CLOSED_FORM = {"cyclic": cyclic_table, "dihedral": dihedral_table,
-               "dicyclic": dicyclic_table, "symmetric": symmetric_table}
+CLOSED_FORM = {"cyclic": cyclic_table, "dihedral": lambda n: earlier_dihedral(n)[1],
+               "dicyclic": lambda n: earlier_dicyclic(n)[1], "symmetric": symmetric_table}
+
+
+
+def group_parts(G):
+    return G.name, G.table, G.inverses, G.generator_labels, G.element_names
+
+
+def test_two_generator_families_match_the_earlier_constructors():
+    for n in range(1, 65):
+        assert group_parts(build_group(f"dihedral:{n}")) == earlier_dihedral(n), n
+    for order in range(8, 257, 4):
+        assert group_parts(build_group(f"dicyclic:{order}")) == earlier_dicyclic(order), order
+    for order, letters in ((12, ("w", "z")), (24, ("Y", "Z"))):
+        assert group_parts(dicyclic_group(order, letters)) == earlier_dicyclic(order, letters)
 
 # --- classes, orders and fusion by direct computation -------------------------
 
@@ -208,7 +265,8 @@ def oracle_subgroup_labels(S):
 
 
 def assert_quotient_matches(G, N):
-    Q, proj = quotient_with_projection(G, N)
+    Q = quotient(G, N)
+    proj = GroupHom(G, Q, Q.generator_labels)
     table, inverses, labels, names, coset_of = oracle_quotient(G, N)
     assert (Q.table, Q.inverses, Q.generator_labels, Q.element_names) == (
         table, inverses, labels, names)
@@ -264,8 +322,9 @@ def test_quotients_by_the_center_match_direct_routines(name):
     Z = center(G)
     assert Z.elements == tuple(g for g in range(G.order)
                                if all(G.mul(g, h) == G.mul(h, g) for h in range(G.order)))
-    assert_invariants_match(assert_quotient_matches(G, Z))
-    assert quotient(G, Z).table == quotient_with_projection(G, Z)[0].table
+    Q = assert_quotient_matches(G, Z)
+    assert_invariants_match(Q)
+    assert quotient(G, Z).table == Q.table
 
 
 @settings(max_examples=30, deadline=None)

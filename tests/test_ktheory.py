@@ -9,8 +9,9 @@ from lowerk.errors import (
     IllFormedMap,
     MissingDegree,
     UnknownSchurData,
+    UnknownSpec,
 )
-from lowerk.groups import build_group
+from lowerk.groups import build_group, center, quotient
 from lowerk.ktheory import (
     AmalgamVC,
     BUNDLED_KSHEETS,
@@ -62,6 +63,16 @@ def test_k_minus1_values():
     assert k_minus1(build_group("dicyclic:24")) == FgAbelianGroup(2, (2,))
     assert k_minus1(build_group("cyclic:8")) == TRIVIAL_GROUP
     assert k_minus1(build_group("dihedral:6")) == FgAbelianGroup(1)
+
+
+def test_k_minus1_of_abelian_groups_needs_no_lookup():
+    # a commutative group algebra splits into fields: s = 0 whatever the name
+    q8 = build_group("quaternion:8")
+    klein = quotient(q8, center(q8))
+    for G in (build_group("dihedral:2"), build_group("symmetric:2"), klein):
+        assert k_minus1(G) == TRIVIAL_GROUP, G.name
+    with pytest.raises(UnknownSpec):   # 'quaternion:8/N2' is no group name
+        schur_even_count(klein.name)
 
 
 def test_k_minus1_unknown_schur_data():

@@ -149,13 +149,14 @@ def test_verify_homomorphism_identity_images():
 
 
 def test_verify_homomorphism_with_quotient_projection():
-    from lowerk.groups import center, quotient_with_projection
+    from lowerk.groups import GroupHom, center, quotient
 
     pres = Presentation(("x", "y"), (parse_word("x^6 y^-2"), parse_word("y x y^-1 x")))
     D24 = build_group("dicyclic:24")
     in_group = {g: D24.generator_labels[g] for g in ("x", "y")}
     assert verify_homomorphism(pres, D24, in_group).ok
-    Q, proj = quotient_with_projection(D24, center(D24))
+    Q = quotient(D24, center(D24))
+    proj = GroupHom(D24, Q, Q.generator_labels)
     images = {g: proj.apply(D24.generator_labels[g]) for g in ("x", "y")}
     assert verify_homomorphism(pres, Q, images).ok
 
