@@ -27,6 +27,8 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _respects,
+    _walk,
     subgroup_as_group,
 )
 from .presentations import Word
@@ -233,8 +235,9 @@ class GraphWithAction:
     `generator_action` maps each generator label of the group to a pair
     (vertex permutation, edge permutation).  Each generator is checked to
     be a permutation preserving incidence and reversal; products of such
-    permutations are again such, so the action of every element, derived
-    along the multiplication table, is one too.
+    permutations are again such, so the action of every element, walked
+    along the group's label tree as act(g s) = act(g) o act(s) and checked
+    by the generator test, is one too.
     """
 
     def __init__(self, group: FiniteGroup, num_vertices: int,
@@ -259,9 +262,16 @@ class GraphWithAction:
             if lab not in generator_action:
                 raise NotAnAction(f"no action given for generator {lab!r}")
             self._check_generator(*generator_action[lab])
-        self._vperm, self._eperm = self._extend(generator_action)
-        for g in range(group.order):
-            ep = self._eperm[g]
+        try:
+            tree = group.label_tree()
+        except UnknownSymbol:
+            raise NotAnAction("generator labels do not generate the acting group") from None
+        labels = sorted(group.generator_labels)
+        acts = [_then(*generator_action[lab]) for lab in labels]
+        self._perm = _walk(tree, (tuple(range(num_vertices)), tuple(range(ne))), acts)
+        if not _respects(group, self._perm, [group.generator_labels[lab] for lab in labels], acts):
+            raise NotAnAction("generator permutations are inconsistent")
+        for g, (_, ep) in enumerate(self._perm):
             for e in range(ne):
                 if ep[e] == edge_reverse[e]:
                     raise EdgeInversion(f"element {g} maps edge {e} to its own reversal")
@@ -277,41 +287,24 @@ class GraphWithAction:
             if ep[self.edge_reverse[e]] != self.edge_reverse[ep[e]]:
                 raise NotAnAction("action does not commute with reversal")
 
-    def _extend(self, generator_action):
-        """Permutations of every element with vperm[s g] = vp_s o vperm[g]
-        for every element g and generator s, by breadth-first search."""
-        G = self.group
-        gens = [(s, generator_action[lab]) for lab, s in G.generator_labels.items()]
-        vperm = {G.identity: tuple(range(self.num_vertices))}
-        eperm = {G.identity: tuple(range(len(self.edge_endpoints)))}
-        queue = [G.identity]
-        for g in queue:
-            for s, (vp, ep) in gens:
-                h = G.table[s][g]
-                cand_v = tuple(vp[i] for i in vperm[g])
-                cand_e = tuple(ep[i] for i in eperm[g])
-                if h not in vperm:
-                    vperm[h], eperm[h] = cand_v, cand_e
-                    queue.append(h)
-                elif vperm[h] != cand_v or eperm[h] != cand_e:
-                    raise NotAnAction("generator permutations are inconsistent")
-        if len(queue) != G.order:
-            raise NotAnAction("generator labels do not generate the acting group")
-        return vperm, eperm
-
     def vertex_stabilizer(self, v: int) -> Subgroup:
-        elems = tuple(g for g in range(self.group.order) if self._vperm[g][v] == v)
+        elems = tuple(g for g, (vp, _) in enumerate(self._perm) if vp[v] == v)
         return Subgroup(self.group, elems)
 
     def edge_stabilizer(self, e: int) -> Subgroup:
-        elems = tuple(g for g in range(self.group.order) if self._eperm[g][e] == e)
+        elems = tuple(g for g, (_, ep) in enumerate(self._perm) if ep[e] == e)
         return Subgroup(self.group, elems)
 
     def vertex_orbit(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted({self._vperm[g][v] for g in range(self.group.order)}))
+        return tuple(sorted({vp[v] for vp, _ in self._perm}))
 
     def edge_orbit(self, e: int) -> tuple[int, ...]:
-        return tuple(sorted({self._eperm[g][e] for g in range(self.group.order)}))
+        return tuple(sorted({ep[e] for _, ep in self._perm}))
+
+
+def _then(vp, ep):
+    """Precomposition with one generator's (vertex, edge) permutations."""
+    return lambda f: (tuple(map(f[0].__getitem__, vp)), tuple(map(f[1].__getitem__, ep)))
 
 
 @dataclass
@@ -363,20 +356,15 @@ class GraphOfGroups:
 
 def graph_of_groups_quotient(gwa: GraphWithAction) -> GraphOfGroups:
     """Orbit decomposition with a representative and stabilizer per orbit."""
-    vertex_orbits = []
-    seen: set[int] = set()
-    for v in range(gwa.num_vertices):
-        if v in seen:
-            continue
-        orbit = gwa.vertex_orbit(v)
-        seen |= set(orbit)
-        vertex_orbits.append(OrbitData(v, orbit, gwa.vertex_stabilizer(v)))
-    edge_orbits = []
-    seen = set()
-    for e in range(len(gwa.edge_endpoints)):
-        if e in seen:
-            continue
-        orbit = gwa.edge_orbit(e)
-        seen |= set(orbit)
-        edge_orbits.append(OrbitData(e, orbit, gwa.edge_stabilizer(e)))
-    return GraphOfGroups(gwa, vertex_orbits, edge_orbits)
+    def orbits(count, orbit_of, stabilizer) -> list[OrbitData]:
+        out, seen = [], set()
+        for x in range(count):
+            if x not in seen:
+                orbit = orbit_of(x)
+                seen.update(orbit)
+                out.append(OrbitData(x, orbit, stabilizer(x)))
+        return out
+
+    return GraphOfGroups(
+        gwa, orbits(gwa.num_vertices, gwa.vertex_orbit, gwa.vertex_stabilizer),
+        orbits(len(gwa.edge_endpoints), gwa.edge_orbit, gwa.edge_stabilizer))

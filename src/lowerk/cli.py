@@ -172,6 +172,8 @@ def _resolve_spec(path: str) -> dict:
                 return json.load(fh)
             except ValueError as exc:
                 raise AssemblySpecError(f"{path} is not valid JSON: {exc}") from None
+            except RecursionError:
+                raise AssemblySpecError(f"{path} nests too deeply to read") from None
     if os.path.dirname(path):
         raise AssemblySpecError(f"no such spec file: {path}")
     try:

@@ -5,7 +5,14 @@ index 0 the identity.  Constructors cover the cyclic, dihedral, dicyclic,
 symmetric and binary polyhedral families; the binary octahedral group and
 its index-2 binary tetrahedral subgroup are realized by coset enumeration
 of their standard presentations (Wolf, Spaces of constant curvature,
-p. 198).
+p. 198).  Every table, these and quotients and subgroups alike, comes from
+one constructor that closes generator rows and checks the group axioms.
+
+One generator test serves every check of a map: `_respects` asks f(a s)
+== act_s(f(a)) for every element a and generator s, and `_walk` defines f
+along a Schreier tree by f(g s) = act_s(f(g)).  The axiom check (f the
+table rows), `GroupHom`, the leaf of `is_isomorphic` and the graph actions
+of the amalgams layer all go through the two.
 """
 
 from __future__ import annotations
@@ -158,27 +165,24 @@ class GroupHom:
         self._full: tuple[int, ...] | None = None
 
     def full_map(self) -> tuple[int, ...]:
-        """f(g s) = f(g) f(s) along the source's label tree."""
+        """The walk: f(g s) = f(g) f(s) along the source's label tree."""
         if self._full is None:
-            imgs = [self.images[lab] for lab in sorted(self.source.generator_labels)]
-            table = self.target.table
-            out = [self.target.identity] * self.source.order
-            for g, parent, k in self.source.label_tree()[1:]:
-                out[g] = table[out[parent]][imgs[k]]
-            self._full = tuple(out)
+            self._full = tuple(_walk(self.source.label_tree(), self.target.identity,
+                                     self._acts()))
         return self._full
+
+    def _acts(self) -> list:
+        return _right_muls(self.target, [self.images[lab]
+                                         for lab in sorted(self.source.generator_labels)])
 
     def apply(self, g: int) -> int:
         return self.full_map()[g]
 
     def is_homomorphism(self) -> bool:
-        """True iff the generator images extend to a homomorphism: f(g s) =
-        f(g) f(s) for every g and generator s, which gives f(g h) = f(g) f(h)
-        by induction on a word for h."""
-        f = self.full_map()
-        G, H = self.source, self.target
-        return all(f[G.table[a][s]] == H.table[f[a]][self.images[lab]]
-                   for lab, s in G.generator_labels.items() for a in range(G.order))
+        """True iff the generator images extend to a homomorphism."""
+        labels = self.source.generator_labels
+        return _respects(self.source, self.full_map(),
+                         [labels[lab] for lab in sorted(labels)], self._acts())
 
     def is_injective(self) -> bool:
         return len(set(self.full_map())) == self.source.order
@@ -201,12 +205,9 @@ def check_group_axioms(G: FiniteGroup) -> None:
         if G.table[a][G.inverses[a]] != G.identity or G.table[G.inverses[a]][a] != G.identity:
             raise PresentationCollapse(f"{G.name}: inverse fails at {a}")
     gens = G.generators()  # labels must generate
-    if n > 1:
-        for s in gens:
-            times_s = itemgetter(*G.table[s])
-            for row in G.table:
-                if G.table[row[s]] != times_s(row):
-                    raise PresentationCollapse(f"{G.name}: associativity fails")
+    # row(a s) is row(a) gathered by row(s), the generator test on the rows
+    if n > 1 and not _respects(G, G.table, gens, [itemgetter(*G.table[s]) for s in gens]):
+        raise PresentationCollapse(f"{G.name}: associativity fails")
 
 
 def _invariants(G: FiniteGroup) -> GroupInvariants:
@@ -266,6 +267,30 @@ def spanning_tree(G: FiniteGroup, gens) -> list[tuple[int, int, int]]:
     return tree
 
 
+def _walk(tree, start, acts) -> list:
+    """f along a full Schreier tree: f(identity) = start and f(g s_k) =
+    acts[k](f(g)), indexed by element."""
+    f = [start] * len(tree)
+    for g, parent, k in tree[1:]:
+        f[g] = acts[k](f[parent])
+    return f
+
+
+def _respects(G: FiniteGroup, f, gens, acts) -> bool:
+    """The generator test: f(a s) == act_s(f(a)) for every element a and
+    generator s.  For a map f into a group with act_s = right
+    multiplication by f(s) and f(identity) = identity, it gives f(a b) =
+    f(a) f(b) by induction on a word for b, so one pass of it checks a
+    homomorphism on generators only."""
+    return all(f[row[s]] == act(x) for s, act in zip(gens, acts)
+               for row, x in zip(G.table, f))
+
+
+def _right_muls(H: FiniteGroup, elems) -> list:
+    """x -> x t for each t in elems, each a lookup in a column of H."""
+    return [tuple(row[t] for row in H.table).__getitem__ for t in elems]
+
+
 def subgroup_generated(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, tuple(sorted(g for g, _, _ in spanning_tree(G, gens))))
 
@@ -294,15 +319,11 @@ def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
             for x in N.elements:
                 coset_of[row[x]] = len(reps)
             reps.append(g)
-    n = len(reps)
     labels = {lab: coset_of[g] for lab, g in G.generator_labels.items()}
-    table = _close_rows(n, [tuple(coset_of[G.table[s][g]] for g in reps)
-                            for s in G.generators()])
-    inverses = tuple(coset_of[G.inverses[g]] for g in reps)
-    names = tuple(f"[{G.element_names[g]}]" for g in reps)
-    Q = FiniteGroup(f"{G.name}/N{N.order}", n, table, inverses, labels, names)
-    check_group_axioms(Q)
-    return Q
+    return _group(f"{G.name}/N{N.order}",
+                  [tuple(coset_of[G.table[s][g]] for g in reps) for s in G.generators()],
+                  [coset_of[G.inverses[g]] for g in reps], labels,
+                  [f"[{G.element_names[g]}]" for g in reps])
 
 
 def subgroup_as_group(S: Subgroup, name: str,
@@ -321,12 +342,10 @@ def subgroup_as_group(S: Subgroup, name: str,
     local = {lab: index_of[g] for lab, g in labels.items()}
     if len(spanning_tree(parent, labels.values())) != n:
         raise UnknownSymbol(f"generator labels of {name} do not generate it")
-    table = _close_rows(n, [tuple(index_of[parent.table[s][g]] for g in elems)
-                            for s in sorted(set(labels.values()))])
-    inverses = tuple(index_of[parent.inverses[a]] for a in elems)
-    names = tuple(parent.element_names[g] for g in elems)
-    H = FiniteGroup(name, n, table, inverses, local, names)
-    check_group_axioms(H)
+    H = _group(name, [tuple(index_of[parent.table[s][g]] for g in elems)
+                      for s in sorted(set(labels.values()))],
+               [index_of[parent.inverses[a]] for a in elems], local,
+               [parent.element_names[g] for g in elems])
     return H, elems
 
 
@@ -355,20 +374,6 @@ def _greedy_generators(G: FiniteGroup, elems) -> list[int]:
     return gens
 
 
-def _extends_to_isomorphism(G: FiniteGroup, gens: list[int],
-                            H: FiniteGroup, imgs: list[int]) -> bool:
-    tree = spanning_tree(G, gens)
-    if len(tree) != G.order:
-        return False
-    full = [H.identity] * G.order
-    for b, a, k in tree[1:]:
-        full[b] = H.table[full[a]][imgs[k]]
-    if len(set(full)) != G.order:
-        return False
-    return all(full[G.table[a][s]] == H.table[full[a]][t]
-               for s, t in zip(gens, imgs) for a in range(G.order))
-
-
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     """Backtracking over generator images, pruned by order/class data."""
     if G.order != H.order:
@@ -387,13 +392,14 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
         k = g_inv.class_of[g]
         kind = (len(g_inv.classes[k]), g_inv.orders[k])
         candidates.append([h for h in range(H.order) if h_kind[h] == kind])
-    closure_sizes = []
-    for k in range(len(gens)):
-        closure_sizes.append(subgroup_generated(G, gens[:k + 1]).order)
+    closure_sizes = [subgroup_generated(G, gens[:k + 1]).order for k in range(len(gens))]
+    tree = spanning_tree(G, gens)
 
     def backtrack(k: int, imgs: list[int]) -> bool:
         if k == len(gens):
-            return _extends_to_isomorphism(G, gens, H, imgs)
+            # imgs generate all of H, so a homomorphism here is a bijection
+            acts = _right_muls(H, imgs)
+            return _respects(G, _walk(tree, H.identity, acts), gens, acts)
         for h in candidates[k]:
             imgs.append(h)
             if subgroup_generated(H, imgs).order == closure_sizes[k]:
@@ -436,6 +442,16 @@ def _close_rows(n: int, gen_rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...
     return tuple(rows)  # type: ignore[arg-type]
 
 
+def _group(name: str, gen_rows: list[tuple[int, ...]], inverses, labels: dict[str, int],
+           names) -> FiniteGroup:
+    """The one way a table becomes a group: close the generator rows, then
+    check the axioms once."""
+    n = len(inverses)
+    G = FiniteGroup(name, n, _close_rows(n, gen_rows), tuple(inverses), labels, tuple(names))
+    check_group_axioms(G)
+    return G
+
+
 def _power_name(letter: str, i: int) -> str:
     if i == 0:
         return "1"
@@ -445,11 +461,9 @@ def _power_name(letter: str, i: int) -> str:
 
 
 def _cyclic(n: int, name: str) -> FiniteGroup:
-    table = _close_rows(n, [tuple((1 + j) % n for j in range(n))])
-    inverses = tuple((-i) % n for i in range(n))
-    labels = {"g": 1 % n} if n > 1 else {}
-    names = tuple(_power_name("g", i) for i in range(n))
-    return FiniteGroup(name, n, table, inverses, labels, names)
+    return _group(name, [tuple((1 + j) % n for j in range(n))],
+                  [(-i) % n for i in range(n)], {"g": 1 % n} if n > 1 else {},
+                  [_power_name("g", i) for i in range(n)])
 
 
 def _metacyclic(m: int, t: int, letters: tuple[str, str], name: str) -> FiniteGroup:
@@ -462,12 +476,10 @@ def _metacyclic(m: int, t: int, letters: tuple[str, str], name: str) -> FiniteGr
     ax, ay = letters
     x_row = tuple((i + 1) % m for i in range(m)) + tuple(m + (i - 1) % m for i in range(m))
     y_row = tuple(range(m, 2 * m)) + tuple((t + i) % m for i in range(m))
-    table = _close_rows(2 * m, [x_row, y_row])
-    inverses = tuple((-i) % m for i in range(m)) + tuple(m + (i - t) % m for i in range(m))
-    labels = {ax: 1, ay: m} if m > 1 else {ay: m}
-    names = tuple(_power_name(ax, i) for i in range(m)) + tuple(
-        ay if i == 0 else f"{ay}*{_power_name(ax, i)}" for i in range(m))
-    return FiniteGroup(name, 2 * m, table, inverses, labels, names)
+    inverses = [(-i) % m for i in range(m)] + [m + (i - t) % m for i in range(m)]
+    names = [_power_name(ax, i) for i in range(m)] + [
+        ay if i == 0 else f"{ay}*{_power_name(ax, i)}" for i in range(m)]
+    return _group(name, [x_row, y_row], inverses, {ax: 1, ay: m} if m > 1 else {ay: m}, names)
 
 
 def _dicyclic(order: int, name: str, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
@@ -477,9 +489,7 @@ def _dicyclic(order: int, name: str, letters: tuple[str, str] = ("x", "y")) -> F
 
 def dicyclic_group(order: int, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
     """Dicyclic group of the given order (a multiple of 4, at least 8)."""
-    G = _dicyclic(order, canonical_group_name(f"dicyclic:{order}"), letters)
-    check_group_axioms(G)
-    return G
+    return _dicyclic(order, canonical_group_name(f"dicyclic:{order}"), letters)
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -519,11 +529,9 @@ def _symmetric(n: int, name: str) -> FiniteGroup:
         labels["t"] = index_of[t]
         c = tuple((i + 1) % n for i in range(n))
         labels["c"] = index_of[c]
-    size = len(elems)
-    table = _close_rows(size, [tuple(index_of[compose(elems[g], q)] for q in elems)
-                               for g in labels.values()])
-    names = tuple(_cycle_notation(p) for p in elems)
-    return FiniteGroup(name, size, table, tuple(inverses), labels, names)
+    return _group(name, [tuple(index_of[compose(elems[g], q)] for q in elems)
+                         for g in labels.values()],
+                  inverses, labels, [_cycle_notation(p) for p in elems])
 
 
 def group_from_coset_table(ct, name: str, expected_order: int | None = None) -> FiniteGroup:
@@ -552,10 +560,9 @@ def group_from_coset_table(ct, name: str, expected_order: int | None = None) -> 
         return c
 
     labels = {sym: ct.table[0][ct.column(sym, 1)] for sym in ct.generators}
-    table = _close_rows(n, [tuple(apply(s, w) for w in words) for s in labels.values()])
-    inverses = [row.index(0) for row in table]
-    names = tuple("1" if not w else str(Word.of(*w)).replace(" ", "*") for w in words)
-    return FiniteGroup(name, n, table, tuple(inverses), labels, names)
+    return _group(name, [tuple(apply(s, w) for w in words) for s in labels.values()],
+                  [apply(0, [(sym, -sgn) for sym, sgn in reversed(w)]) for w in words],
+                  labels, ["1" if not w else str(Word.of(*w)).replace(" ", "*") for w in words])
 
 
 _BINARY_OCTAHEDRAL_PRESENTATION = Presentation(
@@ -650,6 +657,4 @@ def build_group(spec: str, coset_limit: int = DEFAULT_COSET_LIMIT) -> FiniteGrou
 
 @functools.lru_cache(maxsize=None)
 def _build(name: str, coset_limit: int) -> FiniteGroup:
-    G = _parse(name)[1](coset_limit)
-    check_group_axioms(G)
-    return G
+    return _parse(name)[1](coset_limit)

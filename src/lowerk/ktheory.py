@@ -29,7 +29,7 @@ from .errors import (
     UnknownSchurData,
 )
 from .fusion import Rational, count_irreducibles, sc_rank
-from .groups import FiniteGroup, canonical_group_name
+from .groups import FiniteGroup, build_group, canonical_group_name, is_isomorphic
 
 DEGREES = ("Wh", "K0t", "Km1", "Km2")
 _NEXT_LOWER = {"Wh": "K0t", "K0t": "Km1", "Km1": "Km2", "Km2": None}
@@ -46,8 +46,9 @@ def carter_rank(G: FiniteGroup) -> int:
 
 
 # Count of rational irreducibles with even Schur index but odd local
-# indices, per canonical group name; k_minus1 takes 0 for every abelian
-# group (commutative group algebras split into fields).  Sources: Carter 1980;
+# indices, per isomorphism class, named by one group of the class; k_minus1
+# takes 0 for every abelian group (commutative group algebras split into
+# fields).  Sources: Carter 1980;
 # Guaschi-Juan-Pineda-Millan 2018, Table 2.1; Lafont-Ortiz (reflection
 # group computations).
 _SCHUR_EVEN_COUNT = {
@@ -61,20 +62,22 @@ _SCHUR_EVEN_COUNT = {
 }
 
 
-def schur_even_count(name: str) -> int:
-    key = canonical_group_name(name)
-    if key in _SCHUR_EVEN_COUNT:
-        return _SCHUR_EVEN_COUNT[key]
-    raise UnknownSchurData(f"no bundled Schur-index data for {key}")
+def schur_even_count(G: FiniteGroup) -> int:
+    """The bundled count of the table group isomorphic to G."""
+    for name, s in _SCHUR_EVEN_COUNT.items():
+        H = build_group(name)
+        if H.order == G.order and is_isomorphic(G, H):
+            return s
+    raise UnknownSchurData(f"no bundled Schur-index data for {G.name}")
 
 
 def k_minus1(G: FiniteGroup, s: int | None = None) -> FgAbelianGroup:
     """K_{-1}(Z[G]) = Z^carter_rank + (Z/2)^s, with s 0 for an abelian G
-    and looked up otherwise."""
+    and looked up by isomorphism class otherwise."""
     if s is None:
         gens = G.generators()
         abelian = all(G.table[a][b] == G.table[b][a] for a in gens for b in gens)
-        s = 0 if abelian else schur_even_count(G.name)
+        s = 0 if abelian else schur_even_count(G)
     return FgAbelianGroup.from_divisors(carter_rank(G), [2] * s)
 
 
@@ -108,22 +111,9 @@ class KSheet:
         for deg in DEGREES:
             if deg in data:
                 entries[deg] = _group_from_json(data[deg], f"{data['group']} {deg}")
-            elif deg == "Km2":
-                entries[deg] = TRIVIAL_GROUP
-            else:
+            elif deg != "Km2":
                 raise MissingDegree(f"sheet for {data['group']} lacks degree {deg}")
         return cls(data["group"], entries, _spec_str(data["cite"], f"{data['group']} sheet cite"))
-
-
-def _sheet(group: str, cite: str, Wh=None, K0t=None, Km1=None) -> KSheet:
-    entries = {}
-    if Wh is not None:
-        entries["Wh"] = Wh
-    if K0t is not None:
-        entries["K0t"] = K0t
-    if Km1 is not None:
-        entries["Km1"] = Km1
-    return KSheet(group, entries, cite)
 
 
 _Z = FgAbelianGroup(1)
@@ -133,18 +123,18 @@ _LO2 = "Lafont-Ortiz, lower K of 3-simplex reflection groups, Sec. 5"
 
 BUNDLED_KSHEETS: dict[str, KSheet] = {
     s.group: s for s in (
-        _sheet("cyclic:1", "Carter 1980 (trivial ring)"),
-        _sheet("cyclic:2", _GJM),
-        _sheet("cyclic:4", _GJM),
-        _sheet("quaternion:8", _GJM, K0t=_Z2),
-        _sheet("dicyclic:12", _GJM, K0t=_Z2, Km1=_Z),
-        _sheet("dicyclic:24", _GJM, Wh=_Z,
-               K0t=FgAbelianGroup(0, (2, 2, 2)), Km1=FgAbelianGroup(2, (2,))),
-        _sheet("binary-octahedral", _GJM, Wh=_Z,
-               K0t=FgAbelianGroup(0, (2, 2)), Km1=FgAbelianGroup(1, (2,))),
-        _sheet("symmetric:4", _LO2),
-        _sheet("dihedral:3", _LO2),
-        _sheet("dihedral:6", _LO2, Km1=_Z),
+        KSheet("cyclic:1", {}, "Carter 1980 (trivial ring)"),
+        KSheet("cyclic:2", {}, _GJM),
+        KSheet("cyclic:4", {}, _GJM),
+        KSheet("quaternion:8", {"K0t": _Z2}, _GJM),
+        KSheet("dicyclic:12", {"K0t": _Z2, "Km1": _Z}, _GJM),
+        KSheet("dicyclic:24", {"Wh": _Z, "K0t": FgAbelianGroup(0, (2, 2, 2)),
+                               "Km1": FgAbelianGroup(2, (2,))}, _GJM),
+        KSheet("binary-octahedral", {"Wh": _Z, "K0t": FgAbelianGroup(0, (2, 2)),
+                                     "Km1": FgAbelianGroup(1, (2,))}, _GJM),
+        KSheet("symmetric:4", {}, _LO2),
+        KSheet("dihedral:3", {}, _LO2),
+        KSheet("dihedral:6", {"Km1": _Z}, _LO2),
     )
 }
 

@@ -124,6 +124,16 @@ def test_ksheet_unknown_schur_data_exits_3(capsys):
     assert "carter rank" in out  # the rank is still printed
 
 
+def test_ksheet_looks_schur_data_up_by_isomorphism_class(capsys):
+    # symmetric:3 is no table name, but its class is that of dihedral:3
+    code, out, _ = run_cli(capsys, "--format", "json", "ksheet", "symmetric:3")
+    assert code == 0
+    s3 = json.loads(out)
+    code, out, _ = run_cli(capsys, "--format", "json", "ksheet", "dihedral:3")
+    assert code == 0
+    assert s3["K_-1"] == json.loads(out)["K_-1"]
+
+
 def test_assemble_bundled_by_name_and_by_path(capsys):
     code, out, _ = run_cli(capsys, "assemble", "b3rp2")
     assert code == 0
@@ -390,3 +400,13 @@ def test_assemble_refuses_a_superscript_group_name(path, tmp_path):
     done = _run_module("assemble", str(spec))
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+def test_assemble_refuses_a_deeply_nested_spec(tmp_path):
+    # json.load recurses once per bracket; past the interpreter's limit
+    # that is a spec error, not a traceback
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 200000)
+    done = _run_module("assemble", str(spec))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -313,6 +314,23 @@ def test_presentation_collapse_guard():
         group_from_coset_table(ct, "wrong", expected_order=5)
 
 
+@pytest.mark.parametrize("relators,subgroup", [
+    (("a^2", "b^3", "a b a b"), "a b"),      # S3 on the cosets of <ab>
+    (("a^2", "b^4", "a b a b a b"), "a b^2"),  # S4 on six cosets
+])
+def test_coset_tables_of_a_non_regular_action_are_refused(relators, subgroup):
+    # the rows close, but into no group table: the shared constructor's
+    # axiom check refuses them
+    from lowerk.errors import PresentationCollapse
+    from lowerk.groups import group_from_coset_table
+    from lowerk.presentations import Presentation, parse_word, todd_coxeter
+
+    ct = todd_coxeter(Presentation(("a", "b"), tuple(map(parse_word, relators))),
+                      (parse_word(subgroup),))
+    with pytest.raises(PresentationCollapse, match="fails"):
+        group_from_coset_table(ct, "cosets")
+
+
 def test_associativity_checked_above_order_64():
     from lowerk.errors import PresentationCollapse
     from lowerk.groups import FiniteGroup
@@ -332,7 +350,7 @@ def test_generator_checks_reject_bad_inputs():
     t, c = S3.generator_labels["t"], S3.generator_labels["c"]
     assert t not in center(S3).elements and c not in center(S3).elements
     assert center(S3).elements == (S3.identity,)
-    from lowerk.groups import _extends_to_isomorphism, is_normal
+    from lowerk.groups import is_normal
     assert not is_normal(subgroup_generated(S3, [t]))
     assert is_normal(subgroup_generated(S3, [c]))
     S4 = build_group("symmetric:4")
@@ -346,9 +364,8 @@ def test_generator_checks_reject_bad_inputs():
     assert GroupHom(S3, C6, {"t": C6.power(g, 3), "c": C6.identity}).is_homomorphism()
     # r -> x, s -> y extends to a bijection from D8 onto Q8, not to a homomorphism
     D8, Q8 = build_group("dihedral:4"), build_group("quaternion:8")
-    gens = [D8.generator_labels["r"], D8.generator_labels["s"]]
-    imgs = [Q8.generator_labels["x"], Q8.generator_labels["y"]]
-    assert not _extends_to_isomorphism(D8, gens, Q8, imgs)
+    bijection = GroupHom(D8, Q8, {"r": Q8.generator_labels["x"], "s": Q8.generator_labels["y"]})
+    assert bijection.is_injective() and not bijection.is_homomorphism()
 
 
 def test_invariants_need_generating_labels():
@@ -362,3 +379,124 @@ def test_invariants_need_generating_labels():
         conjugacy_classes(partial)
     with pytest.raises(UnknownSymbol):
         center(partial)
+
+
+# --- the generator test against all-pairs oracles ----------------------------
+# GroupHom.is_homomorphism, check_group_axioms and GraphWithAction share one
+# test on generators; each is held here to a check over every pair or triple.
+
+SMALL = ["cyclic:1", "cyclic:2", "cyclic:4", "cyclic:6", "cyclic:12", "dihedral:2",
+         "dihedral:3", "dihedral:4", "dihedral:6", "quaternion:8", "dicyclic:12",
+         "dicyclic:24", "symmetric:3", "symmetric:4", "binary-tetrahedral"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.booleans(), st.data())
+def test_is_homomorphism_matches_all_pairs(source, target, inner, data):
+    G, H = build_group(source), build_group(target)
+    if inner:   # an inner automorphism, then perhaps one image moved
+        H = G
+        h = data.draw(st.integers(0, G.order - 1))
+        images = {lab: G.conjugate(s, h) for lab, s in G.generator_labels.items()}
+        if images and data.draw(st.booleans()):
+            lab = data.draw(st.sampled_from(sorted(images)))
+            images[lab] = data.draw(st.integers(0, G.order - 1))
+    else:
+        images = {lab: data.draw(st.integers(0, H.order - 1)) for lab in G.generator_labels}
+    hom = GroupHom(G, H, images)
+    f = hom.full_map()
+    law = all(f[G.mul(a, b)] == H.mul(f[a], f[b]) for a in range(G.order) for b in range(G.order))
+    assert hom.is_homomorphism() == law
+
+
+def is_group_table(table, inverses) -> bool:
+    n = len(table)
+    return (all(table[0][a] == table[a][0] == a for a in range(n))
+            and all(table[a][inverses[a]] == table[inverses[a]][a] == 0 for a in range(n))
+            and all(table[table[a][b]][c] == table[a][table[b][c]]
+                    for a in range(n) for b in range(n) for c in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL), st.data())
+def test_axiom_check_matches_all_triples_on_swapped_entries(name, data):
+    from lowerk.errors import PresentationCollapse, UnknownSymbol
+    from lowerk.groups import FiniteGroup
+
+    G = build_group(name)
+    a, b, c = (data.draw(st.integers(0, G.order - 1)) for _ in range(3))
+    rows = [list(r) for r in G.table]
+    rows[a][b], rows[a][c] = rows[a][c], rows[a][b]   # b == c leaves the group
+    table = tuple(map(tuple, rows))
+    H = FiniteGroup("swapped", G.order, table, G.inverses, G.generator_labels, G.element_names)
+    if is_group_table(table, G.inverses):
+        check_group_axioms(H)
+    else:
+        with pytest.raises((PresentationCollapse, UnknownSymbol)):
+            check_group_axioms(H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "dihedral:2",
+                        "dihedral:3", "symmetric:3", "quaternion:8", "dicyclic:12"]),
+       st.booleans(), st.data())
+def test_graph_action_matches_all_pairs(name, star, data):
+    """Three vertices, either joined pairwise or each joined to a fourth
+    that every element fixes; every permutation of the three carries edges
+    along, so each generator passes on its own, and only the complete graph
+    lets an element invert an edge."""
+    from lowerk.amalgams import GraphWithAction
+    from lowerk.errors import EdgeInversion, NotAnAction
+
+    G = build_group(name)
+    nv = 4 if star else 3
+    edges = (tuple(p for i in range(3) for p in ((i, 3), (3, i))) if star else
+             tuple((i, j) for i in range(3) for j in range(3) if i != j))
+    index = {e: k for k, e in enumerate(edges)}
+    reverse = tuple(index[j, i] for i, j in edges)
+    perms = [p + (3,) * star for p in itertools.permutations(range(3))]
+    vertex = {lab: data.draw(st.sampled_from(perms)) for lab in sorted(G.generator_labels)}
+    action = {lab: (vp, tuple(index[vp[i], vp[j]] for i, j in edges))
+              for lab, vp in vertex.items()}
+    # oracle: each element acts as its breadth-first word, act(g s) = act(g) o act(s)
+    act, queue = {G.identity: tuple(range(nv))}, [G.identity]
+    for g in queue:
+        for lab in sorted(G.generator_labels):
+            h = G.mul(g, G.generator_labels[lab])
+            if h not in act:
+                act[h] = tuple(act[g][v] for v in vertex[lab])
+                queue.append(h)
+    law = all(act[G.mul(a, b)] == tuple(act[a][v] for v in act[b])
+              for a in range(G.order) for b in range(G.order))
+    if not law:
+        with pytest.raises(NotAnAction, match="inconsistent"):
+            GraphWithAction(G, nv, edges, reverse, action)
+    elif any(act[g][i] == j and act[g][j] == i for g in act for i, j in edges):
+        with pytest.raises(EdgeInversion):
+            GraphWithAction(G, nv, edges, reverse, action)
+    else:
+        gwa = GraphWithAction(G, nv, edges, reverse, action)
+        for v in range(nv):
+            assert gwa.vertex_stabilizer(v).elements == tuple(
+                g for g in range(G.order) if act[g][v] == v)
+            assert gwa.vertex_orbit(v) == tuple(sorted({act[g][v] for g in act}))
+        for e, (i, j) in enumerate(edges):
+            assert gwa.edge_stabilizer(e).elements == tuple(
+                g for g in range(G.order) if (act[g][i], act[g][j]) == (i, j))
+            assert gwa.edge_orbit(e) == tuple(sorted({index[act[g][i], act[g][j]] for g in act}))
+
+
+def test_graph_action_composes_in_the_group_order():
+    # S3 permutes three leaves of a star by its own permutations; the
+    # stabilizer of leaf 0 is {1, (1 2)}, which acting in the opposite
+    # order would conjugate away
+    from lowerk.amalgams import GraphWithAction
+
+    S3 = build_group("symmetric:3")
+    edges = ((0, 3), (3, 0), (1, 3), (3, 1), (2, 3), (3, 2))
+    perm = {"t": (1, 0, 2, 3), "c": (1, 2, 0, 3)}
+    action = {lab: (vp, tuple(edges.index((vp[i], vp[j])) for i, j in edges))
+              for lab, vp in perm.items()}
+    gwa = GraphWithAction(S3, 4, edges, (1, 0, 3, 2, 5, 4), action)
+    assert [S3.element_names[g] for g in gwa.vertex_stabilizer(0).elements] == ["e", "(1 2)"]
+    assert gwa.vertex_orbit(0) == (0, 1, 2) and gwa.vertex_orbit(3) == (3,)

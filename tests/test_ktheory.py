@@ -9,9 +9,8 @@ from lowerk.errors import (
     IllFormedMap,
     MissingDegree,
     UnknownSchurData,
-    UnknownSpec,
 )
-from lowerk.groups import build_group, center, quotient
+from lowerk.groups import build_group, center, dicyclic_group, quotient
 from lowerk.ktheory import (
     AmalgamVC,
     BUNDLED_KSHEETS,
@@ -71,17 +70,32 @@ def test_k_minus1_of_abelian_groups_needs_no_lookup():
     klein = quotient(q8, center(q8))
     for G in (build_group("dihedral:2"), build_group("symmetric:2"), klein):
         assert k_minus1(G) == TRIVIAL_GROUP, G.name
-    with pytest.raises(UnknownSpec):   # 'quaternion:8/N2' is no group name
-        schur_even_count(klein.name)
+    with pytest.raises(UnknownSchurData):   # the table holds no Klein group
+        schur_even_count(klein)
 
 
 def test_k_minus1_unknown_schur_data():
     with pytest.raises(UnknownSchurData):
         k_minus1(build_group("binary-tetrahedral"))
     with pytest.raises(UnknownSchurData):
-        schur_even_count("dicyclic:16")
+        schur_even_count(build_group("dicyclic:16"))
     # supplying the torsion count directly bypasses the lookup
     assert k_minus1(build_group("binary-tetrahedral"), s=0) == FgAbelianGroup(1)
+
+
+def test_schur_count_is_looked_up_by_isomorphism_class():
+    # a quotient's name such as 'binary-octahedral/N2' is no group name; the
+    # count is that of its class, S4
+    O = build_group("binary-octahedral")
+    S4 = quotient(O, center(O))
+    assert schur_even_count(S4) == 0
+    assert k_minus1(S4) == k_minus1(build_group("symmetric:4")) == TRIVIAL_GROUP
+    assert schur_even_count(build_group("symmetric:3")) == 0
+    assert k_minus1(build_group("symmetric:3")) == k_minus1(build_group("dihedral:3"))
+    assert schur_even_count(dicyclic_group(24, ("Y", "Z"))) == 1
+    # same order as S4 and Dic24, neither class
+    with pytest.raises(UnknownSchurData):
+        schur_even_count(build_group("binary-tetrahedral"))
 
 
 def test_bundled_sheets_match_carter():
