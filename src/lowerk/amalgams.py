@@ -67,37 +67,23 @@ class Amalgam:
         self.iA, self.iB = iA, iB
         self._vertex = (A, B)
         self._embed = (iA.full_map(), iB.full_map())
-        self._transversal = (self._make_transversal(SIDE_A), self._make_transversal(SIDE_B))
-        self._factor = (self._make_factor(SIDE_A), self._make_factor(SIDE_B))
+        self._transversal, self._factor = zip(*map(self._cosets, (SIDE_A, SIDE_B)))
 
-    def _make_transversal(self, side: int) -> tuple[int, ...]:
-        """Right-coset representatives of the embedded edge group,
-        identity first, then smallest element index per coset."""
+    def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """Right-coset representatives of the embedded edge group, and for
+        each vertex element a the unique (c, t) with a = i(c) * t.  In one
+        ascending pass the first element not yet factored is the least of
+        its coset, so the identity (index 0) represents the edge coset."""
         V = self._vertex[side]
         image = self._embed[side]
-        seen = set()
-        reps = []
-        for g in range(V.order):
-            if g in seen:
-                continue
-            coset = {V.table[image[c]][g] for c in range(self.C.order)}
-            seen |= coset
-            reps.append(V.identity if V.identity in coset else min(coset))
-        reps.sort()
-        return tuple(reps)
-
-    def _make_factor(self, side: int) -> tuple[tuple[int, int], ...]:
-        """For each vertex element a, the unique (c, t) with a = i(c) * t."""
-        V = self._vertex[side]
-        image = self._embed[side]
-        out: list[tuple[int, int] | None] = [None] * V.order
-        for c in range(self.C.order):
-            for t in self._transversal[side]:
-                a = V.table[image[c]][t]
-                if out[a] is not None:
-                    raise NotInjective(f"coset factorization in {V.name} is not unique")
-                out[a] = (c, t)
-        return tuple(out)  # type: ignore[arg-type]
+        reps: list[int] = []
+        factor: list[tuple[int, int] | None] = [None] * V.order
+        for t in range(V.order):
+            if factor[t] is None:
+                reps.append(t)
+                for c in range(self.C.order):
+                    factor[V.table[image[c]][t]] = (c, t)
+        return tuple(reps), tuple(factor)  # type: ignore[arg-type]
 
     # -- basic data ---------------------------------------------------------
 

@@ -18,7 +18,6 @@ from .abelian import FgAbelianGroup, prime_factors
 from .errors import (
     AssemblySpecError,
     IllFormedMap,
-    LimitExceeded,
     LowerKError,
     MissingDegree,
     NotPrime,
@@ -44,7 +43,6 @@ from .ktheory import (
     k_minus1,
     DEGREES,
 )
-from .presentations import DEFAULT_COSET_LIMIT
 
 
 def _emit(data: dict, fmt: str, table: str) -> None:
@@ -55,7 +53,7 @@ def _emit(data: dict, fmt: str, table: str) -> None:
 
 
 def cmd_group_info(args) -> int:
-    G = build_group(args.name, args.coset_limit)
+    G = build_group(args.name)
     inv = G.invariants()
     classes = inv.classes
     histogram = Counter()
@@ -94,7 +92,7 @@ def _parse_fusion(flag: str):
 
 
 def cmd_classes(args) -> int:
-    G = build_group(args.name, args.coset_limit)
+    G = build_group(args.name)
     spec = _parse_fusion(args.fusion)
     if isinstance(spec, tuple):
         _, p = spec
@@ -121,7 +119,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_ksheet(args) -> int:
-    G = build_group(args.name, args.coset_limit)
+    G = build_group(args.name)
     r_q = count_irreducibles(G, Rational())
     per_prime = {}
     for p in prime_factors(G.order):
@@ -216,29 +214,16 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     # common flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--coset-limit", type=_positive_int, default=argparse.SUPPRESS,
-                        help="cap on cosets defined during enumeration")
 
     parser = argparse.ArgumentParser(
         prog="lowerk",
         description="Lower K-theory of integral group rings of amalgams of finite groups.")
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--coset-limit", type=_positive_int, default=DEFAULT_COSET_LIMIT)
     sub = parser.add_subparsers(dest="command", required=True)
 
     group = sub.add_parser("group", help="group inspection", parents=[common])
@@ -281,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (UnknownSpec, NotPrime, AssemblySpecError, MissingDegree,
-            OrderLimitExceeded, LimitExceeded) as exc:
+            OrderLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnknownSchurData, IllFormedMap) as exc:

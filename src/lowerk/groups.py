@@ -30,13 +30,7 @@ from .errors import (
     UnknownSpec,
     UnknownSymbol,
 )
-from .presentations import (
-    DEFAULT_COSET_LIMIT,
-    Presentation,
-    Word,
-    parse_word,
-    todd_coxeter,
-)
+from .presentations import Presentation, Word, parse_word, todd_coxeter
 
 ORDER_CAP = 10_000
 ISO_ORDER_CAP = 200
@@ -535,7 +529,8 @@ def _symmetric(n: int, name: str) -> FiniteGroup:
 
 
 def group_from_coset_table(ct, name: str, expected_order: int | None = None) -> FiniteGroup:
-    """Convert a closed coset table over the trivial subgroup to a group."""
+    """Convert a closed coset table over the trivial subgroup to a group;
+    a table over a larger subgroup is refused."""
     n = ct.index
     if expected_order is not None and n != expected_order:
         raise PresentationCollapse(
@@ -559,10 +554,18 @@ def group_from_coset_table(ct, name: str, expected_order: int | None = None) -> 
             c = ct.table[c][ct.column(sym, sgn)]
         return c
 
-    labels = {sym: ct.table[0][ct.column(sym, 1)] for sym in ct.generators}
-    return _group(name, [tuple(apply(s, w) for w in words) for s in labels.values()],
-                  [apply(0, [(sym, -sgn) for sym, sgn in reversed(w)]) for w in words],
-                  labels, ["1" if not w else str(Word.of(*w)).replace(" ", "*") for w in words])
+    cols = [tuple(row[ct.column(sym, 1)] for row in ct.table) for sym in ct.generators]
+    labels = {sym: col[0] for sym, col in zip(ct.generators, cols)}
+    G = _group(name, [tuple(apply(s, w) for w in words) for s in labels.values()],
+               [apply(0, [(sym, -sgn) for sym, sgn in reversed(w)]) for w in words],
+               labels, ["1" if not w else str(Word.of(*w)).replace(" ", "*") for w in words])
+    # over the trivial subgroup each generator acts on the cosets as right
+    # multiplication by its label; over a larger one the rows can still
+    # close into a group, but not into this one
+    if not _respects(G, range(n), list(labels.values()), [col.__getitem__ for col in cols]):
+        raise PresentationCollapse(
+            f"{name}: the coset action fails to be right multiplication; the subgroup is not trivial")
+    return G
 
 
 _BINARY_OCTAHEDRAL_PRESENTATION = Presentation(
@@ -581,13 +584,13 @@ _BINARY_OCTAHEDRAL_PRESENTATION = Presentation(
 )
 
 
-def _binary_octahedral(coset_limit: int) -> FiniteGroup:
-    ct = todd_coxeter(_BINARY_OCTAHEDRAL_PRESENTATION, (), coset_limit)
+def _binary_octahedral() -> FiniteGroup:
+    ct = todd_coxeter(_BINARY_OCTAHEDRAL_PRESENTATION)
     return group_from_coset_table(ct, "binary-octahedral", expected_order=48)
 
 
-def _binary_tetrahedral(coset_limit: int) -> FiniteGroup:
-    big = build_group("binary-octahedral", coset_limit)
+def _binary_tetrahedral() -> FiniteGroup:
+    big = build_group("binary-octahedral")
     gens = [big.generator_labels[s] for s in ("P", "Q", "X")]
     sub = subgroup_generated(big, gens)
     if sub.order != 24:
@@ -599,7 +602,7 @@ def _binary_tetrahedral(coset_limit: int) -> FiniteGroup:
 
 # The grammar.  A family maps to (least n, order of member n or None when n
 # names no member, constructor taking n and the canonical name); a presented
-# group maps to its builder, which takes the coset limit.
+# group maps to its builder, which takes no argument.
 _FAMILIES = {
     "cyclic": (1, lambda n: n, _cyclic),
     "dihedral": (1, lambda n: 2 * n, lambda n, name: _metacyclic(n, 0, ("r", "s"), name)),
@@ -615,7 +618,7 @@ _ALIASES = {"dicyclic:8": "quaternion:8"}
 
 
 def _parse(spec: str):
-    """The canonical name of spec and a builder taking the coset limit."""
+    """The canonical name of spec and a builder taking no argument."""
     if not isinstance(spec, str):
         raise UnknownSpec(f"group name {spec!r} is not a string")
     text = spec.strip()
@@ -637,7 +640,7 @@ def _parse(spec: str):
     if size > ORDER_CAP:
         raise OrderLimitExceeded(f"group {spec!r} exceeds the order cap {ORDER_CAP}")
     name = _ALIASES.get(f"{family}:{n}", f"{family}:{n}")
-    return name, lambda coset_limit: build(n, name)
+    return name, lambda: build(n, name)
 
 
 def canonical_group_name(spec: str) -> str:
@@ -645,16 +648,16 @@ def canonical_group_name(spec: str) -> str:
     return _parse(spec)[0]
 
 
-def build_group(spec: str, coset_limit: int = DEFAULT_COSET_LIMIT) -> FiniteGroup:
-    """Build a group from its name.
+def build_group(spec: str) -> FiniteGroup:
+    """Build a group from its name; each name gives one cached group.
 
     Grammar: cyclic:n | dicyclic:4n | quaternion:8 | binary-octahedral |
     binary-tetrahedral | symmetric:n | dihedral:n, with n in ASCII digits
     and resulting order <= 10000.
     """
-    return _build(canonical_group_name(spec), coset_limit)
+    return _build(canonical_group_name(spec))
 
 
 @functools.lru_cache(maxsize=None)
-def _build(name: str, coset_limit: int) -> FiniteGroup:
-    return _parse(name)[1](coset_limit)
+def _build(name: str) -> FiniteGroup:
+    return _parse(name)[1]()

@@ -25,6 +25,7 @@ from .abelian import (
 )
 from .errors import (
     AssemblySpecError,
+    IllFormedMap,
     MissingDegree,
     UnknownSchurData,
 )
@@ -405,13 +406,21 @@ def k_value_str(abelian: FgAbelianGroup, nil: NilValue) -> str:
     return f"{abelian} + {nil}"
 
 
-def _degree_map(spec: AssemblySpec, degree: str) -> AbelianMap:
-    sheet_a = spec.sheet(spec.group_a).entries[degree]
-    sheet_b = spec.sheet(spec.group_b).entries[degree]
-    sheet_c = spec.sheet(spec.group_c).entries[degree]
-    source = presentation_of_sum([sheet_c])
-    target = presentation_of_sum([sheet_a, sheet_b])
-    return AbelianMap(source, target, spec.maps[degree].matrix)
+def _degree_map(spec: AssemblySpec, degree: str) -> AbelianMap | None:
+    """The cited map of one degree, checked well defined; None when the
+    target has no generators, for the map is then zero and its empty
+    matrix holds no column count to check the source against."""
+    source = [spec.sheet(spec.group_c).entries[degree]]
+    target = [spec.sheet(g).entries[degree] for g in (spec.group_a, spec.group_b)]
+    matrix = spec.maps[degree].matrix
+    # the shape is checked before any relation vector is built, so a cited
+    # rank costs no more than the matrix it must match
+    rows, cols = (sum(len(g.torsion) + g.free_rank for g in gs) for gs in (target, source))
+    if len(matrix) != rows or any(len(row) != cols for row in matrix):
+        raise IllFormedMap(f"{degree} matrix does not have the {rows} x {cols} shape of the sheets")
+    if not rows:
+        return None
+    return AbelianMap(presentation_of_sum(source), presentation_of_sum(target), matrix)
 
 
 def amalgam_k_assemble(spec: AssemblySpec) -> dict[str, AssembledDegree]:
@@ -426,9 +435,14 @@ def amalgam_k_assemble(spec: AssemblySpec) -> dict[str, AssembledDegree]:
     nil_values = [nil_classify(entry.vc) for entry in spec.nils]
     out = {}
     for deg in DEGREES:
-        coker = cokernel(maps[deg])
+        coker = TRIVIAL_GROUP if maps[deg] is None else cokernel(maps[deg])
         lower = _NEXT_LOWER[deg]
-        ker_shift = kernel(maps[lower]) if lower else TRIVIAL_GROUP
+        if lower is None:
+            ker_shift = TRIVIAL_GROUP
+        elif maps[lower] is None:    # the kernel of a zero map is its source
+            ker_shift = spec.sheet(spec.group_c).entries[lower]
+        else:
+            ker_shift = kernel(maps[lower])
         if deg in _NIL_DEGREES:
             nil = nil_sum(nil_values)
         else:

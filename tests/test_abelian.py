@@ -674,7 +674,8 @@ def test_snf_matches_seed_oracle(r, c, data):
 
 def _b3_degree_maps():
     spec = assembly_spec_from_json(bundled_spec_json("b3rp2"))
-    return [_degree_map(spec, deg) for deg in DEGREES]
+    # a map into the trivial group is None: zero, and built from no vector
+    return [f for f in (_degree_map(spec, deg) for deg in DEGREES) if f is not None]
 
 
 def test_lattice_path_runs_without_the_full_smith_form(monkeypatch):

@@ -231,27 +231,14 @@ def test_module_entry_point():
     assert "6" in proc.stdout
 
 
-def test_tiny_coset_limit_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "group", "info", "binary-octahedral",
-                           "--coset-limit", "10")
-    assert code == 2
-    assert "limit" in err
-
-
-def test_coset_limit_error_reports_live_cosets():
-    proc = _run_module("--coset-limit", "5", "group", "info", "binary-octahedral")
-    assert proc.returncode == 2 and not proc.stdout
-    assert proc.stderr == "error: coset enumeration exceeded limit 5 (5 cosets live)\n"
-
-
-def test_nonpositive_coset_limit_is_usage_error(capsys):
-    for argv in (["--coset-limit", "0", "group", "info", "binary-octahedral"],
-                 ["group", "info", "binary-octahedral", "--coset-limit", "0"],
-                 ["--coset-limit", "-5", "ksheet", "binary-octahedral"],
-                 ["ksheet", "binary-octahedral", "--coset-limit", "-5"]):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and not out
-        assert "--coset-limit" in err and "Traceback" not in err
+def test_coset_limit_flag_is_unrecognized():
+    # the one enumeration the CLI runs is the bundled binary-octahedral
+    # presentation, so no flag bounds it
+    for argv in (["--coset-limit", "5", "group", "info", "binary-octahedral"],
+                 ["ksheet", "binary-octahedral", "--coset-limit", "500"]):
+        proc = _run_module(*argv)
+        assert proc.returncode == 2 and not proc.stdout
+        assert "lowerk: error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_reports_identical_bytes_across_processes():
@@ -339,6 +326,70 @@ def test_assemble_refuses_an_ill_defined_cited_map(capsys, tmp_path):
     code, out, err = run_cli(capsys, "assemble", str(path))
     assert code == 3 and out == ""
     assert "misses the target lattice" in err
+
+
+@pytest.mark.parametrize("rank", [2 ** 70, 10 ** 8], ids=["2^70", "10^8"])
+def test_assemble_holds_a_cited_rank_to_the_matrix_shape(rank, capsys, tmp_path):
+    # the octahedral Km1 rank is held to the Km1 matrix's five rows before
+    # any relation vector of that length is built
+    path = tmp_path / "spec.json"
+    path.write_text(_b3_with(_set(("sheets", 0, "Km1", "rank"), rank)))
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: Km1 matrix does not have the {rank + 4} x 1 shape of the sheets\n"
+
+
+def test_assemble_kernel_of_a_map_into_the_trivial_group_is_its_source(capsys, tmp_path):
+    # pb3's Km1 matrix has no rows, so no column count bounds the edge
+    # group's rank; the kernel of the zero map is that sheet, built from
+    # no vector
+    raw = casebook.bundled_spec_json("pb3rp2")
+    raw["sheets"][2]["Km1"] = {"rank": 2 ** 70, "torsion": [2]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_cli(capsys, "--format", "json", "assemble", str(path))
+    assert code == 0
+    assert json.loads(out)["degrees"]["K0t"]["ker_shift"] == {"rank": 2 ** 70, "torsion": [2]}
+
+
+_SPEC_WORDS = ("cyclic:2", "cyclic:4", "dicyclic:12", "dicyclic:24", "quaternion:8",
+               "dihedral:3", "dihedral:6", "symmetric:4", "binary-octahedral",
+               "binary-tetrahedral", "cyclic:0", "dicyclic:10", "cyclic:99999",
+               "Wh", "K0t", "Km1", "Km2", "product", "semidirect", "amalgam",
+               "rank", "torsion", "matrix", "group", "cite", "vc")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80) | st.floats()
+    | st.sampled_from(_SPEC_WORDS) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_SPEC_WORDS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+def _subtrees(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _subtrees(child, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("b3rp2", "pb3rp2", "mcg_rp2_3")), st.data())
+def test_assemble_of_a_mutated_spec_exits_with_a_code(tmp_path_factory, name, data):
+    # any JSON in place of any subtrees of a bundled spec: a documented
+    # exit code (0 pass, 2 parse error, 3 ill-formed data), never a traceback
+    raw = casebook.bundled_spec_json(name)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_subtrees(raw))))
+        value = data.draw(_JSON)
+        if not path:
+            raw = value
+        else:
+            _set(path, value)(raw)
+    spec = tmp_path_factory.getbasetemp() / "mutated-spec.json"
+    spec.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["assemble", str(spec)]) in (0, 2, 3)
 
 
 def _run_module(*argv, timeout=30):

@@ -56,6 +56,26 @@ def test_expected_orders():
         assert build_group(name).order == order
 
 
+def test_each_name_builds_one_group_and_o_star_is_enumerated_once(monkeypatch):
+    import functools
+
+    from lowerk import groups
+
+    # a fresh name cache, so the count does not depend on earlier tests
+    monkeypatch.setattr(groups, "_build", functools.lru_cache(maxsize=None)(
+        groups._build.__wrapped__))
+    calls = []
+    enumerate_cosets = groups.todd_coxeter
+    monkeypatch.setattr(groups, "todd_coxeter",
+                        lambda *args: calls.append(args) or enumerate_cosets(*args))
+    T = build_group("binary-tetrahedral")
+    O = build_group("binary-octahedral")
+    assert len(calls) == 1
+    assert build_group(" binary-tetrahedral ") is T and build_group("binary-octahedral") is O
+    for name in ("cyclic:12", "dicyclic:8", "symmetric:04"):
+        assert build_group(name) is build_group(canonical_group_name(name))
+
+
 def test_dicyclic24_structure():
     G = build_group("dicyclic:24")
     x = G.generator_labels["x"]
@@ -317,10 +337,12 @@ def test_presentation_collapse_guard():
 @pytest.mark.parametrize("relators,subgroup", [
     (("a^2", "b^3", "a b a b"), "a b"),      # S3 on the cosets of <ab>
     (("a^2", "b^4", "a b a b a b"), "a b^2"),  # S4 on six cosets
+    (("a^2", "b^3", "a b a b"), "a"),        # S3 on the cosets of <a>: rows close into Z/3
 ])
 def test_coset_tables_of_a_non_regular_action_are_refused(relators, subgroup):
-    # the rows close, but into no group table: the shared constructor's
-    # axiom check refuses them
+    # the rows close into no group table, which the shared constructor's
+    # axiom check refuses, or into one the generator columns do not act on
+    # by right multiplication
     from lowerk.errors import PresentationCollapse
     from lowerk.groups import group_from_coset_table
     from lowerk.presentations import Presentation, parse_word, todd_coxeter
