@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
-
 from .errors import IllFormedMap
+from .records import Frozen, Record
 
 Matrix = list[list[int]]
 
@@ -34,8 +33,7 @@ def mat_vec(m: Matrix, v: list[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in m]
 
 
-@dataclass
-class SmithForm:
+class SmithForm(Record):
     """Decomposition u * m * v = d with u, v unimodular and d diagonal.
 
     The diagonal is nonnegative and forms a divisibility chain.  u_inv and
@@ -44,11 +42,15 @@ class SmithForm:
     elimination with only the transform it reads.
     """
 
-    u: Matrix
-    d: Matrix
-    v: Matrix
-    u_inv: Matrix
-    v_inv: Matrix
+    __slots__ = ("u", "d", "v", "u_inv", "v_inv")
+
+    def __init__(self, u: Matrix, d: Matrix, v: Matrix, u_inv: Matrix, v_inv: Matrix):
+        self.u, self.d, self.v, self.u_inv, self.v_inv = u, d, v, u_inv, v_inv
+
+    def __eq__(self, other):
+        if type(other) is not SmithForm:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @property
     def diagonal(self) -> list[int]:
@@ -209,27 +211,32 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Frozen):
     """A finitely generated abelian group: Z^free_rank + sum of Z/d_i.
 
     The torsion coefficients form a divisibility chain d_1 | d_2 | ...
     with every d_i >= 2, so equality of values is isomorphism.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("torsion coefficients must be >= 2")
             if prev is not None and d % prev:
                 raise ValueError("torsion coefficients must form a divisibility chain")
             prev = d
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if type(other) is not FgAbelianGroup:
+            return NotImplemented
+        return self.free_rank == other.free_rank and self.torsion == other.torsion
 
     @classmethod
     def from_divisors(cls, free_rank: int, divisors: Iterable[int]) -> "FgAbelianGroup":
@@ -293,17 +300,17 @@ TRIVIAL_GROUP = FgAbelianGroup()
 # presented abelian groups and maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbelianPresentation:
+class AbelianPresentation(Frozen):
     """Z^ngens modulo the lattice spanned by the relation vectors."""
 
-    ngens: int
-    relations: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("ngens", "relations")
 
-    def __post_init__(self):
-        for rel in self.relations:
-            if len(rel) != self.ngens:
+    def __init__(self, ngens: int, relations: tuple[tuple[int, ...], ...] = ()):
+        for rel in relations:
+            if len(rel) != ngens:
                 raise ValueError("relation length does not match generator count")
+        object.__setattr__(self, "ngens", ngens)
+        object.__setattr__(self, "relations", relations)
 
 
 def presentation_of_sum(groups: list[FgAbelianGroup]) -> AbelianPresentation:
@@ -331,21 +338,22 @@ def group_of(pres: AbelianPresentation) -> FgAbelianGroup:
     return FgAbelianGroup.from_divisors(pres.ngens - len(diag), diag)
 
 
-@dataclass(frozen=True)
-class AbelianMap:
+class AbelianMap(Frozen):
     """A homomorphism between presented abelian groups.
 
     `matrix` has one row per target generator and one column per source
-    generator; column j is the image of source generator j.
+    generator; column j is the image of source generator j.  A matrix of
+    the wrong shape, or one that sends a source relation outside the
+    target relation lattice, is refused when the map is built.
     """
 
-    source: AbelianPresentation
-    target: AbelianPresentation
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        """Refuse a matrix of the wrong shape, or one that sends a source
-        relation outside the target relation lattice."""
+    def __init__(self, source: AbelianPresentation, target: AbelianPresentation,
+                 matrix: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
         if len(self.matrix) != self.target.ngens:
             raise IllFormedMap(
                 f"matrix has {len(self.matrix)} rows, target has {self.target.ngens} generators")

@@ -14,7 +14,6 @@ form makes equality a plain comparison (Serre, Trees).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     EdgeInversion,
@@ -32,6 +31,7 @@ from .groups import (
     subgroup_as_group,
 )
 from .presentations import Word
+from .records import Frozen, Record
 
 INFINITE = math.inf
 
@@ -39,16 +39,23 @@ SIDE_A = 0
 SIDE_B = 1
 
 
-@dataclass(frozen=True)
-class AmalgamElement:
+class AmalgamElement(Frozen):
     """Normal form: head in C, then alternating transversal syllables.
 
     Syllables are (side, vertex element index) pairs; no syllable is an
     identity representative and consecutive syllables change sides.
     """
 
-    head: int
-    syllables: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("head", "syllables")
+
+    def __init__(self, head: int, syllables: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "syllables", syllables)
+
+    def __eq__(self, other):
+        if type(other) is not AmalgamElement:
+            return NotImplemented
+        return self.head == other.head and self.syllables == other.syllables
 
 
 class Amalgam:
@@ -293,20 +300,21 @@ def _then(vp, ep):
     return lambda f: (tuple(map(f[0].__getitem__, vp)), tuple(map(f[1].__getitem__, ep)))
 
 
-@dataclass
-class OrbitData:
-    representative: int
-    orbit: tuple[int, ...]
-    stabilizer: Subgroup
+class OrbitData(Record):
+    __slots__ = ("representative", "orbit", "stabilizer")
+
+    def __init__(self, representative: int, orbit: tuple[int, ...], stabilizer: Subgroup):
+        self.representative, self.orbit, self.stabilizer = representative, orbit, stabilizer
 
 
-@dataclass
-class GraphOfGroups:
+class GraphOfGroups(Record):
     """Quotient data: one entry per vertex/edge orbit, with stabilizers."""
 
-    action: GraphWithAction
-    vertex_orbits: list[OrbitData]
-    edge_orbits: list[OrbitData]
+    __slots__ = ("action", "vertex_orbits", "edge_orbits")
+
+    def __init__(self, action: GraphWithAction, vertex_orbits: list[OrbitData],
+                 edge_orbits: list[OrbitData]):
+        self.action, self.vertex_orbits, self.edge_orbits = action, vertex_orbits, edge_orbits
 
     def is_segment(self) -> bool:
         """Two vertex orbits joined by a single geometric edge orbit."""

@@ -7,9 +7,7 @@ report is asserted without being recomputed here.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, TRIVIAL_GROUP
 from .amalgams import (
@@ -30,39 +28,38 @@ from .groups import (
     subgroup_generated,
 )
 from .ktheory import (
-    AmalgamVC,
     DEGREES,
-    DirectProductVC,
     NIL_COUNTABLE_SUM_Z2,
     NIL_ZERO,
     NilValue,
     amalgam_k_assemble,
     assembly_spec_from_json,
+    bundled_spec_json,
     k_value_str,
     nil_classify,
+    vc_str,
 )
 from .presentations import Word, parse_word, van_buskirk, verify_homomorphism
-
-CASES = ("pb3", "b3", "mcg-rp2-3", "words")
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Check:
-    name: str
-    expected: str
-    computed: str
-    cite: str
-    passed: bool
+class Check(Record):
+    __slots__ = ("name", "expected", "computed", "cite", "passed")
+
+    def __init__(self, name: str, expected: str, computed: str, cite: str, passed: bool):
+        self.name, self.expected, self.computed, self.cite = name, expected, computed, cite
+        self.passed = passed
 
 
-@dataclass
-class CaseReport:
-    case: str
-    checks: list[Check]
+class CaseReport(Record):
+    __slots__ = ("case", "checks")
+
+    def __init__(self, case: str, checks: list[Check]):
+        self.case, self.checks = case, checks
 
     @property
     def passed(self) -> bool:
@@ -78,19 +75,6 @@ class CaseReport:
                 for c in self.checks
             ],
         }
-
-    def to_table(self) -> str:
-        rows = [("check", "expected", "computed", "cite", "pass")]
-        rows += [(c.name, c.expected, c.computed, c.cite, "ok" if c.passed else "FAIL")
-                 for c in self.checks]
-        return f"case {self.case}: {'pass' if self.passed else 'FAIL'}\n" + rows_to_table(rows)
-
-
-def rows_to_table(rows: list[tuple[str, ...]]) -> str:
-    """Left-aligned columns two spaces apart, trailing blanks stripped."""
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-                     for r in rows)
 
 
 class _Recorder:
@@ -250,9 +234,9 @@ def case_pb3() -> CaseReport:
                for o in gog.vertex_orbits + gog.edge_orbits[:1]],
               _TREES_CITE)
     rec.check("Nil ledger: Z/2 x Z", NilValue(NIL_ZERO, ""),
-              nil_classify(DirectProductVC("cyclic:2")), "Weibel 2009")
+              nil_classify(("product", ("cyclic:2",))), "Weibel 2009")
     rec.check("Nil ledger: Z/4 glued to Z/4 over Z/2", NilValue(NIL_ZERO, ""),
-              nil_classify(AmalgamVC("cyclic:4", "cyclic:2", "cyclic:4")),
+              nil_classify(("amalgam", ("cyclic:4", "cyclic:2", "cyclic:4"))),
               "Lafont-Ortiz 2008")
     spec = assembly_spec_from_json(bundled_spec_json("pb3rp2"))
     assembled = amalgam_k_assemble(spec)
@@ -428,11 +412,11 @@ def case_mcg_rp2_3() -> CaseReport:
               _SCOTT_CITE)
 
     for vc, cite in (
-        (DirectProductVC("cyclic:2"), "Weibel 2009"),
-        (AmalgamVC("cyclic:2", "cyclic:1", "cyclic:2"), "Waldhausen 1978"),
-        (AmalgamVC("dihedral:2", "cyclic:2", "dihedral:2"), "Lafont-Ortiz 2008; Weibel 2009"),
+        (("product", ("cyclic:2",)), "Weibel 2009"),
+        (("amalgam", ("cyclic:2", "cyclic:1", "cyclic:2")), "Waldhausen 1978"),
+        (("amalgam", ("dihedral:2", "cyclic:2", "dihedral:2")), "Lafont-Ortiz 2008; Weibel 2009"),
     ):
-        rec.check(f"Nil ledger: {vc}", NilValue(NIL_ZERO, ""), nil_classify(vc), cite)
+        rec.check(f"Nil ledger: {vc_str(vc)}", NilValue(NIL_ZERO, ""), nil_classify(vc), cite)
 
     spec = assembly_spec_from_json(bundled_spec_json("mcg_rp2_3"))
     assembled = amalgam_k_assemble(spec)
@@ -444,17 +428,8 @@ def case_mcg_rp2_3() -> CaseReport:
 
 
 # ---------------------------------------------------------------------------
-# registry and bundled data access
+# registry
 # ---------------------------------------------------------------------------
-
-def bundled_spec_json(name: str) -> dict:
-    import importlib.resources
-
-    if not name.endswith(".json"):
-        name = f"{name}.json"
-    path = importlib.resources.files("lowerk").joinpath("specs", name)
-    return json.loads(path.read_text(encoding="utf-8"))
-
 
 _CASE_RUNNERS = {
     "pb3": case_pb3,
@@ -462,6 +437,7 @@ _CASE_RUNNERS = {
     "mcg-rp2-3": case_mcg_rp2_3,
     "words": verify_word_identities,
 }
+CASES = tuple(_CASE_RUNNERS)
 
 
 def run_case(name: str) -> CaseReport:

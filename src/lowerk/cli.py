@@ -2,7 +2,8 @@
 assembly of amalgam specs, and one-shot case verification.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 data gap (missing bundled data, ill-formed map).
+3 data gap (missing bundled data, ill-formed map).  Only `verify` imports
+the casebook, and with it the amalgams layer.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import os
 import sys
 from collections import Counter
 
-from . import casebook
 from .abelian import FgAbelianGroup, prime_factors
 from .errors import (
     AssemblySpecError,
@@ -39,10 +39,26 @@ from .ktheory import (
     amalgam_k_assemble,
     assembly_spec_from_json,
     bundled_ksheet,
+    bundled_spec_json,
     carter_rank,
     k_minus1,
     DEGREES,
 )
+
+
+def rows_to_table(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks stripped."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+                     for r in rows)
+
+
+def case_table(report) -> str:
+    """A verification report as its status line and a table of checks."""
+    rows = [("check", "expected", "computed", "cite", "pass")]
+    rows += [(c.name, c.expected, c.computed, c.cite, "ok" if c.passed else "FAIL")
+             for c in report.checks]
+    return f"case {report.case}: {'pass' if report.passed else 'FAIL'}\n" + rows_to_table(rows)
 
 
 def _emit(data: dict, fmt: str, table: str) -> None:
@@ -72,7 +88,7 @@ def cmd_group_info(args) -> int:
             ("conjugacy classes", str(len(classes))),
             ("class sizes", " ".join(map(str, data["class_sizes"]))),
             ("element orders", " ".join(f"{k}:{v}" for k, v in sorted(histogram.items())))]
-    _emit(data, args.format, casebook.rows_to_table(rows))
+    _emit(data, args.format, rows_to_table(rows))
     return 0
 
 
@@ -114,7 +130,7 @@ def cmd_classes(args) -> int:
                               "classes": [[G.element_names[i] for i in cls] for cls in block]})
         data = {"group": G.name, "fusion": str(spec), "count": fused.count,
                 "blocks": data_rows}
-    _emit(data, args.format, casebook.rows_to_table(rows))
+    _emit(data, args.format, rows_to_table(rows))
     return 0
 
 
@@ -159,7 +175,7 @@ def cmd_ksheet(args) -> int:
         for deg in ("Wh", "K0t"):
             rows.append((f"bundled {deg}", str(sheet.entries[deg])))
     rows.append(("negk consistent", "yes" if data["negk_consistent"] else "NO"))
-    _emit(data, args.format, casebook.rows_to_table(rows))
+    _emit(data, args.format, rows_to_table(rows))
     return exit_code
 
 
@@ -175,9 +191,9 @@ def _resolve_spec(path: str) -> dict:
     if os.path.dirname(path):
         raise AssemblySpecError(f"no such spec file: {path}")
     try:
-        return casebook.bundled_spec_json(path)
-    except FileNotFoundError:
-        raise AssemblySpecError(f"no such spec file or bundled spec: {path}")
+        return bundled_spec_json(path)
+    except (OSError, ValueError):   # no bundled spec, or a name no file can have
+        raise AssemblySpecError(f"no such spec file or bundled spec: {path!r}") from None
 
 
 def cmd_assemble(args) -> int:
@@ -197,11 +213,17 @@ def cmd_assemble(args) -> int:
             "pretty": str(e),
         }
         rows.append((deg, str(e.coker), str(e.ker_shift), str(e.nil), str(e)))
-    _emit(data, args.format, casebook.rows_to_table(rows))
+    _emit(data, args.format, rows_to_table(rows))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import casebook
+
+    if args.case != "all" and args.case not in casebook.CASES:
+        choices = ", ".join(casebook.CASES + ("all",))
+        print(f"error: unknown case {args.case!r}; choose from {choices}", file=sys.stderr)
+        return 2
     names = list(casebook.CASES) if args.case == "all" else [args.case]
     reports = [casebook.run_case(name) for name in names]
     if args.format == "json":
@@ -209,7 +231,7 @@ def cmd_verify(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for r in reports:
-            print(r.to_table())
+            print(case_table(r))
             print()
     return 0 if all(r.passed for r in reports) else 1
 
@@ -252,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a bundled verification case",
                             parents=[common])
-    verify.add_argument("case", choices=casebook.CASES + ("all",))
+    verify.add_argument("case", help="a bundled case name, or all")
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -278,7 +300,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """main() as a process.  When the reader closes stdout early, as `head`
+    does, the output is cut short: exit 1 without a traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; give it a sink
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

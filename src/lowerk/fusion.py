@@ -17,11 +17,11 @@ No representation is ever constructed; everything is table fusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .abelian import prime_factors
 from .errors import NotPrime, UnknownSpec
 from .groups import FiniteGroup
+from .records import Frozen
 
 
 # ---------------------------------------------------------------------------
@@ -90,31 +90,48 @@ def padic_unit_subgroup(p: int, d: int) -> set[int]:
 # fusion specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rational:
+# Rational() keys the same fused-class cache as Padic(p) and ModP(p), so a
+# spec equals only a spec of its own class and prime.
+
+class Rational(Frozen):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is Rational
+
+    def __hash__(self):
+        return 0
+
     def __str__(self):
         return "Q"
 
 
-@dataclass(frozen=True)
-class Padic:
-    p: int
+class _Local(Frozen):
+    """A fusion spec at one prime p."""
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.p == self.p
+
+    def __hash__(self):
+        return hash(self.p)
+
+
+class Padic(_Local):
+    __slots__ = ()
 
     def __str__(self):
         return f"Q_{self.p}"
 
 
-@dataclass(frozen=True)
-class ModP:
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
+class ModP(_Local):
+    __slots__ = ()
 
     def __str__(self):
         return f"F_{self.p}"
@@ -123,13 +140,16 @@ class ModP:
 FusionSpec = Rational | Padic | ModP
 
 
-@dataclass(frozen=True)
-class FusedClasses:
+class FusedClasses(Frozen):
     """Conjugacy classes grouped into Galois-fused blocks."""
 
-    group: FiniteGroup
-    spec: FusionSpec
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("group", "spec", "blocks")
+
+    def __init__(self, group: FiniteGroup, spec: FusionSpec,
+                 blocks: tuple[tuple[tuple[int, ...], ...], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def count(self) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import (
@@ -31,13 +30,13 @@ from .errors import (
     UnknownSymbol,
 )
 from .presentations import Presentation, Word, parse_word, todd_coxeter
+from .records import Frozen, Record
 
 ORDER_CAP = 10_000
 ISO_ORDER_CAP = 200
 
 
-@dataclass(frozen=True)
-class GroupInvariants:
+class GroupInvariants(Frozen):
     """Per-group data derived once from the table.
 
     classes are the conjugacy classes sorted by minimal member, class_of
@@ -46,13 +45,16 @@ class GroupInvariants:
     FusedClasses per fusion spec, filled by the fusion layer on first use.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    orders: tuple[int, ...]
-    fused: dict = field(default_factory=dict)
+    __slots__ = ("classes", "class_of", "orders", "fused")
+
+    def __init__(self, classes: tuple[tuple[int, ...], ...], class_of: tuple[int, ...],
+                 orders: tuple[int, ...]):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "fused", {})
 
 
-@dataclass(eq=False)
 class FiniteGroup:
     """A finite group as an explicit multiplication table.
 
@@ -60,15 +62,15 @@ class FiniteGroup:
     immutable after construction and safe to share.
     """
 
-    name: str
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    inverses: tuple[int, ...]
-    generator_labels: dict[str, int]
-    element_names: tuple[str, ...]
-    identity: int = 0
+    __slots__ = ("name", "order", "table", "inverses", "generator_labels", "element_names",
+                 "_tree", "_invariants")
+    identity = 0
 
-    def __post_init__(self):
+    def __init__(self, name: str, order: int, table: tuple[tuple[int, ...], ...],
+                 inverses: tuple[int, ...], generator_labels: dict[str, int],
+                 element_names: tuple[str, ...]):
+        self.name, self.order, self.table, self.inverses = name, order, table, inverses
+        self.generator_labels, self.element_names = generator_labels, element_names
         self._tree: list[tuple[int, int, int]] | None = None
         self._invariants: GroupInvariants | None = None
 
@@ -137,25 +139,25 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    elements: tuple[int, ...]
+class Subgroup(Frozen):
+    __slots__ = ("parent", "elements")
+
+    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-@dataclass(eq=False)
-class GroupHom:
+class GroupHom(Record):
     """A homomorphism given by images of the source's labelled generators."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    images: dict[str, int]
+    __slots__ = ("source", "target", "images", "_full")
 
-    def __post_init__(self):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, images: dict[str, int]):
+        self.source, self.target, self.images = source, target, images
         self._full: tuple[int, ...] | None = None
 
     def full_map(self) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ bundled lookup data, never guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 
 from .abelian import (
     AbelianMap,
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .fusion import Rational, count_irreducibles, sc_rank
 from .groups import FiniteGroup, build_group, canonical_group_name, is_isomorphic
+from .records import Frozen, Record
 
 DEGREES = ("Wh", "K0t", "Km1", "Km2")
 _NEXT_LOWER = {"Wh": "K0t", "K0t": "Km1", "Km1": "Km2", "Km2": None}
@@ -86,17 +87,16 @@ def k_minus1(G: FiniteGroup, s: int | None = None) -> FgAbelianGroup:
 # bundled K-sheets
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KSheet:
-    """Lower K-data of one group: Wh, reduced K_0, K_{-1}, K_{<=-2}."""
+class KSheet(Record):
+    """Lower K-data of one group: Wh, reduced K_0, K_{-1}, K_{<=-2}; a
+    degree missing from `entries` is trivial."""
 
-    group: str
-    entries: dict[str, FgAbelianGroup]
-    cite: str
+    __slots__ = ("group", "entries", "cite")
 
-    def __post_init__(self):
+    def __init__(self, group: str, entries: dict[str, FgAbelianGroup], cite: str):
         for deg in DEGREES:
-            self.entries.setdefault(deg, TRIVIAL_GROUP)
+            entries.setdefault(deg, TRIVIAL_GROUP)
+        self.group, self.entries, self.cite = group, entries, cite
 
     def to_json(self) -> dict:
         out: dict = {"group": self.group}
@@ -153,16 +153,16 @@ NIL_COUNTABLE_SUM_Z2 = "CountableSumZ2"
 NIL_UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class NilValue:
-    tag: str
-    provenance: str
+class NilValue(Frozen):
+    __slots__ = ("tag", "provenance")
 
-    def __post_init__(self):
-        if self.tag not in (NIL_ZERO, NIL_COUNTABLE_SUM_Z2, NIL_UNKNOWN):
-            raise ValueError(f"bad Nil tag {self.tag!r}")
-        if self.tag == NIL_UNKNOWN and not self.provenance:
+    def __init__(self, tag: str, provenance: str):
+        if tag not in (NIL_ZERO, NIL_COUNTABLE_SUM_Z2, NIL_UNKNOWN):
+            raise ValueError(f"bad Nil tag {tag!r}")
+        if tag == NIL_UNKNOWN and not provenance:
             raise ValueError("Unknown Nil values must explain the gap")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "provenance", provenance)
 
     def __str__(self) -> str:
         if self.tag == NIL_ZERO:
@@ -190,56 +190,37 @@ def nil_sum(values: list[NilValue]) -> NilValue:
     return NilValue(NIL_ZERO, "empty or all-zero contributions")
 
 
-# virtually-cyclic shapes feeding the Nil ledger
-
-@dataclass(frozen=True)
-class DirectProductVC:
-    """F x Z for a finite group F (Bass NK groups)."""
-    finite: str
-
-    def __str__(self):
-        return f"{self.finite} x Z"
-
-
-@dataclass(frozen=True)
-class SemiDirectVC:
-    """F semidirect Z (Farrell-Hsiang twisted Nil groups)."""
-    finite: str
-
-    def __str__(self):
-        return f"{self.finite} : Z"
+# Virtually-cyclic shapes feeding the Nil ledger.  A shape is a pair
+# (kind, names): "product" (F x Z, Bass NK groups) and "semidirect" (F : Z,
+# Farrell-Hsiang twisted Nil groups) name the finite group F; "amalgam"
+# (G1 *_F G2 with F of index 2 in both, Waldhausen Nil groups) names G1, F
+# and G2.  Each kind maps to the JSON keys of its names and its printed form.
+VcShape = tuple[str, tuple[str, ...]]
+_VC_FIELDS = {"product": (("finite",), "{} x Z"),
+              "semidirect": (("finite",), "{} : Z"),
+              "amalgam": (("left", "edge", "right"), "{} *_{} {}")}
 
 
-@dataclass(frozen=True)
-class AmalgamVC:
-    """G1 *_F G2 with F of index 2 in both (Waldhausen Nil groups)."""
-    left: str
-    edge: str
-    right: str
-
-    def __str__(self):
-        return f"{self.left} *_{self.edge} {self.right}"
+def vc_str(vc: VcShape) -> str:
+    kind, names = vc
+    return _VC_FIELDS[kind][1].format(*names)
 
 
-VcType = DirectProductVC | SemiDirectVC | AmalgamVC
-
-
-def nil_classify(vc: VcType) -> NilValue:
+def nil_classify(vc: VcShape) -> NilValue:
     """Bundled Nil results for the virtually-cyclic shapes in scope.
 
     Anything outside the ledger comes back Unknown rather than guessed.
     """
-    if isinstance(vc, DirectProductVC):
-        f = canonical_group_name(vc.finite)
+    kind, names = vc
+    if kind == "product":
+        f = canonical_group_name(names[0])
         if f == "cyclic:2":
             return NilValue(NIL_ZERO, "NK of Z[Z/2] vanishes in low degrees (Weibel 2009)")
         if f == "cyclic:4":
             return NilValue(NIL_COUNTABLE_SUM_Z2, "NK of Z[Z/4] (Weibel 2009)")
-        return NilValue(NIL_UNKNOWN, f"no bundled result for {vc}")
-    if isinstance(vc, AmalgamVC):
-        left, right = sorted((canonical_group_name(vc.left), canonical_group_name(vc.right)))
-        edge = canonical_group_name(vc.edge)
-        key = (left, edge, right)
+    elif kind == "amalgam":
+        left, right = sorted((canonical_group_name(names[0]), canonical_group_name(names[2])))
+        key = (left, canonical_group_name(names[1]), right)
         if key == ("cyclic:4", "cyclic:2", "cyclic:4"):
             return NilValue(NIL_ZERO, "reduces to NK of Z/2 x Z (Lafont-Ortiz 2008; Weibel 2009)")
         if key == ("quaternion:8", "cyclic:4", "quaternion:8"):
@@ -249,31 +230,24 @@ def nil_classify(vc: VcType) -> NilValue:
             return NilValue(NIL_ZERO, "free product of two Z/2 (Waldhausen 1978)")
         if key == ("dihedral:2", "cyclic:2", "dihedral:2"):
             return NilValue(NIL_ZERO, "reduces to NK of Z/2 x Z (Weibel 2009)")
-        return NilValue(NIL_UNKNOWN, f"no bundled result for {vc}")
-    return NilValue(NIL_UNKNOWN, f"no bundled result for {vc}")
+    return NilValue(NIL_UNKNOWN, f"no bundled result for {vc_str(vc)}")
 
 
-_VC_FIELDS = {"product": (DirectProductVC, ("finite",)),
-              "semidirect": (SemiDirectVC, ("finite",)),
-              "amalgam": (AmalgamVC, ("left", "edge", "right"))}
-
-
-def vc_from_json(data: dict) -> VcType:
+def vc_from_json(data: dict) -> VcShape:
     _require(data, ("type",), "vc")
     kind = data["type"]
     if not isinstance(kind, str) or kind not in _VC_FIELDS:
         raise AssemblySpecError(f"unknown vc type {kind!r}")
-    cls, keys = _VC_FIELDS[kind]
+    keys = _VC_FIELDS[kind][0]
     _require(data, keys, f"{kind} vc")
-    return cls(*(_spec_str(data[k], f"{kind} vc {k}") for k in keys))
+    return kind, tuple(_spec_str(data[k], f"{kind} vc {k}") for k in keys)
 
 
 # ---------------------------------------------------------------------------
 # assembly for amalgams of finite groups
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MapSpec:
+class MapSpec(Record):
     """Cited matrix of the induced map K_n(Z[C]) -> K_n(Z[A]) + K_n(Z[B]).
 
     The matrix is written against the canonical coordinates of the
@@ -282,27 +256,23 @@ class MapSpec:
     free of B).
     """
 
-    degree: str
-    matrix: tuple[tuple[int, ...], ...]
-    source: str
-    cite: str
+    __slots__ = ("degree", "matrix", "source", "cite")
+
+    def __init__(self, degree: str, matrix: tuple[tuple[int, ...], ...], source: str, cite: str):
+        self.degree, self.matrix, self.source, self.cite = degree, matrix, source, cite
 
 
-@dataclass
-class NilEntry:
-    vc: VcType
-    cite: str
+class AssemblySpec(Record):
+    """An amalgam A *_C B with its cited K-sheets, one map per degree, and
+    the (vc, cite) pairs of its Nil ledger entries."""
 
+    __slots__ = ("name", "group_a", "group_b", "group_c", "sheets", "maps", "nils")
 
-@dataclass
-class AssemblySpec:
-    name: str
-    group_a: str
-    group_b: str
-    group_c: str
-    sheets: dict[str, KSheet]
-    maps: dict[str, MapSpec]
-    nils: list[NilEntry]
+    def __init__(self, name: str, group_a: str, group_b: str, group_c: str,
+                 sheets: dict[str, KSheet], maps: dict[str, MapSpec],
+                 nils: list[tuple[VcShape, str]]):
+        self.name, self.group_a, self.group_b, self.group_c = name, group_a, group_b, group_c
+        self.sheets, self.maps, self.nils = sheets, maps, nils
 
     def sheet(self, group: str) -> KSheet:
         key = canonical_group_name(group)
@@ -370,7 +340,7 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
     nils = []
     for raw in _spec_list(data["nils"], "nils"):
         _require(raw, ("vc",), "nil entry")
-        nils.append(NilEntry(vc_from_json(raw["vc"]), _spec_str(raw.get("cite", ""), "nil cite")))
+        nils.append((vc_from_json(raw["vc"]), _spec_str(raw.get("cite", ""), "nil cite")))
     spec = AssemblySpec(_spec_str(data["name"], "spec name"), data["A"], data["B"], data["C"],
                         sheets, maps, nils)
     for g in (spec.group_a, spec.group_b, spec.group_c):
@@ -382,12 +352,22 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
     return spec
 
 
-@dataclass
-class AssembledDegree:
-    degree: str
-    coker: FgAbelianGroup
-    ker_shift: FgAbelianGroup
-    nil: NilValue
+def bundled_spec_json(name: str) -> dict:
+    """The bundled assembly spec of this name, as parsed JSON."""
+    import importlib.resources
+
+    if not name.endswith(".json"):
+        name = f"{name}.json"
+    path = importlib.resources.files("lowerk").joinpath("specs", name)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+class AssembledDegree(Record):
+    __slots__ = ("degree", "coker", "ker_shift", "nil")
+
+    def __init__(self, degree: str, coker: FgAbelianGroup, ker_shift: FgAbelianGroup,
+                 nil: NilValue):
+        self.degree, self.coker, self.ker_shift, self.nil = degree, coker, ker_shift, nil
 
     @property
     def abelian(self) -> FgAbelianGroup:
@@ -432,7 +412,7 @@ def amalgam_k_assemble(spec: AssemblySpec) -> dict[str, AssembledDegree]:
     Building a degree map checks that it is well defined.
     """
     maps = {deg: _degree_map(spec, deg) for deg in DEGREES}
-    nil_values = [nil_classify(entry.vc) for entry in spec.nils]
+    nil_values = [nil_classify(vc) for vc, _ in spec.nils]
     out = {}
     for deg in DEGREES:
         coker = TRIVIAL_GROUP if maps[deg] is None else cokernel(maps[deg])

@@ -8,9 +8,9 @@ diagnostics keep the shape of the defining equations.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import LimitExceeded, UnknownSymbol
+from .records import Frozen, Record
 
 
 # ---------------------------------------------------------------------------
@@ -32,11 +32,18 @@ def _reduce(entries) -> tuple[tuple[str, int], ...]:
     return tuple((s, e) for s, e in out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """Freely reduced word over symbolic generators."""
 
-    entries: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, int], ...] = ()):
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if type(other) is not Word:
+            return NotImplemented
+        return self.entries == other.entries
 
     @staticmethod
     def of(*entries) -> "Word":
@@ -98,17 +105,17 @@ def commutator(a: Word, b: Word) -> Word:
     return a * b * a.inverse() * b.inverse()
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+class Presentation(Frozen):
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        declared = set(self.generators)
-        for rel in self.relators:
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        declared = set(generators)
+        for rel in relators:
             extra = rel.symbols() - declared
             if extra:
                 raise UnknownSymbol(f"relator {rel} uses undeclared symbols {sorted(extra)}")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +175,17 @@ def van_buskirk(n: int) -> Presentation:
 DEFAULT_COSET_LIMIT = 1_000_000
 
 
-@dataclass
-class CosetTable:
+class CosetTable(Record):
     """Complete closed coset table.
 
     Column layout: generator k acts through column 2k, its inverse through
     column 2k+1.  Rows are live cosets, row 0 is the subgroup itself.
     """
 
-    generators: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("generators", "table")
+
+    def __init__(self, generators: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+        self.generators, self.table = generators, table
 
     @property
     def index(self) -> int:
@@ -311,10 +319,17 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
 # homomorphism verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HomReport:
-    ok: bool
-    failing_relators: list[Word]
+class HomReport(Record):
+    """The relators a generator assignment fails to kill; ok when none."""
+
+    __slots__ = ("failing_relators",)
+
+    def __init__(self, failing_relators: list[Word]):
+        self.failing_relators = failing_relators
+
+    @property
+    def ok(self) -> bool:
+        return not self.failing_relators
 
 
 def verify_homomorphism(pres: Presentation, target, images: dict) -> HomReport:
@@ -339,4 +354,4 @@ def verify_homomorphism(pres: Presentation, target, images: dict) -> HomReport:
             acc = target.mul(acc, target.power(resolved[sym], exp))
         if acc != identity:
             failing.append(rel)
-    return HomReport(not failing, failing)
+    return HomReport(failing)

@@ -15,6 +15,7 @@ from lowerk.casebook import (
     run_case,
     verify_word_identities,
 )
+from lowerk.cli import case_table
 from lowerk.presentations import parse_word
 
 
@@ -113,7 +114,7 @@ def test_report_serialization_shapes():
                for c in data["checks"])
     parsed = json.loads(_json(report))
     assert parsed == data
-    table = report.to_table()
+    table = case_table(report)
     assert "case pb3: pass" in table
     assert all(c["check"] in table for c in data["checks"])
 

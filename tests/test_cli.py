@@ -461,3 +461,77 @@ def test_assemble_refuses_a_deeply_nested_spec(tmp_path):
     done = _run_module("assemble", str(spec))
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end closes while the child is still importing, so its first
+    # write meets a closed pipe: the process stops with exit 1 and no traceback
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "lowerk", "--format", "json", "ksheet",
+                             "binary-octahedral"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("name", ["a\x00b", "a" * 300], ids=["nul-byte", "overlong"])
+def test_assemble_refuses_a_name_no_file_can_have(capsys, name):
+    # neither is a file, so each is looked up as a bundled spec name, where
+    # the file system refuses it with ValueError or OSError
+    code, out, err = run_cli(capsys, "assemble", name)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no such spec file or bundled spec")
+
+
+def test_unknown_case_exits_2_and_names_the_cases(capsys):
+    code, out, err = run_cli(capsys, "verify", "teichmueller")
+    assert code == 2 and out == ""
+    assert err == "error: unknown case 'teichmueller'; choose from pb3, b3, mcg-rp2-3, words, all\n"
+
+
+# The CLI's own vocabulary: group names with n <= 64, fusion flags, bundled
+# spec and case names.  symmetric:6 and symmetric:7 are legal but slow
+# (orders 720 and 5040), so they are left out; symmetric:8 and up are
+# refused by the order cap at once.
+_GROUP_NAMES = ["binary-octahedral", "binary-tetrahedral"] + [
+    f"{family}:{n}" for family in ("cyclic", "dihedral", "dicyclic", "quaternion", "symmetric")
+    for n in range(65) if not (family == "symmetric" and n in (6, 7))]
+_FUSION_FLAGS = ["q"] + [f"{kind}:{p}" for kind in ("qp", "fp", "singular")
+                         for p in (0, 1, 2, 3, 4, 97)]
+_SPEC_NAMES = [name for spec in ("b3rp2", "pb3rp2", "mcg_rp2_3") for name in (spec, f"{spec}.json")]
+_COMMANDS = {("group", "info"): _GROUP_NAMES, ("classes",): _GROUP_NAMES,
+             ("ksheet",): _GROUP_NAMES, ("assemble",): _SPEC_NAMES,
+             ("verify",): [*casebook.CASES, "all"]}
+_WORDS = sorted({w for head, args in _COMMANDS.items() for w in (*head, *args)}
+                | {"--format", "table", "json", "--fusion", "--help", *_FUSION_FLAGS})
+
+
+def _token(words=_WORDS):
+    """A word of `words`, any word of the vocabulary, or arbitrary text."""
+    return st.one_of(st.sampled_from(words), st.sampled_from(_WORDS), st.text(max_size=12))
+
+
+# a command with an argument of its own kind and options, so that many
+# draws get past the parser
+_OPTIONS = st.lists(st.one_of(st.tuples(st.just("--fusion"), _token(_FUSION_FLAGS)),
+                              st.tuples(st.just("--format"), _token(["table", "json"]))),
+                    max_size=2).map(lambda opts: [x for opt in opts for x in opt])
+_COMMAND = st.one_of([st.builds(lambda arg, opts, head=head: [*head, arg, *opts],
+                                _token(args), _OPTIONS)
+                      for head, args in _COMMANDS.items()])
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(st.lists(_token(), max_size=6), _COMMAND))
+def test_main_exits_0_to_3_on_any_argv(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)

@@ -73,6 +73,14 @@ def test_cyclic_closed_forms(n, p):
     assert count_irreducibles(G, Padic(p)) == cyclic_padic_count(n, p)
 
 
+def test_fusion_specs_equal_only_their_own_kind_and_prime():
+    # Padic(p) and ModP(p) key the same fused-class cache
+    specs = [Rational(), Padic(2), ModP(2), Padic(3), ModP(3)]
+    assert [Rational(), Padic(2), ModP(2), Padic(3), ModP(3)] == specs
+    assert len(set(specs)) == len(specs)
+    assert all(a != b for i, a in enumerate(specs) for b in specs[i + 1:])
+
+
 def test_trivial_group_counts():
     G = build_group("cyclic:1")
     for spec in (Rational(), Padic(2), ModP(3)):

@@ -3,7 +3,6 @@ import copy
 import pytest
 
 from lowerk.abelian import FgAbelianGroup, TRIVIAL_GROUP
-from lowerk.casebook import bundled_spec_json
 from lowerk.errors import (
     AssemblySpecError,
     IllFormedMap,
@@ -12,23 +11,23 @@ from lowerk.errors import (
 )
 from lowerk.groups import build_group, center, dicyclic_group, quotient
 from lowerk.ktheory import (
-    AmalgamVC,
     BUNDLED_KSHEETS,
     DEGREES,
-    DirectProductVC,
     NIL_COUNTABLE_SUM_Z2,
     NIL_UNKNOWN,
     NIL_ZERO,
     NilValue,
-    SemiDirectVC,
     amalgam_k_assemble,
     assembly_spec_from_json,
     bundled_ksheet,
+    bundled_spec_json,
     carter_rank,
     k_minus1,
     nil_classify,
     nil_sum,
     schur_even_count,
+    vc_from_json,
+    vc_str,
 )
 
 CARTER_TABLE = {
@@ -123,19 +122,27 @@ def test_bundled_sheet_golden_rows():
 
 
 def test_nil_classify_ledger():
-    assert nil_classify(DirectProductVC("cyclic:2")).tag == NIL_ZERO
-    assert nil_classify(DirectProductVC("cyclic:4")).tag == NIL_COUNTABLE_SUM_Z2
-    assert nil_classify(AmalgamVC("cyclic:4", "cyclic:2", "cyclic:4")).tag == NIL_ZERO
-    assert nil_classify(AmalgamVC("quaternion:8", "cyclic:4", "quaternion:8")).tag \
+    assert nil_classify(("product", ("cyclic:2",))).tag == NIL_ZERO
+    assert nil_classify(("product", ("cyclic:4",))).tag == NIL_COUNTABLE_SUM_Z2
+    assert nil_classify(("amalgam", ("cyclic:4", "cyclic:2", "cyclic:4"))).tag == NIL_ZERO
+    assert nil_classify(("amalgam", ("quaternion:8", "cyclic:4", "quaternion:8"))).tag \
         == NIL_COUNTABLE_SUM_Z2
-    assert nil_classify(AmalgamVC("dicyclic:8", "cyclic:4", "quaternion:8")).tag \
+    assert nil_classify(("amalgam", ("dicyclic:8", "cyclic:4", "quaternion:8"))).tag \
         == NIL_COUNTABLE_SUM_Z2
-    assert nil_classify(AmalgamVC("cyclic:2", "cyclic:1", "cyclic:2")).tag == NIL_ZERO
-    assert nil_classify(AmalgamVC("dihedral:2", "cyclic:2", "dihedral:2")).tag == NIL_ZERO
-    assert nil_classify(DirectProductVC("cyclic:16")).tag == NIL_UNKNOWN
-    assert nil_classify(SemiDirectVC("cyclic:4")).tag == NIL_UNKNOWN
-    unknown = nil_classify(DirectProductVC("cyclic:16"))
-    assert unknown.provenance
+    assert nil_classify(("amalgam", ("cyclic:2", "cyclic:1", "cyclic:2"))).tag == NIL_ZERO
+    assert nil_classify(("amalgam", ("dihedral:2", "cyclic:2", "dihedral:2"))).tag == NIL_ZERO
+    assert nil_classify(("product", ("cyclic:16",))).tag == NIL_UNKNOWN
+    assert nil_classify(("semidirect", ("cyclic:4",))).tag == NIL_UNKNOWN
+    unknown = nil_classify(("product", ("cyclic:16",)))
+    assert unknown.provenance == "no bundled result for cyclic:16 x Z"
+
+
+def test_vc_from_json_and_printed_forms():
+    for data, printed in (({"type": "product", "finite": "cyclic:2"}, "cyclic:2 x Z"),
+                          ({"type": "semidirect", "finite": "cyclic:4"}, "cyclic:4 : Z"),
+                          ({"type": "amalgam", "left": "cyclic:2", "edge": "cyclic:1",
+                            "right": "cyclic:2"}, "cyclic:2 *_cyclic:1 cyclic:2")):
+        assert vc_str(vc_from_json(data)) == printed
 
 
 def test_nil_sum_and_equality():

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lowerk"
-CALLERS = (PACKAGE, ROOT / "scripts", ROOT / "bench")
+CALLERS = (PACKAGE, ROOT / "bench")
 
 
 def _trees(directory):
@@ -29,13 +31,34 @@ def _references(tree):
             yield node.name
 
 
-def test_import_lowerk_loads_no_submodule():
+def _loaded_after(statement):
+    """The modules a fresh interpreter holds after running `statement`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    probe = "import sys, lowerk; print(sorted(m for m in sys.modules if m.startswith('lowerk.')))"
+    probe = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return set(done.stdout.split())
+
+
+def test_import_lowerk_loads_no_submodule():
+    assert sorted(m for m in _loaded_after("import lowerk") if m.startswith("lowerk.")) == []
+
+
+# every module of the package, as the benchmark worker imports them;
+# __main__ would run the command line
+EVERY_MODULE = ", ".join(sorted(path.stem for path in PACKAGE.glob("*.py")
+                                if path.stem not in ("__init__", "__main__")))
+
+
+@pytest.mark.parametrize("statement, absent", [
+    # class creation and its imports are start-up cost; only verify needs the casebook
+    ("import lowerk.cli", ("dataclasses", "inspect", "lowerk.casebook", "lowerk.amalgams")),
+    (f"from lowerk import {EVERY_MODULE}", ("dataclasses",)),
+], ids=["cli", "every-module"])
+def test_import_leaves_out(statement, absent):
+    loaded = _loaded_after(statement)
+    assert [m for m in absent if m in loaded] == []
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
@@ -47,3 +70,18 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in referenced]
     assert unused == []
+
+
+def test_shared_records_refuse_assignment():
+    from lowerk.abelian import FgAbelianGroup
+    from lowerk.amalgams import AmalgamElement
+    from lowerk.fusion import ModP, Padic
+    from lowerk.presentations import Presentation, Word
+
+    for record, field in ((Word((("a", 1),)), "entries"), (FgAbelianGroup(1), "free_rank"),
+                          (Padic(2), "p"), (ModP(2), "p"), (AmalgamElement(0), "head"),
+                          (Presentation(("a",), ()), "relators")):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) == before
