@@ -365,11 +365,8 @@ class AbelianMap(Frozen):
         u = eye(self.target.ngens)
         diag = _eliminate([[rel[i] for rel in rels] for i in range(self.target.ngens)], u=u)
         for rel in self.source.relations:
-            if _smith_solve(u, diag, len(rels), self.image_of(list(rel))) is None:
+            if _smith_solve(u, diag, len(rels), mat_vec(self.matrix, list(rel))) is None:
                 raise IllFormedMap(f"image of source relation {rel} misses the target lattice")
-
-    def image_of(self, vec: list[int]) -> list[int]:
-        return [sum(row[j] * vec[j] for j in range(len(vec))) for row in self.matrix]
 
 
 def cokernel(f: AbelianMap) -> FgAbelianGroup:

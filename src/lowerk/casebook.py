@@ -269,7 +269,7 @@ def case_b3() -> CaseReport:
     report = verify_homomorphism(vb, am, PHI_IMAGES)
     rec.check("braid relations hold in the amalgam", True, report.ok, _VB_CITE)
 
-    dic12 = dicyclic_group(12, ("w", "z"))
+    dic12 = am.C
     dic24 = build_group("dicyclic:24")
     rec.check("2-singular classes of the order-12 dicyclic group",
               {frozenset({"w^3"}),

@@ -29,7 +29,6 @@ from .fusion import (
     ModP,
     Padic,
     Rational,
-    count_irreducibles,
     fused_classes,
     p_singular_classes,
     sc_rank,
@@ -136,10 +135,10 @@ def cmd_classes(args) -> int:
 
 def cmd_ksheet(args) -> int:
     G = build_group(args.name)
-    r_q = count_irreducibles(G, Rational())
+    r_q = fused_classes(G, Rational()).count
     per_prime = {}
     for p in prime_factors(G.order):
-        per_prime[p] = (count_irreducibles(G, Padic(p)), count_irreducibles(G, ModP(p)))
+        per_prime[p] = (fused_classes(G, Padic(p)).count, fused_classes(G, ModP(p)).count)
     rank = carter_rank(G)
     sheet = bundled_ksheet(G.name)
     try:

@@ -199,11 +199,6 @@ def _fuse(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
     return FusedClasses(G, spec, tuple(blocks))
 
 
-def count_irreducibles(G: FiniteGroup, spec: FusionSpec) -> int:
-    """Number of isomorphism classes of irreducible representations."""
-    return fused_classes(G, spec).count
-
-
 def p_singular_classes(G: FiniteGroup, p: int) -> list[tuple[int, tuple[int, ...]]]:
     """Conjugacy classes of elements with order divisible by p.
 
@@ -223,5 +218,5 @@ def sc_rank(G: FiniteGroup) -> int:
     the group order of (p-adic count minus mod-p count)."""
     total = 0
     for p in prime_factors(G.order):
-        total += count_irreducibles(G, Padic(p)) - count_irreducibles(G, ModP(p))
+        total += fused_classes(G, Padic(p)).count - fused_classes(G, ModP(p)).count
     return total

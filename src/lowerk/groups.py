@@ -478,14 +478,10 @@ def _metacyclic(m: int, t: int, letters: tuple[str, str], name: str) -> FiniteGr
     return _group(name, [x_row, y_row], inverses, {ax: 1, ay: m} if m > 1 else {ay: m}, names)
 
 
-def _dicyclic(order: int, name: str, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
-    """x of order order/2, y^2 = x^(order/4), y x y^-1 = x^-1."""
-    return _metacyclic(order // 2, order // 4, letters, name)
-
-
 def dicyclic_group(order: int, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
     """Dicyclic group of the given order (a multiple of 4, at least 8)."""
-    return _dicyclic(order, canonical_group_name(f"dicyclic:{order}"), letters)
+    name = canonical_group_name(f"dicyclic:{order}")
+    return _metacyclic(order // 2, order // 4, letters, name)
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -608,8 +604,10 @@ def _binary_tetrahedral() -> FiniteGroup:
 _FAMILIES = {
     "cyclic": (1, lambda n: n, _cyclic),
     "dihedral": (1, lambda n: 2 * n, lambda n, name: _metacyclic(n, 0, ("r", "s"), name)),
-    "dicyclic": (8, lambda n: None if n % 4 else n, _dicyclic),
-    "quaternion": (8, lambda n: 8 if n == 8 else None, _dicyclic),
+    "dicyclic": (8, lambda n: None if n % 4 else n,
+                 lambda n, name: _metacyclic(n // 2, n // 4, ("x", "y"), name)),
+    "quaternion": (8, lambda n: 8 if n == 8 else None,
+                   lambda n, name: _metacyclic(n // 2, n // 4, ("x", "y"), name)),
     "symmetric": (1, math.factorial, _symmetric),
 }
 _PRESENTED = {

@@ -8,7 +8,7 @@ Carter's decomposition K_{-1}(Z[G]) = Z^r + (Z/2)^s has
 
 with the representation counts computed by class fusion; s (the number
 of rational irreducibles with even Schur index but odd local indices) is
-bundled lookup data, never guessed.
+read off the cited K_{-1} of the bundled sheets, never guessed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     MissingDegree,
     UnknownSchurData,
 )
-from .fusion import Rational, count_irreducibles, sc_rank
+from .fusion import Rational, fused_classes, sc_rank
 from .groups import FiniteGroup, build_group, canonical_group_name, is_isomorphic
 from .records import Frozen, Record
 
@@ -44,42 +44,16 @@ _NIL_DEGREES = {"Wh", "K0t"}
 
 def carter_rank(G: FiniteGroup) -> int:
     """Free rank of K_{-1}(Z[G]) (Carter 1980)."""
-    return 1 - count_irreducibles(G, Rational()) + sc_rank(G)
+    return 1 - fused_classes(G, Rational()).count + sc_rank(G)
 
 
-# Count of rational irreducibles with even Schur index but odd local
-# indices, per isomorphism class, named by one group of the class; k_minus1
-# takes 0 for every abelian group (commutative group algebras split into
-# fields).  Sources: Carter 1980;
-# Guaschi-Juan-Pineda-Millan 2018, Table 2.1; Lafont-Ortiz (reflection
-# group computations).
-_SCHUR_EVEN_COUNT = {
-    "binary-octahedral": 1,
-    "dicyclic:24": 1,
-    "dicyclic:12": 0,
-    "quaternion:8": 0,
-    "symmetric:4": 0,
-    "dihedral:3": 0,
-    "dihedral:6": 0,
-}
-
-
-def schur_even_count(G: FiniteGroup) -> int:
-    """The bundled count of the table group isomorphic to G."""
-    for name, s in _SCHUR_EVEN_COUNT.items():
-        H = build_group(name)
-        if H.order == G.order and is_isomorphic(G, H):
-            return s
-    raise UnknownSchurData(f"no bundled Schur-index data for {G.name}")
-
-
-def k_minus1(G: FiniteGroup, s: int | None = None) -> FgAbelianGroup:
+def k_minus1(G: FiniteGroup) -> FgAbelianGroup:
     """K_{-1}(Z[G]) = Z^carter_rank + (Z/2)^s, with s 0 for an abelian G
-    and looked up by isomorphism class otherwise."""
-    if s is None:
-        gens = G.generators()
-        abelian = all(G.table[a][b] == G.table[b][a] for a in gens for b in gens)
-        s = 0 if abelian else schur_even_count(G)
+    (its group algebra splits into fields) and read off the bundled sheets
+    otherwise."""
+    gens = G.generators()
+    abelian = all(G.table[a][b] == G.table[b][a] for a in gens for b in gens)
+    s = 0 if abelian else schur_even_count(G)
     return FgAbelianGroup.from_divisors(carter_rank(G), [2] * s)
 
 
@@ -122,6 +96,9 @@ _Z2 = FgAbelianGroup(0, (2,))
 _GJM = "Guaschi-Juan-Pineda-Millan 2018, Table 2.1"
 _LO2 = "Lafont-Ortiz, lower K of 3-simplex reflection groups, Sec. 5"
 
+# schur_even_count reads the sheets in this order; the binary-octahedral
+# group, the one built by coset enumeration, comes after the quaternion
+# and dicyclic groups.
 BUNDLED_KSHEETS: dict[str, KSheet] = {
     s.group: s for s in (
         KSheet("cyclic:1", {}, "Carter 1980 (trivial ring)"),
@@ -142,6 +119,17 @@ BUNDLED_KSHEETS: dict[str, KSheet] = {
 
 def bundled_ksheet(name: str) -> KSheet | None:
     return BUNDLED_KSHEETS.get(canonical_group_name(name))
+
+
+def schur_even_count(G: FiniteGroup) -> int:
+    """The count s of rational irreducibles with even Schur index but odd
+    local indices: the torsion count of the cited K_{-1} of the first
+    bundled sheet whose group is isomorphic to G."""
+    for name, sheet in BUNDLED_KSHEETS.items():
+        H = build_group(name)
+        if H.order == G.order and is_isomorphic(G, H):
+            return len(sheet.entries["Km1"].torsion)
+    raise UnknownSchurData(f"no bundled Schur-index data for {G.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +310,11 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
     sheets = {}
     for raw in _spec_list(data["sheets"], "sheets"):
         sheet = KSheet.from_json(raw)
-        sheets[canonical_group_name(sheet.group)] = sheet
+        key = canonical_group_name(sheet.group)
+        if key in sheets:
+            raise AssemblySpecError(
+                f"two sheets for one group: {sheets[key].group!r} and {sheet.group!r}")
+        sheets[key] = sheet
     maps = {}
     for raw in _spec_list(data["maps"], "maps"):
         _require(raw, ("degree", "matrix", "source", "cite"), "map entry")
@@ -330,6 +322,8 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
             raise AssemblySpecError("maps are cited data; empty cite refused")
         if raw["degree"] not in DEGREES:
             raise AssemblySpecError(f"unknown degree {raw['degree']!r}")
+        if raw["degree"] in maps:
+            raise AssemblySpecError(f"two maps in degree {raw['degree']}")
         what = f"{raw['degree']} matrix"
         matrix = tuple(tuple(_spec_int(x, f"{what} entry") for x in _spec_list(row, f"{what} row"))
                        for row in _spec_list(raw["matrix"], what))

@@ -258,7 +258,7 @@ def _brute_force_counts(src, tgt, f):
     kernel_size = 0
     image = set()
     for x in source_elems:
-        y = tuple(v % e for v, e in zip(f.image_of(list(x)), tgt.torsion))
+        y = tuple(v % e for v, e in zip(mat_vec(f.matrix, list(x)), tgt.torsion))
         image.add(y)
         if all(v == 0 for v in y):
             kernel_size += 1

@@ -136,14 +136,14 @@ def test_criterion_6_word_identity_ledger():
 def test_criterion_7_property_suites():
     # cyclic closed-form oracles, n <= 30, p in {2, 3, 5}
     from tests.test_fusion import cyclic_modp_count, cyclic_padic_count, divisors
-    from lowerk.fusion import ModP, Padic, Rational, count_irreducibles
+    from lowerk.fusion import ModP, Padic, Rational, fused_classes
 
     for n in range(1, 31):
         G = build_group(f"cyclic:{n}")
-        assert count_irreducibles(G, Rational()) == len(divisors(n))
+        assert fused_classes(G, Rational()).count == len(divisors(n))
         for p in (2, 3, 5):
-            assert count_irreducibles(G, ModP(p)) == cyclic_modp_count(n, p)
-            assert count_irreducibles(G, Padic(p)) == cyclic_padic_count(n, p)
+            assert fused_classes(G, ModP(p)).count == cyclic_modp_count(n, p)
+            assert fused_classes(G, Padic(p)).count == cyclic_padic_count(n, p)
 
     # SNF postconditions on 200 random matrices
     from tests.test_abelian import snf_postconditions

@@ -281,7 +281,16 @@ def _set(path, value):
     return edit
 
 
+_Q8_SHEET = {"group": "quaternion:8", "Wh": {"rank": 0, "torsion": []},
+             "K0t": {"rank": 0, "torsion": [2]}, "Km1": {"rank": 0, "torsion": []}, "cite": "GJM"}
+
 MALFORMED_SPECS = {
+    # a second sheet for one group, under its own name or an alias, or a
+    # second map in one degree, would silently replace the first
+    "second sheet": _b3_with(lambda raw: raw["sheets"].append(raw["sheets"][0])),
+    "alias sheet": _b3_with(lambda raw: raw["sheets"].extend(
+        [_Q8_SHEET, dict(_Q8_SHEET, group="dicyclic:8")])),
+    "second map": _b3_with(lambda raw: raw["maps"].append(dict(raw["maps"][2], matrix=[[0]] * 5))),
     "float matrix": _b3_with(_set(("maps", 2, "matrix"), [[0.9], [0.2], [1.7], [1], [0]])),
     "boolean matrix": _b3_with(_set(("maps", 2, "matrix"), [[False], [False], [True], [True], [False]])),
     "float rank": _b3_with(_set(("sheets", 0, "Km1", "rank"), 1.5)),

@@ -8,7 +8,6 @@ from lowerk.fusion import (
     ModP,
     Padic,
     Rational,
-    count_irreducibles,
     fused_classes,
     is_prime,
     p_singular_classes,
@@ -62,15 +61,15 @@ def cyclic_padic_count(n, p):
 @pytest.mark.parametrize("n", range(1, 31))
 def test_cyclic_rational_counts_divisors(n):
     G = build_group(f"cyclic:{n}")
-    assert count_irreducibles(G, Rational()) == len(divisors(n))
+    assert fused_classes(G, Rational()).count == len(divisors(n))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", range(1, 31))
 def test_cyclic_closed_forms(n, p):
     G = build_group(f"cyclic:{n}")
-    assert count_irreducibles(G, ModP(p)) == cyclic_modp_count(n, p)
-    assert count_irreducibles(G, Padic(p)) == cyclic_padic_count(n, p)
+    assert fused_classes(G, ModP(p)).count == cyclic_modp_count(n, p)
+    assert fused_classes(G, Padic(p)).count == cyclic_padic_count(n, p)
 
 
 def test_fusion_specs_equal_only_their_own_kind_and_prime():
@@ -84,7 +83,7 @@ def test_fusion_specs_equal_only_their_own_kind_and_prime():
 def test_trivial_group_counts():
     G = build_group("cyclic:1")
     for spec in (Rational(), Padic(2), ModP(3)):
-        assert count_irreducibles(G, spec) == 1
+        assert fused_classes(G, spec).count == 1
 
 
 def test_dicyclic12_rational_fusion():
@@ -103,7 +102,7 @@ def test_frozen_rational_counts():
                        ("binary-octahedral", 7), ("symmetric:4", 5),
                        ("dihedral:6", 6), ("dihedral:3", 3),
                        ("binary-tetrahedral", 5)]:
-        assert count_irreducibles(build_group(name), Rational()) == want
+        assert fused_classes(build_group(name), Rational()).count == want
 
 
 def test_singular_class_counts():
@@ -145,10 +144,10 @@ def test_monotonicity():
                  "symmetric:4", "dihedral:6", "binary-octahedral"):
         G = build_group(name)
         nclasses = len(conjugacy_classes(G))
-        r_q = count_irreducibles(G, Rational())
+        r_q = fused_classes(G, Rational()).count
         for p in prime_factors(G.order):
-            fp = count_irreducibles(G, ModP(p))
-            qp = count_irreducibles(G, Padic(p))
+            fp = fused_classes(G, ModP(p)).count
+            qp = fused_classes(G, Padic(p)).count
             assert fp <= qp <= nclasses
             assert r_q <= qp
 
@@ -157,7 +156,7 @@ def test_sc_rank_values():
     assert sc_rank(build_group("cyclic:1")) == 0
     assert sc_rank(build_group("cyclic:2")) == 1
     D12 = build_group("dicyclic:12")
-    r_q = count_irreducibles(D12, Rational())
+    r_q = fused_classes(D12, Rational()).count
     # rank identity: singular rank = carter rank + (r_Q - 1)
     assert sc_rank(D12) == 1 + (r_q - 1)
     for name in ("cyclic:8", "quaternion:8", "dicyclic:24", "symmetric:4",
@@ -168,9 +167,9 @@ def test_sc_rank_values():
 def test_not_prime_rejected():
     G = build_group("cyclic:6")
     with pytest.raises(NotPrime):
-        count_irreducibles(G, ModP(4))
+        fused_classes(G, ModP(4))
     with pytest.raises(NotPrime):
-        count_irreducibles(G, Padic(1))
+        fused_classes(G, Padic(1))
     with pytest.raises(NotPrime):
         p_singular_classes(G, 6)
 

@@ -1,4 +1,8 @@
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,12 +53,6 @@ def test_carter_ranks(name, rank):
     assert carter_rank(build_group(name)) == rank
 
 
-def test_negk_consistency_on_bundled_groups():
-    # every bundled sheet cites the K_-1 that Carter's formula computes
-    for name, sheet in BUNDLED_KSHEETS.items():
-        assert sheet.entries["Km1"] == k_minus1(build_group(name)), name
-
-
 def test_k_minus1_values():
     assert k_minus1(build_group("dicyclic:12")) == FgAbelianGroup(1)
     assert k_minus1(build_group("binary-octahedral")) == FgAbelianGroup(1, (2,))
@@ -78,8 +76,6 @@ def test_k_minus1_unknown_schur_data():
         k_minus1(build_group("binary-tetrahedral"))
     with pytest.raises(UnknownSchurData):
         schur_even_count(build_group("dicyclic:16"))
-    # supplying the torsion count directly bypasses the lookup
-    assert k_minus1(build_group("binary-tetrahedral"), s=0) == FgAbelianGroup(1)
 
 
 def test_schur_count_is_looked_up_by_isomorphism_class():
@@ -98,11 +94,45 @@ def test_schur_count_is_looked_up_by_isomorphism_class():
 
 
 def test_bundled_sheets_match_carter():
-    # the bundled K_-1 rows agree with the fusion-computed decomposition
+    # every bundled sheet cites the K_-1 that Carter's formula computes; the
+    # torsion half is the sheet's own, read back through the isomorphism class
     for name, sheet in BUNDLED_KSHEETS.items():
         G = build_group(name)
         assert sheet.entries["Km1"] == k_minus1(G), name
         assert sheet.entries["Km2"] == TRIVIAL_GROUP
+
+
+# the lookup walks the sheets in order and stops at the first match, so a
+# quaternion or dicyclic sheet group never builds the binary octahedral
+# group, the one bundled group made by coset enumeration
+_ENUMERATIONS_OF_A_LOOKUP = """
+from lowerk import groups, presentations
+from lowerk.ktheory import k_minus1
+
+calls = []
+def counted(*args, **kwargs):
+    calls.append(args)
+    return presentations.todd_coxeter(*args, **kwargs)
+
+groups.todd_coxeter = counted
+G = groups.build_group(NAME)
+k_minus1(G)
+print(len(calls))
+"""
+
+
+@pytest.mark.parametrize("name, enumerations", [
+    ("quaternion:8", 0), ("dicyclic:12", 0), ("dicyclic:24", 0),
+    # the probe sees the one enumeration that builds the group itself
+    ("binary-octahedral", 1),
+])
+def test_schur_lookup_of_a_dicyclic_group_runs_no_coset_enumeration(name, enumerations):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    probe = _ENUMERATIONS_OF_A_LOOKUP.replace("NAME", repr(name))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(enumerations)]
 
 
 def test_bundled_sheet_golden_rows():
