@@ -53,6 +53,12 @@ def test_carter_ranks(name, rank):
     assert carter_rank(build_group(name)) == rank
 
 
+def test_negk_consistency_on_bundled_groups():
+    # every bundled sheet cites the K_-1 that Carter's formula computes
+    for name, sheet in BUNDLED_KSHEETS.items():
+        assert sheet.entries["Km1"] == k_minus1(build_group(name)), name
+
+
 def test_k_minus1_values():
     assert k_minus1(build_group("dicyclic:12")) == FgAbelianGroup(1)
     assert k_minus1(build_group("binary-octahedral")) == FgAbelianGroup(1, (2,))
