@@ -61,6 +61,11 @@ class CaseReport(Record):
     def __init__(self, case: str, checks: list[Check]):
         self.case, self.checks = case, checks
 
+    def check(self, name: str, expected, computed, cite: str, render=None) -> None:
+        show = render or _render
+        self.checks.append(Check(name, show(expected), show(computed),
+                                 cite, expected == computed))
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -77,24 +82,10 @@ class CaseReport(Record):
         }
 
 
-class _Recorder:
-    def __init__(self, case: str):
-        self.case = case
-        self.checks: list[Check] = []
-
-    def check(self, name: str, expected, computed, cite: str, render=None) -> None:
-        show = render or _render
-        self.checks.append(Check(name, show(expected), show(computed),
-                                 cite, expected == computed))
-
-    def report(self) -> CaseReport:
-        return CaseReport(self.case, self.checks)
-
-
 _DEGREE_NAMES = ("Whitehead group", "reduced K0", "K in degree -1", "K below degree -1")
 
 
-def _check_degrees(rec: _Recorder, assembled: dict, expected, cite: str) -> None:
+def _check_degrees(rec: CaseReport, assembled: dict, expected, cite: str) -> None:
     """One check per assembled degree, Wh down to K_-2, of its (abelian
     part, Nil term) against the expected pair."""
     for deg, name, want in zip(DEGREES, _DEGREE_NAMES, expected, strict=True):
@@ -211,7 +202,7 @@ def _vb3_relator_names() -> list[str]:
 
 def case_pb3() -> CaseReport:
     """Pure braid group on 3 strands: graph action, segment, K-assembly."""
-    rec = _Recorder("pb3")
+    rec = CaseReport("pb3", [])
     fixture = pure_braid_graph_fixture()
     gog = graph_of_groups_quotient(fixture)
     rec.check("quotient graph is a segment", True, gog.is_segment(), _TREES_CITE)
@@ -243,7 +234,7 @@ def case_pb3() -> CaseReport:
     zero = NilValue(NIL_ZERO, "")
     _check_degrees(rec, assembled, ((TRIVIAL_GROUP, zero), (FgAbelianGroup(0, (2,)), zero),
                                     (TRIVIAL_GROUP, zero), (TRIVIAL_GROUP, zero)), _JPM_CITE)
-    return rec.report()
+    return rec
 
 
 def _label_sets(G: FiniteGroup, p: int) -> set[frozenset[str]]:
@@ -253,7 +244,7 @@ def _label_sets(G: FiniteGroup, p: int) -> set[frozenset[str]]:
 
 def case_b3() -> CaseReport:
     """Full braid group on 3 strands: amalgam, class tables, K-assembly."""
-    rec = _Recorder("b3")
+    rec = CaseReport("b3", [])
     am = full_braid_amalgam()
     rec.check("vertex indices over the edge group", [4, 2],
               [am.index(0), am.index(1)], _GJM_CITE)
@@ -306,12 +297,12 @@ def case_b3() -> CaseReport:
                                     (FgAbelianGroup(0, (2, 2, 2, 2)), nil_inf),
                                     (FgAbelianGroup(2, (2, 2)), zero),
                                     (TRIVIAL_GROUP, zero)), _JLMP_CITE)
-    return rec.report()
+    return rec
 
 
 def verify_word_identities() -> CaseReport:
     """Word-identity ledger inside the octahedral-dicyclic amalgam."""
-    rec = _Recorder("words")
+    rec = CaseReport("words", [])
     am = full_braid_amalgam()
     vb = van_buskirk(3)
     for name, rel in zip(_vb3_relator_names(), vb.relators):
@@ -374,12 +365,12 @@ def verify_word_identities() -> CaseReport:
     rec.check("beta^4 equals s2^-12",
               phi(am, parse_word("s2") ** -12),
               am.power(phi(am, beta_long), 4), _GG_CITE, render=am.describe)
-    return rec.report()
+    return rec
 
 
 def case_mcg_rp2_3() -> CaseReport:
     """Mapping class group of the thrice-marked projective plane."""
-    rec = _Recorder("mcg-rp2-3")
+    rec = CaseReport("mcg-rp2-3", [])
     am = full_braid_amalgam()
     za = center(am.A)
     zb = center(am.B)
@@ -424,7 +415,7 @@ def case_mcg_rp2_3() -> CaseReport:
     _check_degrees(rec, assembled, ((TRIVIAL_GROUP, zero), (TRIVIAL_GROUP, zero),
                                     (FgAbelianGroup(1), zero), (TRIVIAL_GROUP, zero)),
                    _JLMP_CITE)
-    return rec.report()
+    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ subgroup of (Z/d)*:
 
   rationals          all of (Z/d)*,
   p-adic rationals   full units at the p-part of d, Frobenius <p> at the
-                     prime-to-p part (combined by CRT),
+                     prime-to-p part,
   field with p       <p> mod d on p-regular elements only.
 
 No representation is ever constructed; everything is table fusion.
@@ -59,11 +59,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _crt(a: int, m: int, b: int, n: int) -> int:
-    """x mod m*n with x = a mod m, x = b mod n (m, n coprime)."""
-    return (a + m * ((b - a) * pow(m, -1, n) % n)) % (m * n)
-
-
 def _frobenius(p: int, m: int) -> set[int]:
     """The powers of p mod m."""
     frob = {1 % m}
@@ -77,13 +72,11 @@ def _frobenius(p: int, m: int) -> set[int]:
 def padic_unit_subgroup(p: int, d: int) -> set[int]:
     """Units k mod d fixing the p-adic cyclotomic Galois orbit of order-d
     roots of unity: all units at the p-part, powers of p at the rest."""
-    pa = 1
     dd = d
     while dd % p == 0:
-        pa *= p
         dd //= p
     frob = _frobenius(p, dd)
-    return {_crt(u, pa, v, dd) for u in range(pa) if math.gcd(u, pa) == 1 for v in frob}
+    return {k for k in range(d) if math.gcd(k, d) == 1 and k % dd in frob}
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +136,9 @@ FusionSpec = Rational | Padic | ModP
 class FusedClasses(Frozen):
     """Conjugacy classes grouped into Galois-fused blocks."""
 
-    __slots__ = ("group", "spec", "blocks")
+    __slots__ = ("blocks",)
 
-    def __init__(self, group: FiniteGroup, spec: FusionSpec,
-                 blocks: tuple[tuple[tuple[int, ...], ...], ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "spec", spec)
+    def __init__(self, blocks: tuple[tuple[tuple[int, ...], ...], ...]):
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -196,7 +186,7 @@ def _fuse(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
         for m in members:
             done[m] = True
         blocks.append(tuple(inv.classes[m] for m in members))
-    return FusedClasses(G, spec, tuple(blocks))
+    return FusedClasses(tuple(blocks))
 
 
 def p_singular_classes(G: FiniteGroup, p: int) -> list[tuple[int, tuple[int, ...]]]:

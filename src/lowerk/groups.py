@@ -526,13 +526,10 @@ def _symmetric(n: int, name: str) -> FiniteGroup:
                   inverses, labels, [_cycle_notation(p) for p in elems])
 
 
-def group_from_coset_table(ct, name: str, expected_order: int | None = None) -> FiniteGroup:
+def group_from_coset_table(ct, name: str) -> FiniteGroup:
     """Convert a closed coset table over the trivial subgroup to a group;
     a table over a larger subgroup is refused."""
     n = ct.index
-    if expected_order is not None and n != expected_order:
-        raise PresentationCollapse(
-            f"{name}: enumeration closed with {n} cosets, expected {expected_order}")
     words: list[tuple[tuple[str, int], ...] | None] = [None] * n
     words[0] = ()
     frontier = [0]
@@ -584,23 +581,19 @@ _BINARY_OCTAHEDRAL_PRESENTATION = Presentation(
 
 def _binary_octahedral() -> FiniteGroup:
     ct = todd_coxeter(_BINARY_OCTAHEDRAL_PRESENTATION)
-    return group_from_coset_table(ct, "binary-octahedral", expected_order=48)
+    return group_from_coset_table(ct, "binary-octahedral")
 
 
 def _binary_tetrahedral() -> FiniteGroup:
     big = build_group("binary-octahedral")
-    gens = [big.generator_labels[s] for s in ("P", "Q", "X")]
-    sub = subgroup_generated(big, gens)
-    if sub.order != 24:
-        raise PresentationCollapse("binary-tetrahedral: <P,Q,X> has wrong index")
     labels = {s: big.generator_labels[s] for s in ("P", "Q", "X")}
-    H, _ = subgroup_as_group(sub, "binary-tetrahedral", labels)
-    return H
+    sub = subgroup_generated(big, labels.values())
+    return subgroup_as_group(sub, "binary-tetrahedral", labels)[0]
 
 
 # The grammar.  A family maps to (least n, order of member n or None when n
 # names no member, constructor taking n and the canonical name); a presented
-# group maps to its builder, which takes no argument.
+# group maps to (its order, its builder, which takes no argument).
 _FAMILIES = {
     "cyclic": (1, lambda n: n, _cyclic),
     "dihedral": (1, lambda n: 2 * n, lambda n, name: _metacyclic(n, 0, ("r", "s"), name)),
@@ -611,19 +604,20 @@ _FAMILIES = {
     "symmetric": (1, math.factorial, _symmetric),
 }
 _PRESENTED = {
-    "binary-octahedral": _binary_octahedral,
-    "binary-tetrahedral": _binary_tetrahedral,
+    "binary-octahedral": (48, _binary_octahedral),
+    "binary-tetrahedral": (24, _binary_tetrahedral),
 }
 _ALIASES = {"dicyclic:8": "quaternion:8"}
 
 
 def _parse(spec: str):
-    """The canonical name of spec and a builder taking no argument."""
+    """The canonical name of spec, the order of its group and a builder
+    taking no argument."""
     if not isinstance(spec, str):
         raise UnknownSpec(f"group name {spec!r} is not a string")
     text = spec.strip()
     if text in _PRESENTED:
-        return text, _PRESENTED[text]
+        return (text, *_PRESENTED[text])
     family, _, arg = text.partition(":")
     # ASCII only: str.isdigit() also holds for superscripts, which int()
     # refuses, and for other scripts' digits, which int() reads
@@ -640,12 +634,17 @@ def _parse(spec: str):
     if size > ORDER_CAP:
         raise OrderLimitExceeded(f"group {spec!r} exceeds the order cap {ORDER_CAP}")
     name = _ALIASES.get(f"{family}:{n}", f"{family}:{n}")
-    return name, lambda: build(n, name)
+    return name, size, lambda: build(n, name)
 
 
 def canonical_group_name(spec: str) -> str:
     """Normalize a group-name string; raises UnknownSpec/OrderLimitExceeded."""
     return _parse(spec)[0]
+
+
+def group_order(spec: str) -> int:
+    """The order of the named group, known from its name before any build."""
+    return _parse(spec)[1]
 
 
 def build_group(spec: str) -> FiniteGroup:
@@ -660,4 +659,11 @@ def build_group(spec: str) -> FiniteGroup:
 
 @functools.lru_cache(maxsize=None)
 def _build(name: str) -> FiniteGroup:
-    return _parse(name)[1]()
+    """The group of a canonical name, held to the order the name states, so
+    a presentation that collapses or a subgroup of the wrong index is
+    refused whichever builder made it."""
+    _, order, build = _parse(name)
+    G = build()
+    if G.order != order:
+        raise PresentationCollapse(f"{name}: built a group of order {G.order}, expected {order}")
+    return G

@@ -14,6 +14,7 @@ read off the cited K_{-1} of the bundled sheets, never guessed.
 from __future__ import annotations
 
 import json
+import os
 
 from .abelian import (
     AbelianMap,
@@ -30,7 +31,7 @@ from .errors import (
     UnknownSchurData,
 )
 from .fusion import Rational, fused_classes, sc_rank
-from .groups import FiniteGroup, build_group, canonical_group_name, is_isomorphic
+from .groups import FiniteGroup, build_group, canonical_group_name, group_order, is_isomorphic
 from .records import Frozen, Record
 
 DEGREES = ("Wh", "K0t", "Km1", "Km2")
@@ -91,43 +92,17 @@ class KSheet(Record):
         return cls(data["group"], entries, _spec_str(data["cite"], f"{data['group']} sheet cite"))
 
 
-_Z = FgAbelianGroup(1)
-_Z2 = FgAbelianGroup(0, (2,))
-_GJM = "Guaschi-Juan-Pineda-Millan 2018, Table 2.1"
-_LO2 = "Lafont-Ortiz, lower K of 3-simplex reflection groups, Sec. 5"
-
-# schur_even_count reads the sheets in this order; the binary-octahedral
-# group, the one built by coset enumeration, comes after the quaternion
-# and dicyclic groups.
-BUNDLED_KSHEETS: dict[str, KSheet] = {
-    s.group: s for s in (
-        KSheet("cyclic:1", {}, "Carter 1980 (trivial ring)"),
-        KSheet("cyclic:2", {}, _GJM),
-        KSheet("cyclic:4", {}, _GJM),
-        KSheet("quaternion:8", {"K0t": _Z2}, _GJM),
-        KSheet("dicyclic:12", {"K0t": _Z2, "Km1": _Z}, _GJM),
-        KSheet("dicyclic:24", {"Wh": _Z, "K0t": FgAbelianGroup(0, (2, 2, 2)),
-                               "Km1": FgAbelianGroup(2, (2,))}, _GJM),
-        KSheet("binary-octahedral", {"Wh": _Z, "K0t": FgAbelianGroup(0, (2, 2)),
-                                     "Km1": FgAbelianGroup(1, (2,))}, _GJM),
-        KSheet("symmetric:4", {}, _LO2),
-        KSheet("dihedral:3", {}, _LO2),
-        KSheet("dihedral:6", {"Km1": _Z}, _LO2),
-    )
-}
-
-
 def bundled_ksheet(name: str) -> KSheet | None:
     return BUNDLED_KSHEETS.get(canonical_group_name(name))
 
 
 def schur_even_count(G: FiniteGroup) -> int:
     """The count s of rational irreducibles with even Schur index but odd
-    local indices: the torsion count of the cited K_{-1} of the first
-    bundled sheet whose group is isomorphic to G."""
+    local indices: the torsion count of the cited K_{-1} of the bundled
+    sheet whose group is isomorphic to G.  Only sheet groups of G's order
+    are built."""
     for name, sheet in BUNDLED_KSHEETS.items():
-        H = build_group(name)
-        if H.order == G.order and is_isomorphic(G, H):
+        if group_order(name) == G.order and is_isomorphic(G, build_group(name)):
             return len(sheet.entries["Km1"].torsion)
     raise UnknownSchurData(f"no bundled Schur-index data for {G.name}")
 
@@ -346,14 +321,23 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
     return spec
 
 
+_SPECS_DIR = os.path.join(os.path.dirname(__file__), "specs")
+
+
 def bundled_spec_json(name: str) -> dict:
     """The bundled assembly spec of this name, as parsed JSON."""
-    import importlib.resources
-
     if not name.endswith(".json"):
         name = f"{name}.json"
-    path = importlib.resources.files("lowerk").joinpath("specs", name)
-    return json.loads(path.read_text(encoding="utf-8"))
+    with open(os.path.join(_SPECS_DIR, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# The sheets of the bundled K-data: each cited sheet is written once, in the
+# spec that cites it, and the trivial group's is the one no spec needs.
+BUNDLED_KSHEETS: dict[str, KSheet] = {
+    "cyclic:1": KSheet("cyclic:1", {}, "Carter 1980 (trivial ring)")}
+for _spec in sorted(f for f in os.listdir(_SPECS_DIR) if f.endswith(".json")):
+    BUNDLED_KSHEETS.update(assembly_spec_from_json(bundled_spec_json(_spec)).sheets)
 
 
 class AssembledDegree(Record):

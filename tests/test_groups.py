@@ -18,6 +18,7 @@ from lowerk.groups import (
     check_group_axioms,
     conjugacy_classes,
     dicyclic_group,
+    group_order,
     is_isomorphic,
     quotient,
     subgroup_as_group,
@@ -53,7 +54,7 @@ def test_expected_orders():
                         ("quaternion:8", 8), ("dicyclic:24", 24),
                         ("symmetric:4", 24), ("binary-octahedral", 48),
                         ("binary-tetrahedral", 24)]:
-        assert build_group(name).order == order
+        assert group_order(name) == build_group(name).order == order
 
 
 def test_each_name_builds_one_group_and_o_star_is_enumerated_once(monkeypatch):
@@ -324,14 +325,16 @@ def test_computed_subgroups_satisfy_the_invariants():
                     assert G.mul(a, b) in members
 
 
-def test_presentation_collapse_guard():
+def test_presentation_collapse_guard(monkeypatch):
+    # a built group whose order is not the one its name states is refused
+    from lowerk import groups
     from lowerk.errors import PresentationCollapse
-    from lowerk.groups import group_from_coset_table
-    from lowerk.presentations import Presentation, Word, todd_coxeter
 
-    ct = todd_coxeter(Presentation(("g",), (Word.of(("g", 6)),)))
-    with pytest.raises(PresentationCollapse):
-        group_from_coset_table(ct, "wrong", expected_order=5)
+    _, build = groups._PRESENTED["binary-tetrahedral"]
+    monkeypatch.setitem(groups._PRESENTED, "binary-tetrahedral", (23, build))
+    groups._build.cache_clear()
+    with pytest.raises(PresentationCollapse, match="order 24, expected 23"):
+        build_group("binary-tetrahedral")
 
 
 @pytest.mark.parametrize("relators,subgroup", [

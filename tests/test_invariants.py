@@ -17,7 +17,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from lowerk.abelian import prime_factors
-from lowerk.fusion import ModP, Padic, Rational, fused_classes, padic_unit_subgroup
+from lowerk.fusion import ModP, Padic, Rational, fused_classes
 from lowerk.groups import (
     GroupHom,
     build_group,
@@ -167,17 +167,27 @@ def oracle_order(G, g):
     return k
 
 
+def oracle_frobenius(p, m):
+    frob = {1 % m}
+    f = p % m
+    while f not in frob:
+        frob.add(f)
+        f = (f * p) % m
+    return frob
+
+
 def oracle_units(d, spec):
     if isinstance(spec, Rational):
         return {k for k in range(1, d + 1) if math.gcd(k, d) == 1}
-    if isinstance(spec, Padic):
-        return padic_unit_subgroup(spec.p, d)
-    frob = {1 % d}
-    f = spec.p % d
-    while f not in frob:
-        frob.add(f)
-        f = (f * spec.p) % d
-    return frob
+    if not isinstance(spec, Padic):
+        return oracle_frobenius(spec.p, d)
+    # d = pa * dd with dd prime to p: every unit u mod pa paired by CRT with
+    # every power v of p mod dd
+    pa, dd = 1, d
+    while dd % spec.p == 0:
+        pa, dd = pa * spec.p, dd // spec.p
+    return {(u + pa * ((v - u) * pow(pa, -1, dd) % dd)) % d
+            for u in range(pa) if math.gcd(u, pa) == 1 for v in oracle_frobenius(spec.p, dd)}
 
 
 def oracle_fused_blocks(G, spec):

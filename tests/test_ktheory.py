@@ -13,7 +13,7 @@ from lowerk.errors import (
     MissingDegree,
     UnknownSchurData,
 )
-from lowerk.groups import build_group, center, dicyclic_group, quotient
+from lowerk.groups import build_group, canonical_group_name, center, dicyclic_group, quotient
 from lowerk.ktheory import (
     BUNDLED_KSHEETS,
     DEGREES,
@@ -51,6 +51,14 @@ CARTER_TABLE = {
 @pytest.mark.parametrize("name,rank", sorted(CARTER_TABLE.items()))
 def test_carter_ranks(name, rank):
     assert carter_rank(build_group(name)) == rank
+
+
+def test_bundled_sheets_are_the_trivial_group_and_those_the_specs_cite():
+    cited = {canonical_group_name(raw["group"])
+             for spec in ("b3rp2", "mcg_rp2_3", "pb3rp2")
+             for raw in bundled_spec_json(spec)["sheets"]}
+    assert set(BUNDLED_KSHEETS) == cited | {"cyclic:1"} == set(CARTER_TABLE)
+    assert BUNDLED_KSHEETS["cyclic:1"].entries == {deg: TRIVIAL_GROUP for deg in DEGREES}
 
 
 def test_negk_consistency_on_bundled_groups():
@@ -108,9 +116,10 @@ def test_bundled_sheets_match_carter():
         assert sheet.entries["Km2"] == TRIVIAL_GROUP
 
 
-# the lookup walks the sheets in order and stops at the first match, so a
-# quaternion or dicyclic sheet group never builds the binary octahedral
-# group, the one bundled group made by coset enumeration
+# the lookup builds only the sheet groups whose order, known from the name,
+# is the order of the group looked up, so no group of order other than 48
+# builds the binary octahedral group, the one bundled group made by coset
+# enumeration
 _ENUMERATIONS_OF_A_LOOKUP = """
 from lowerk import groups, presentations
 from lowerk.ktheory import k_minus1
@@ -133,12 +142,23 @@ print(len(calls))
     ("binary-octahedral", 1),
 ])
 def test_schur_lookup_of_a_dicyclic_group_runs_no_coset_enumeration(name, enumerations):
+    assert _enumerations_of_a_lookup(name) == enumerations
+
+
+@pytest.mark.parametrize("name", ["symmetric:4", "dihedral:3", "dihedral:6", "symmetric:3"])
+def test_schur_lookup_builds_no_sheet_group_of_another_order(name):
+    # these sheets follow the binary octahedral one, which is skipped unbuilt
+    assert _enumerations_of_a_lookup(name) == 0
+
+
+def _enumerations_of_a_lookup(name):
+    """Todd-Coxeter runs of building `name` and its K_-1, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     probe = _ENUMERATIONS_OF_A_LOOKUP.replace("NAME", repr(name))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(enumerations)]
+    return int(done.stdout)
 
 
 def test_bundled_sheet_golden_rows():

@@ -31,11 +31,12 @@ def _references(tree):
             yield node.name
 
 
-def _loaded_after(statement):
-    """The modules a fresh interpreter holds after running `statement`."""
+def _loaded_after(statement, *flags):
+    """The modules a fresh interpreter, started with `flags`, holds after
+    running `statement`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
@@ -59,6 +60,12 @@ EVERY_MODULE = ", ".join(sorted(path.stem for path in PACKAGE.glob("*.py")
 def test_import_leaves_out(statement, absent):
     loaded = _loaded_after(statement)
     assert [m for m in absent if m in loaded] == []
+
+
+def test_cli_import_reads_the_bundled_specs_without_importlib_resources():
+    # ktheory reads the specs as it is imported; without site, which may
+    # load importlib.resources anyway, nothing else pulls that package in
+    assert "importlib.resources" not in _loaded_after("import lowerk.cli", "-S")
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
