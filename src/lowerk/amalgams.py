@@ -31,12 +31,15 @@ from .groups import (
     subgroup_as_group,
 )
 from .presentations import Word
-from .records import Frozen, Record
+from .records import Frozen
 
 INFINITE = math.inf
 
 SIDE_A = 0
 SIDE_B = 1
+
+VERTICES = 0
+EDGES = 1
 
 
 class AmalgamElement(Frozen):
@@ -280,65 +283,49 @@ class GraphWithAction:
             if ep[self.edge_reverse[e]] != self.edge_reverse[ep[e]]:
                 raise NotAnAction("action does not commute with reversal")
 
-    def vertex_stabilizer(self, v: int) -> Subgroup:
-        elems = tuple(g for g, (vp, _) in enumerate(self._perm) if vp[v] == v)
-        return Subgroup(self.group, elems)
+    # -- the quotient graph ----------------------------------------------------
 
-    def edge_stabilizer(self, e: int) -> Subgroup:
-        elems = tuple(g for g, (_, ep) in enumerate(self._perm) if ep[e] == e)
-        return Subgroup(self.group, elems)
+    def stabilizer(self, kind: int, x: int) -> Subgroup:
+        """The elements fixing vertex or edge x, as `kind` says."""
+        return Subgroup(self.group, tuple(g for g, perm in enumerate(self._perm)
+                                          if perm[kind][x] == x))
 
-    def vertex_orbit(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted({vp[v] for vp, _ in self._perm}))
+    def orbit(self, kind: int, x: int) -> tuple[int, ...]:
+        return tuple(sorted({perm[kind][x] for perm in self._perm}))
 
-    def edge_orbit(self, e: int) -> tuple[int, ...]:
-        return tuple(sorted({ep[e] for _, ep in self._perm}))
-
-
-def _then(vp, ep):
-    """Precomposition with one generator's (vertex, edge) permutations."""
-    return lambda f: (tuple(map(f[0].__getitem__, vp)), tuple(map(f[1].__getitem__, ep)))
-
-
-class OrbitData(Record):
-    __slots__ = ("representative", "orbit", "stabilizer")
-
-    def __init__(self, representative: int, orbit: tuple[int, ...], stabilizer: Subgroup):
-        self.representative, self.orbit, self.stabilizer = representative, orbit, stabilizer
-
-
-class GraphOfGroups(Record):
-    """Quotient data: one entry per vertex/edge orbit, with stabilizers."""
-
-    __slots__ = ("action", "vertex_orbits", "edge_orbits")
-
-    def __init__(self, action: GraphWithAction, vertex_orbits: list[OrbitData],
-                 edge_orbits: list[OrbitData]):
-        self.action, self.vertex_orbits, self.edge_orbits = action, vertex_orbits, edge_orbits
+    def orbits(self, kind: int) -> list[tuple[int, tuple[int, ...], Subgroup]]:
+        """(representative, orbit, stabilizer) per orbit of the vertices or
+        edges, each orbit represented by its least member."""
+        out, seen = [], set()
+        for x in range((self.num_vertices, len(self.edge_endpoints))[kind]):
+            if x not in seen:
+                orbit = self.orbit(kind, x)
+                seen.update(orbit)
+                out.append((x, orbit, self.stabilizer(kind, x)))
+        return out
 
     def is_segment(self) -> bool:
         """Two vertex orbits joined by a single geometric edge orbit."""
-        if len(self.vertex_orbits) != 2 or len(self.edge_orbits) != 2:
+        vertices = self.orbits(VERTICES)
+        if len(vertices) != 2 or len(self.orbits(EDGES)) != 2:
             return False
-        e0, e1 = self.edge_orbits
-        if self.action.edge_reverse[e0.representative] not in e1.orbit:
-            return False
-        o, t = self.action.edge_endpoints[e0.representative]
-        first = set(self.vertex_orbits[0].orbit)
+        # reversal commutes with every generator, so it permutes the edge
+        # orbits, and it fixes none, for an element sending an edge to its
+        # own reversal is refused as an EdgeInversion: two edge orbits are
+        # each other's reversal, and a loop fails only the endpoint test
+        o, t = self.edge_endpoints[0]
+        first = set(vertices[0][1])
         return (o in first) != (t in first)
 
     def segment_amalgam(self) -> Amalgam:
-        """The induced amalgam Stab(origin) *_Stab(edge) Stab(target)."""
+        """The induced amalgam Stab(origin) *_Stab(edge) Stab(target) of
+        edge 0, which represents the first edge orbit."""
         if not self.is_segment():
             raise NotAnAction("quotient graph is not a single segment")
-        e = self.edge_orbits[0].representative
-        o, t = self.action.edge_endpoints[e]
-        stab_e = self.action.edge_stabilizer(e)
-        stab_o = self.action.vertex_stabilizer(o)
-        stab_t = self.action.vertex_stabilizer(t)
-        C, c_elems = subgroup_as_group(stab_e, "edge-stabilizer")
-        A, a_elems = subgroup_as_group(stab_o, "origin-stabilizer")
-        B, b_elems = subgroup_as_group(stab_t, "target-stabilizer")
+        o, t = self.edge_endpoints[0]
+        C, c_elems = subgroup_as_group(self.stabilizer(EDGES, 0), "edge-stabilizer")
+        A, a_elems = subgroup_as_group(self.stabilizer(VERTICES, o), "origin-stabilizer")
+        B, b_elems = subgroup_as_group(self.stabilizer(VERTICES, t), "target-stabilizer")
         a_index = {g: i for i, g in enumerate(a_elems)}
         b_index = {g: i for i, g in enumerate(b_elems)}
         iA = GroupHom(C, A, {lab: a_index[c_elems[g]]
@@ -348,17 +335,6 @@ class GraphOfGroups(Record):
         return Amalgam(A, B, C, iA, iB)
 
 
-def graph_of_groups_quotient(gwa: GraphWithAction) -> GraphOfGroups:
-    """Orbit decomposition with a representative and stabilizer per orbit."""
-    def orbits(count, orbit_of, stabilizer) -> list[OrbitData]:
-        out, seen = [], set()
-        for x in range(count):
-            if x not in seen:
-                orbit = orbit_of(x)
-                seen.update(orbit)
-                out.append(OrbitData(x, orbit, stabilizer(x)))
-        return out
-
-    return GraphOfGroups(
-        gwa, orbits(gwa.num_vertices, gwa.vertex_orbit, gwa.vertex_stabilizer),
-        orbits(len(gwa.edge_endpoints), gwa.edge_orbit, gwa.edge_stabilizer))
+def _then(vp, ep):
+    """Precomposition with one generator's (vertex, edge) permutations."""
+    return lambda f: (tuple(map(f[0].__getitem__, vp)), tuple(map(f[1].__getitem__, ep)))

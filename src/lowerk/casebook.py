@@ -10,11 +10,7 @@ from __future__ import annotations
 import math
 
 from .abelian import FgAbelianGroup, TRIVIAL_GROUP
-from .amalgams import (
-    Amalgam,
-    GraphWithAction,
-    graph_of_groups_quotient,
-)
+from .amalgams import EDGES, VERTICES, Amalgam, GraphWithAction
 from .fusion import p_singular_classes
 from .groups import (
     FiniteGroup,
@@ -204,14 +200,13 @@ def case_pb3() -> CaseReport:
     """Pure braid group on 3 strands: graph action, segment, K-assembly."""
     rec = CaseReport("pb3", [])
     fixture = pure_braid_graph_fixture()
-    gog = graph_of_groups_quotient(fixture)
-    rec.check("quotient graph is a segment", True, gog.is_segment(), _TREES_CITE)
-    stab_o = fixture.vertex_stabilizer(0)
+    rec.check("quotient graph is a segment", True, fixture.is_segment(), _TREES_CITE)
+    stab_o = fixture.stabilizer(VERTICES, 0)
     rec.check("stabilizer of the wedge point is the full quaternion group",
               True,
               stab_o.order == 8,
               _JPM_CITE)
-    am = gog.segment_amalgam()
+    am = fixture.segment_amalgam()
     rec.check("vertex stabilizers are Z/4 and the quaternion group",
               True,
               {True} == {is_isomorphic(am.A, build_group("quaternion:8")),
@@ -221,8 +216,8 @@ def case_pb3() -> CaseReport:
               is_isomorphic(am.C, build_group("cyclic:2")), _JPM_CITE)
     rec.check("orbit times stabilizer counts",
               [8, 8, 8],
-              [len(o.orbit) * o.stabilizer.order
-               for o in gog.vertex_orbits + gog.edge_orbits[:1]],
+              [len(orbit) * stab.order
+               for _, orbit, stab in fixture.orbits(VERTICES) + fixture.orbits(EDGES)[:1]],
               _TREES_CITE)
     rec.check("Nil ledger: Z/2 x Z", NilValue(NIL_ZERO, ""),
               nil_classify(("product", ("cyclic:2",))), "Weibel 2009")

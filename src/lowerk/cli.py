@@ -37,7 +37,7 @@ from .groups import build_group, center
 from .ktheory import (
     amalgam_k_assemble,
     assembly_spec_from_json,
-    bundled_ksheet,
+    bundled_ksheets,
     bundled_spec_json,
     carter_rank,
     k_minus1,
@@ -140,7 +140,7 @@ def cmd_ksheet(args) -> int:
     for p in prime_factors(G.order):
         per_prime[p] = (fused_classes(G, Padic(p)).count, fused_classes(G, ModP(p)).count)
     rank = carter_rank(G)
-    sheet = bundled_ksheet(G.name)
+    sheet = bundled_ksheets().get(G.name)
     try:
         km1 = k_minus1(G)
     except UnknownSchurData:

@@ -13,6 +13,7 @@ read off the cited K_{-1} of the bundled sheets, never guessed.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -92,16 +93,12 @@ class KSheet(Record):
         return cls(data["group"], entries, _spec_str(data["cite"], f"{data['group']} sheet cite"))
 
 
-def bundled_ksheet(name: str) -> KSheet | None:
-    return BUNDLED_KSHEETS.get(canonical_group_name(name))
-
-
 def schur_even_count(G: FiniteGroup) -> int:
     """The count s of rational irreducibles with even Schur index but odd
     local indices: the torsion count of the cited K_{-1} of the bundled
     sheet whose group is isomorphic to G.  Only sheet groups of G's order
     are built."""
-    for name, sheet in BUNDLED_KSHEETS.items():
+    for name, sheet in bundled_ksheets().items():
         if group_order(name) == G.order and is_isomorphic(G, build_group(name)):
             return len(sheet.entries["Km1"].torsion)
     raise UnknownSchurData(f"no bundled Schur-index data for {G.name}")
@@ -219,10 +216,10 @@ class MapSpec(Record):
     free of B).
     """
 
-    __slots__ = ("degree", "matrix", "source", "cite")
+    __slots__ = ("matrix", "source", "cite")
 
-    def __init__(self, degree: str, matrix: tuple[tuple[int, ...], ...], source: str, cite: str):
-        self.degree, self.matrix, self.source, self.cite = degree, matrix, source, cite
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], source: str, cite: str):
+        self.matrix, self.source, self.cite = matrix, source, cite
 
 
 class AssemblySpec(Record):
@@ -240,7 +237,7 @@ class AssemblySpec(Record):
     def sheet(self, group: str) -> KSheet:
         key = canonical_group_name(group)
         if key not in self.sheets:
-            raise AssemblySpecError(f"no sheet bundled for {group}")
+            raise AssemblySpecError(f"spec {self.name!r} has no sheet for {group}")
         return self.sheets[key]
 
 
@@ -302,7 +299,7 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
         what = f"{raw['degree']} matrix"
         matrix = tuple(tuple(_spec_int(x, f"{what} entry") for x in _spec_list(row, f"{what} row"))
                        for row in _spec_list(raw["matrix"], what))
-        maps[raw["degree"]] = MapSpec(raw["degree"], matrix, raw["source"], raw["cite"])
+        maps[raw["degree"]] = MapSpec(matrix, raw["source"], raw["cite"])
     for deg in DEGREES:
         if deg not in maps:
             raise MissingDegree(f"assembly spec lacks a map in degree {deg}")
@@ -332,20 +329,22 @@ def bundled_spec_json(name: str) -> dict:
         return json.load(fh)
 
 
-# The sheets of the bundled K-data: each cited sheet is written once, in the
-# spec that cites it, and the trivial group's is the one no spec needs.
-BUNDLED_KSHEETS: dict[str, KSheet] = {
-    "cyclic:1": KSheet("cyclic:1", {}, "Carter 1980 (trivial ring)")}
-for _spec in sorted(f for f in os.listdir(_SPECS_DIR) if f.endswith(".json")):
-    BUNDLED_KSHEETS.update(assembly_spec_from_json(bundled_spec_json(_spec)).sheets)
+@functools.cache
+def bundled_ksheets() -> dict[str, KSheet]:
+    """The sheets of the bundled K-data by canonical group name, read on
+    first use: each cited sheet is written once, in the spec that cites
+    it, and the trivial group's is the one no spec needs."""
+    sheets = {"cyclic:1": KSheet("cyclic:1", {}, "Carter 1980 (trivial ring)")}
+    for name in sorted(f for f in os.listdir(_SPECS_DIR) if f.endswith(".json")):
+        sheets.update(assembly_spec_from_json(bundled_spec_json(name)).sheets)
+    return sheets
 
 
 class AssembledDegree(Record):
-    __slots__ = ("degree", "coker", "ker_shift", "nil")
+    __slots__ = ("coker", "ker_shift", "nil")
 
-    def __init__(self, degree: str, coker: FgAbelianGroup, ker_shift: FgAbelianGroup,
-                 nil: NilValue):
-        self.degree, self.coker, self.ker_shift, self.nil = degree, coker, ker_shift, nil
+    def __init__(self, coker: FgAbelianGroup, ker_shift: FgAbelianGroup, nil: NilValue):
+        self.coker, self.ker_shift, self.nil = coker, ker_shift, nil
 
     @property
     def abelian(self) -> FgAbelianGroup:
@@ -405,5 +404,5 @@ def amalgam_k_assemble(spec: AssemblySpec) -> dict[str, AssembledDegree]:
             nil = nil_sum(nil_values)
         else:
             nil = NilValue(NIL_ZERO, "twisted Nil groups vanish below degree 0 in this range")
-        out[deg] = AssembledDegree(deg, coker, ker_shift, nil)
+        out[deg] = AssembledDegree(coker, ker_shift, nil)
     return out

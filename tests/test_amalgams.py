@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from lowerk.amalgams import (
     Amalgam,
     AmalgamElement,
+    EDGES,
     GraphWithAction,
     INFINITE,
     SIDE_A,
     SIDE_B,
-    graph_of_groups_quotient,
+    VERTICES,
 )
 from lowerk.casebook import PHI_IMAGES, full_braid_amalgam, phi, pure_braid_graph_fixture
 from lowerk.errors import EdgeInversion, NotAnAction, NotHomomorphism, NotInjective
@@ -369,22 +370,20 @@ def test_b3_power_2000_and_long_conjugate_finish():
     assert done.stdout == "ok\n"
 
 
-# --- graph of groups ---------------------------------------------------------
+# --- quotients of graph actions ----------------------------------------------
 
 def test_fixture_orbits_and_stabilizers():
     gwa = pure_braid_graph_fixture()
-    gog = graph_of_groups_quotient(gwa)
-    assert len(gog.vertex_orbits) == 2
-    assert len(gog.edge_orbits) == 2
-    assert gog.is_segment()
-    for data in gog.vertex_orbits + gog.edge_orbits:
-        assert len(data.orbit) * data.stabilizer.order == 8
-    assert gwa.vertex_stabilizer(0).order == 8
+    assert len(gwa.orbits(VERTICES)) == 2
+    assert len(gwa.orbits(EDGES)) == 2
+    assert gwa.is_segment()
+    for _, orbit, stabilizer in gwa.orbits(VERTICES) + gwa.orbits(EDGES):
+        assert len(orbit) * stabilizer.order == 8
+    assert gwa.stabilizer(VERTICES, 0).order == 8
 
 
 def test_fixture_segment_amalgam_matches_marked_graph():
-    gog = graph_of_groups_quotient(pure_braid_graph_fixture())
-    am = gog.segment_amalgam()
+    am = pure_braid_graph_fixture().segment_amalgam()
     types = {am.A.order: am.A, am.B.order: am.B}
     assert set(types) == {4, 8}
     assert is_isomorphic(types[4], build_group("cyclic:4"))
@@ -396,10 +395,24 @@ def test_fixture_segment_amalgam_matches_marked_graph():
 def test_trivial_group_on_single_edge():
     triv = build_group("cyclic:1")
     gwa = GraphWithAction(triv, 2, ((0, 1), (1, 0)), (1, 0), {})
-    gog = graph_of_groups_quotient(gwa)
-    assert gog.is_segment()
-    am = gog.segment_amalgam()
+    assert gwa.is_segment()
+    am = gwa.segment_amalgam()
     assert am.A.order == am.B.order == am.C.order == 1
+
+
+@pytest.mark.parametrize("num_vertices, edges", [
+    (3, ((0, 1), (1, 0), (1, 2), (2, 1))),
+    (2, ((0, 1), (1, 0), (0, 1), (1, 0))),
+    (2, ((0, 0), (0, 0))),
+], ids=["path-of-three", "parallel-edges", "loop-and-isolated-vertex"])
+def test_trivial_group_quotient_that_is_not_a_segment(num_vertices, edges):
+    # with the trivial group the quotient is the graph itself: three
+    # vertices, two geometric edges, or one edge whose ends meet
+    reverse = tuple(e ^ 1 for e in range(len(edges)))
+    gwa = GraphWithAction(build_group("cyclic:1"), num_vertices, edges, reverse, {})
+    assert gwa.is_segment() is False
+    with pytest.raises(NotAnAction, match="quotient graph is not a single segment"):
+        gwa.segment_amalgam()
 
 
 def test_edge_inversion_detected():

@@ -9,7 +9,7 @@ from lowerk import casebook
 from lowerk.abelian import FgAbelianGroup
 from lowerk.cli import main
 from lowerk.errors import AssemblySpecError
-from lowerk.ktheory import BUNDLED_KSHEETS, assembly_spec_from_json
+from lowerk.ktheory import assembly_spec_from_json, bundled_ksheets
 
 
 def run_cli(capsys, *argv):
@@ -106,7 +106,7 @@ def test_ksheet_trivial(capsys):
 
 def test_ksheet_flags_a_bundled_sheet_that_contradicts_carter(capsys, monkeypatch):
     # Carter's formula gives Z + Z/2 for the binary octahedral group
-    sheet = BUNDLED_KSHEETS["binary-octahedral"]
+    sheet = bundled_ksheets()["binary-octahedral"]
     monkeypatch.setitem(sheet.entries, "Km1", FgAbelianGroup(1, (4,)))
     code, out, _ = run_cli(capsys, "--format", "json", "ksheet", "binary-octahedral")
     assert code == 0
@@ -322,6 +322,17 @@ def test_assemble_refuses_malformed_spec(name, capsys, tmp_path):
     if name != "invalid json":
         with pytest.raises(AssemblySpecError):
             assembly_spec_from_json(json.loads(MALFORMED_SPECS[name]))
+
+
+def test_assemble_names_the_spec_that_lacks_a_sheet(capsys, tmp_path):
+    # the sheet is missing from the user's spec, not from the bundled data
+    def edit(raw):
+        raw["sheets"] = [s for s in raw["sheets"] if s["group"] != "dicyclic:12"]
+    path = tmp_path / "spec.json"
+    path.write_text(_b3_with(edit))
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert code == 2 and out == ""
+    assert "spec 'b3rp2' has no sheet for dicyclic:12" in err
 
 
 def test_assemble_refuses_an_ill_defined_cited_map(capsys, tmp_path):

@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 from lowerk.cli import main
-from lowerk.ktheory import BUNDLED_KSHEETS
+from lowerk.ktheory import bundled_ksheets
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = ([["verify", "all"], ["group", "info", "dicyclic:24"]]
-         + [["ksheet", name] for name in sorted(BUNDLED_KSHEETS)]
+         + [["ksheet", name] for name in sorted(bundled_ksheets())]
          + [["assemble", spec] for spec in ("b3rp2.json", "mcg_rp2_3.json", "pb3rp2.json")]
          + [["classes", "dicyclic:24", "--fusion", flag] for flag in ("q", "singular:2")])
 

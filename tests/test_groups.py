@@ -470,7 +470,7 @@ def test_graph_action_matches_all_pairs(name, star, data):
     that every element fixes; every permutation of the three carries edges
     along, so each generator passes on its own, and only the complete graph
     lets an element invert an edge."""
-    from lowerk.amalgams import GraphWithAction
+    from lowerk.amalgams import EDGES, VERTICES, GraphWithAction
     from lowerk.errors import EdgeInversion, NotAnAction
 
     G = build_group(name)
@@ -502,20 +502,20 @@ def test_graph_action_matches_all_pairs(name, star, data):
     else:
         gwa = GraphWithAction(G, nv, edges, reverse, action)
         for v in range(nv):
-            assert gwa.vertex_stabilizer(v).elements == tuple(
+            assert gwa.stabilizer(VERTICES, v).elements == tuple(
                 g for g in range(G.order) if act[g][v] == v)
-            assert gwa.vertex_orbit(v) == tuple(sorted({act[g][v] for g in act}))
+            assert gwa.orbit(VERTICES, v) == tuple(sorted({act[g][v] for g in act}))
         for e, (i, j) in enumerate(edges):
-            assert gwa.edge_stabilizer(e).elements == tuple(
+            assert gwa.stabilizer(EDGES, e).elements == tuple(
                 g for g in range(G.order) if (act[g][i], act[g][j]) == (i, j))
-            assert gwa.edge_orbit(e) == tuple(sorted({index[act[g][i], act[g][j]] for g in act}))
+            assert gwa.orbit(EDGES, e) == tuple(sorted({index[act[g][i], act[g][j]] for g in act}))
 
 
 def test_graph_action_composes_in_the_group_order():
     # S3 permutes three leaves of a star by its own permutations; the
     # stabilizer of leaf 0 is {1, (1 2)}, which acting in the opposite
     # order would conjugate away
-    from lowerk.amalgams import GraphWithAction
+    from lowerk.amalgams import VERTICES, GraphWithAction
 
     S3 = build_group("symmetric:3")
     edges = ((0, 3), (3, 0), (1, 3), (3, 1), (2, 3), (3, 2))
@@ -523,5 +523,5 @@ def test_graph_action_composes_in_the_group_order():
     action = {lab: (vp, tuple(edges.index((vp[i], vp[j])) for i, j in edges))
               for lab, vp in perm.items()}
     gwa = GraphWithAction(S3, 4, edges, (1, 0, 3, 2, 5, 4), action)
-    assert [S3.element_names[g] for g in gwa.vertex_stabilizer(0).elements] == ["e", "(1 2)"]
-    assert gwa.vertex_orbit(0) == (0, 1, 2) and gwa.vertex_orbit(3) == (3,)
+    assert [S3.element_names[g] for g in gwa.stabilizer(VERTICES, 0).elements] == ["e", "(1 2)"]
+    assert gwa.orbit(VERTICES, 0) == (0, 1, 2) and gwa.orbit(VERTICES, 3) == (3,)

@@ -15,7 +15,6 @@ from lowerk.errors import (
 )
 from lowerk.groups import build_group, canonical_group_name, center, dicyclic_group, quotient
 from lowerk.ktheory import (
-    BUNDLED_KSHEETS,
     DEGREES,
     NIL_COUNTABLE_SUM_Z2,
     NIL_UNKNOWN,
@@ -23,7 +22,7 @@ from lowerk.ktheory import (
     NilValue,
     amalgam_k_assemble,
     assembly_spec_from_json,
-    bundled_ksheet,
+    bundled_ksheets,
     bundled_spec_json,
     carter_rank,
     k_minus1,
@@ -57,13 +56,13 @@ def test_bundled_sheets_are_the_trivial_group_and_those_the_specs_cite():
     cited = {canonical_group_name(raw["group"])
              for spec in ("b3rp2", "mcg_rp2_3", "pb3rp2")
              for raw in bundled_spec_json(spec)["sheets"]}
-    assert set(BUNDLED_KSHEETS) == cited | {"cyclic:1"} == set(CARTER_TABLE)
-    assert BUNDLED_KSHEETS["cyclic:1"].entries == {deg: TRIVIAL_GROUP for deg in DEGREES}
+    assert set(bundled_ksheets()) == cited | {"cyclic:1"} == set(CARTER_TABLE)
+    assert bundled_ksheets()["cyclic:1"].entries == {deg: TRIVIAL_GROUP for deg in DEGREES}
 
 
 def test_negk_consistency_on_bundled_groups():
     # every bundled sheet cites the K_-1 that Carter's formula computes
-    for name, sheet in BUNDLED_KSHEETS.items():
+    for name, sheet in bundled_ksheets().items():
         assert sheet.entries["Km1"] == k_minus1(build_group(name)), name
 
 
@@ -110,7 +109,7 @@ def test_schur_count_is_looked_up_by_isomorphism_class():
 def test_bundled_sheets_match_carter():
     # every bundled sheet cites the K_-1 that Carter's formula computes; the
     # torsion half is the sheet's own, read back through the isomorphism class
-    for name, sheet in BUNDLED_KSHEETS.items():
+    for name, sheet in bundled_ksheets().items():
         G = build_group(name)
         assert sheet.entries["Km1"] == k_minus1(G), name
         assert sheet.entries["Km2"] == TRIVIAL_GROUP
@@ -162,19 +161,20 @@ def _enumerations_of_a_lookup(name):
 
 
 def test_bundled_sheet_golden_rows():
-    ostar = bundled_ksheet("binary-octahedral")
+    sheets = bundled_ksheets()
+    ostar = sheets["binary-octahedral"]
     assert str(ostar.entries["Km1"]) == "Z + Z/2"
     assert str(ostar.entries["K0t"]) == "(Z/2)^2"
     assert str(ostar.entries["Wh"]) == "Z"
-    d24 = bundled_ksheet("dicyclic:24")
+    d24 = sheets["dicyclic:24"]
     assert str(d24.entries["Km1"]) == "Z^2 + Z/2"
     assert str(d24.entries["K0t"]) == "(Z/2)^3"
     assert str(d24.entries["Wh"]) == "Z"
-    d12 = bundled_ksheet("dicyclic:12")
+    d12 = sheets["dicyclic:12"]
     assert str(d12.entries["Km1"]) == "Z"
     assert str(d12.entries["K0t"]) == "Z/2"
     assert str(d12.entries["Wh"]) == "0"
-    assert bundled_ksheet("dicyclic:8") is bundled_ksheet("quaternion:8")
+    assert sheets[build_group("dicyclic:8").name] is sheets["quaternion:8"]
 
 
 def test_nil_classify_ledger():

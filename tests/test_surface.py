@@ -3,6 +3,7 @@ every public module-level function or class has a caller outside the
 tests."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -63,9 +64,40 @@ def test_import_leaves_out(statement, absent):
 
 
 def test_cli_import_reads_the_bundled_specs_without_importlib_resources():
-    # ktheory reads the specs as it is imported; without site, which may
-    # load importlib.resources anyway, nothing else pulls that package in
-    assert "importlib.resources" not in _loaded_after("import lowerk.cli", "-S")
+    # ktheory reads the specs when the sheets are first asked for; without
+    # site, which may load importlib.resources anyway, nothing else pulls
+    # that package in
+    statement = "import lowerk.cli\nfrom lowerk.ktheory import bundled_ksheets\nbundled_ksheets()"
+    assert "importlib.resources" not in _loaded_after(statement, "-S")
+
+
+# the files the built-in open is asked for while the command line is
+# imported and runs `group info`, then those `ksheet` asks for after it
+_OPENED_BY_COMMANDS = """
+import builtins, contextlib, io, json, os
+opened, _open = [], builtins.open
+def spy(file, *args, **kwargs):
+    opened.append(os.path.abspath(file))
+    return _open(file, *args, **kwargs)
+builtins.open = spy
+import lowerk.cli
+out = []
+for argv in (["group", "info", "cyclic:4"], ["ksheet", "cyclic:4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        out.append([lowerk.cli.main(argv), opened[:]])
+    opened.clear()
+print(json.dumps(out))
+"""
+
+
+def test_a_command_that_needs_no_sheet_opens_no_spec():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", _OPENED_BY_COMMANDS], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    specs = [(code, sorted(Path(f).name for f in opened if Path(f).parent == PACKAGE / "specs"))
+             for code, opened in json.loads(done.stdout)]
+    assert specs == [(0, []), (0, sorted(p.name for p in (PACKAGE / "specs").glob("*.json")))]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
