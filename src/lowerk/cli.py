@@ -180,13 +180,15 @@ def cmd_ksheet(args) -> int:
 
 def _resolve_spec(path: str) -> dict:
     if os.path.isfile(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-            except ValueError as exc:
-                raise AssemblySpecError(f"{path} is not valid JSON: {exc}") from None
-            except RecursionError:
-                raise AssemblySpecError(f"{path} nests too deeply to read") from None
+        except OSError as exc:
+            raise AssemblySpecError(f"cannot read {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise AssemblySpecError(f"{path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise AssemblySpecError(f"{path} nests too deeply to read") from None
     if os.path.dirname(path):
         raise AssemblySpecError(f"no such spec file: {path}")
     try:

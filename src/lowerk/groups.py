@@ -6,7 +6,9 @@ symmetric and binary polyhedral families; the binary octahedral group and
 its index-2 binary tetrahedral subgroup are realized by coset enumeration
 of their standard presentations (Wolf, Spaces of constant curvature,
 p. 198).  Every table, these and quotients and subgroups alike, comes from
-one constructor that closes generator rows and checks the group axioms.
+one constructor that closes generator rows and checks the group axioms;
+the inverses are read off the closure's breadth-first tree, so a
+constructor gives its generator rows alone.
 
 One generator test serves every check of a map: `_respects` asks f(a s)
 == act_s(f(a)) for every element a and generator s, and `_walk` defines f
@@ -248,10 +250,11 @@ def spanning_tree(G: FiniteGroup, gens) -> list[tuple[int, int, int]]:
     """Breadth-first spanning tree of the Cayley graph of <gens> under
     right multiplication, a Schreier tree (Holt-Eick-O'Brien, Handbook of
     Computational Group Theory, 4.1): (element, parent, k) in BFS order
-    with element = parent * gens[k], starting at (identity, -1, -1)."""
-    tree = [(G.identity, -1, -1)]
-    seen = bytearray(G.order)
-    seen[G.identity] = 1
+    with element = parent * gens[k], starting at (identity, -1, -1).  It
+    reads only G.table, so a coset table and its columns give a coset tree."""
+    tree = [(0, -1, -1)]
+    seen = bytearray(len(G.table))
+    seen[0] = 1
     gens = list(gens)
     for g, _, _ in tree:
         row = G.table[g]
@@ -318,8 +321,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
     labels = {lab: coset_of[g] for lab, g in G.generator_labels.items()}
     return _group(f"{G.name}/N{N.order}",
                   [tuple(coset_of[G.table[s][g]] for g in reps) for s in G.generators()],
-                  [coset_of[G.inverses[g]] for g in reps], labels,
-                  [f"[{G.element_names[g]}]" for g in reps])
+                  labels, [f"[{G.element_names[g]}]" for g in reps])
 
 
 def subgroup_as_group(S: Subgroup, name: str,
@@ -340,8 +342,7 @@ def subgroup_as_group(S: Subgroup, name: str,
         raise UnknownSymbol(f"generator labels of {name} do not generate it")
     H = _group(name, [tuple(index_of[parent.table[s][g]] for g in elems)
                       for s in sorted(set(labels.values()))],
-               [index_of[parent.inverses[a]] for a in elems], local,
-               [parent.element_names[g] for g in elems])
+               local, [parent.element_names[g] for g in elems])
     return H, elems
 
 
@@ -411,39 +412,37 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _close_rows(n: int, gen_rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Cayley table of the group generated by the given generator rows.
+def _group(name: str, gen_rows: list[tuple[int, ...]], labels: dict[str, int],
+           names) -> FiniteGroup:
+    """The one way a table becomes a group: close the generator rows, read
+    the inverses off the closure, then check the axioms once.
 
     row(a s) is row(a) read at row(s), one C-level gather per row; the
     identity row is 0..n-1, and a's row at index s names the element a s.
-    Rows reached from the identity are shared-int tuples.
+    Rows reached from the identity are shared-int tuples.  The closure
+    reaches each a s along a breadth-first tree, and inv(a s) = s^-1
+    inv(a) walks the inverses along it, s^-1 being where row s holds the
+    identity.
     """
+    n = len(names)
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[0] = tuple(range(n))
-    if n > 1:
-        steps = [(row_s[0], itemgetter(*row_s)) for row_s in gen_rows]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                row_a = rows[a]
-                for s, times_s in steps:
-                    b = row_a[s]
-                    if rows[b] is None:
-                        rows[b] = times_s(row_a)
-                        nxt.append(b)
-            frontier = nxt
-    if None in rows:
-        raise PresentationCollapse("generator rows do not generate the group")
-    return tuple(rows)  # type: ignore[arg-type]
-
-
-def _group(name: str, gen_rows: list[tuple[int, ...]], inverses, labels: dict[str, int],
-           names) -> FiniteGroup:
-    """The one way a table becomes a group: close the generator rows, then
-    check the axioms once."""
-    n = len(inverses)
-    G = FiniteGroup(name, n, _close_rows(n, gen_rows), tuple(inverses), labels, tuple(names))
+    steps = [(row_s[0], itemgetter(*row_s)) for row_s in gen_rows]
+    tree = [(0, -1, -1)]
+    for a, _, _ in tree:
+        row_a = rows[a]
+        for k, (s, times_s) in enumerate(steps):
+            b = row_a[s]
+            if rows[b] is None:
+                rows[b] = times_s(row_a)
+                tree.append((b, a, k))
+    if len(tree) != n:
+        raise PresentationCollapse(
+            f"{name}: generation fails; the generator rows reach {len(tree)} of {n} elements")
+    if not all(0 in row_s for row_s in gen_rows):
+        raise PresentationCollapse(f"{name}: inverse fails; a generator row lacks the identity")
+    inverses = _walk(tree, 0, [rows[row_s.index(0)].__getitem__ for row_s in gen_rows])
+    G = FiniteGroup(name, n, tuple(rows), tuple(inverses), labels, tuple(names))
     check_group_axioms(G)
     return G
 
@@ -457,8 +456,7 @@ def _power_name(letter: str, i: int) -> str:
 
 
 def _cyclic(n: int, name: str) -> FiniteGroup:
-    return _group(name, [tuple((1 + j) % n for j in range(n))],
-                  [(-i) % n for i in range(n)], {"g": 1 % n} if n > 1 else {},
+    return _group(name, [tuple((1 + j) % n for j in range(n))], {"g": 1 % n} if n > 1 else {},
                   [_power_name("g", i) for i in range(n)])
 
 
@@ -472,10 +470,9 @@ def _metacyclic(m: int, t: int, letters: tuple[str, str], name: str) -> FiniteGr
     ax, ay = letters
     x_row = tuple((i + 1) % m for i in range(m)) + tuple(m + (i - 1) % m for i in range(m))
     y_row = tuple(range(m, 2 * m)) + tuple((t + i) % m for i in range(m))
-    inverses = [(-i) % m for i in range(m)] + [m + (i - t) % m for i in range(m)]
     names = [_power_name(ax, i) for i in range(m)] + [
         ay if i == 0 else f"{ay}*{_power_name(ax, i)}" for i in range(m)]
-    return _group(name, [x_row, y_row], inverses, {ax: 1, ay: m} if m > 1 else {ay: m}, names)
+    return _group(name, [x_row, y_row], {ax: 1, ay: m} if m > 1 else {ay: m}, names)
 
 
 def dicyclic_group(order: int, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
@@ -509,12 +506,6 @@ def _symmetric(n: int, name: str) -> FiniteGroup:
     def compose(p, q):
         return tuple(p[q[i]] for i in range(n))
 
-    inverses = []
-    for p in elems:
-        q = [0] * n
-        for i, x in enumerate(p):
-            q[x] = i
-        inverses.append(index_of[tuple(q)])
     labels = {}
     if n >= 2:
         t = tuple([1, 0] + list(range(2, n)))
@@ -523,41 +514,32 @@ def _symmetric(n: int, name: str) -> FiniteGroup:
         labels["c"] = index_of[c]
     return _group(name, [tuple(index_of[compose(elems[g], q)] for q in elems)
                          for g in labels.values()],
-                  inverses, labels, [_cycle_notation(p) for p in elems])
+                  labels, [_cycle_notation(p) for p in elems])
 
 
 def group_from_coset_table(ct, name: str) -> FiniteGroup:
     """Convert a closed coset table over the trivial subgroup to a group;
-    a table over a larger subgroup is refused."""
-    n = ct.index
-    words: list[tuple[tuple[str, int], ...] | None] = [None] * n
-    words[0] = ()
-    frontier = [0]
+    a table over a larger subgroup is refused.
+
+    Each column is right multiplication by its letter, so the coset tree
+    over the letters (generators, then inverses) names every element by a
+    word, and the walk from generator s along it gives the row of s.
+    """
     letters = [(sym, 1) for sym in ct.generators] + [(sym, -1) for sym in ct.generators]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for sym, sgn in letters:
-                d = ct.table[c][ct.column(sym, sgn)]
-                if words[d] is None:
-                    words[d] = words[c] + ((sym, sgn),)
-                    nxt.append(d)
-        frontier = nxt
-
-    def apply(c: int, w) -> int:
-        for sym, sgn in w:
-            c = ct.table[c][ct.column(sym, sgn)]
-        return c
-
-    cols = [tuple(row[ct.column(sym, 1)] for row in ct.table) for sym in ct.generators]
+    cols = [tuple(row[ct.column(sym, sgn)] for row in ct.table) for sym, sgn in letters]
+    tree = spanning_tree(ct, [ct.column(sym, sgn) for sym, sgn in letters])
+    if len(tree) != ct.index:
+        raise PresentationCollapse(
+            f"{name}: generation fails; the letters reach {len(tree)} of {ct.index} cosets")
+    acts = [col.__getitem__ for col in cols]
+    words = _walk(tree, (), [lambda w, x=x: w + (x,) for x in letters])
     labels = {sym: col[0] for sym, col in zip(ct.generators, cols)}
-    G = _group(name, [tuple(apply(s, w) for w in words) for s in labels.values()],
-               [apply(0, [(sym, -sgn) for sym, sgn in reversed(w)]) for w in words],
-               labels, ["1" if not w else str(Word.of(*w)).replace(" ", "*") for w in words])
+    G = _group(name, [_walk(tree, s, acts) for s in labels.values()], labels,
+               ["1" if not w else str(Word.of(*w)).replace(" ", "*") for w in words])
     # over the trivial subgroup each generator acts on the cosets as right
     # multiplication by its label; over a larger one the rows can still
     # close into a group, but not into this one
-    if not _respects(G, range(n), list(labels.values()), [col.__getitem__ for col in cols]):
+    if not _respects(G, range(G.order), list(labels.values()), acts[:len(labels)]):
         raise PresentationCollapse(
             f"{name}: the coset action fails to be right multiplication; the subgroup is not trivial")
     return G

@@ -20,7 +20,8 @@ from .records import Frozen, Record
 def _reduce(entries) -> tuple[tuple[str, int], ...]:
     out: list[list] = []
     for sym, exp in entries:
-        exp = int(exp)
+        if isinstance(exp, bool) or not isinstance(exp, int):
+            raise ValueError(f"exponent {exp!r} of {sym!r} is not an int")
         if exp == 0:
             continue
         if out and out[-1][0] == sym:
@@ -95,6 +96,8 @@ def parse_word(text: str) -> Word:
             continue
         if "^" in token:
             sym, _, exp = token.partition("^")
+            if not sym:
+                raise ValueError(f"token {token!r} has no symbol")
             entries.append((sym, int(exp)))
         else:
             entries.append((token, 1))

@@ -178,6 +178,27 @@ def test_assemble_missing_file(capsys):
     assert code == 2
 
 
+def test_assemble_unreadable_spec_file_exits_2(capsys, monkeypatch, tmp_path):
+    import builtins
+    from lowerk.casebook import bundled_spec_json
+
+    path = tmp_path / "locked.json"
+    path.write_text(json.dumps(bundled_spec_json("pb3rp2")))
+    real_open = builtins.open
+
+    def locked_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", locked_open)
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_verify_single_case_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "pb3", "--format", "json")
     assert code == 0

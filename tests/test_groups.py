@@ -356,6 +356,99 @@ def test_coset_tables_of_a_non_regular_action_are_refused(relators, subgroup):
         group_from_coset_table(ct, "cosets")
 
 
+@pytest.mark.parametrize("gen_rows,message", [
+    ([(1, 0, 3, 2)], "generation fails; the generator rows reach 2 of 4"),
+    ([(1, 1)], "inverse fails; a generator row lacks the identity"),
+])
+def test_generator_rows_that_make_no_group_are_refused(gen_rows, message):
+    from lowerk import groups
+    from lowerk.errors import PresentationCollapse
+
+    names = [str(i) for i in range(len(gen_rows[0]))]
+    with pytest.raises(PresentationCollapse, match=message):
+        groups._group("rows", gen_rows, {"s": gen_rows[0][0]}, names)
+
+
+def test_a_coset_table_its_letters_do_not_connect_is_refused():
+    # coset 1 is reached from coset 0 by no letter, so no walk names it
+    from lowerk.errors import PresentationCollapse
+    from lowerk.groups import group_from_coset_table
+    from lowerk.presentations import CosetTable
+
+    with pytest.raises(PresentationCollapse, match="reach 1 of 2 cosets"):
+        group_from_coset_table(CosetTable(("a",), ((0, 0), (1, 1))), "split")
+
+
+def _coset_rows_by_word_replay(ct):
+    """Each generator's row as the word-replay construction reads it: name
+    every coset by a word over (generators, then inverses) breadth first,
+    then apply that word's letters to the generator's coset."""
+    letters = [(sym, 1) for sym in ct.generators] + [(sym, -1) for sym in ct.generators]
+    words = [None] * ct.index
+    words[0] = ()
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for sym, sgn in letters:
+                d = ct.table[c][ct.column(sym, sgn)]
+                if words[d] is None:
+                    words[d] = words[c] + ((sym, sgn),)
+                    nxt.append(d)
+        frontier = nxt
+
+    def apply(c, w):
+        for sym, sgn in w:
+            c = ct.table[c][ct.column(sym, sgn)]
+        return c
+
+    s_of = {sym: ct.table[0][ct.column(sym, 1)] for sym in ct.generators}
+    return {sym: tuple(apply(s, w) for w in words) for sym, s in s_of.items()}
+
+
+_FAMILY_SIZES = {"cyclic": (1, 2, 7), "dihedral": (1, 2, 5), "dicyclic": (8, 12, 24),
+                 "quaternion": (8,), "symmetric": (1, 3, 5)}
+_TRIANGLE_RELATORS = ["a^2 ; b^2 ; a b a b a b", "a^3 ; b^3 ; a b a b",
+                      "a^2 ; b^3 ; a b a b a b a b a b", "a^4 ; b^2 ; a b a b a b"]
+
+
+def _every_construction():
+    from lowerk import groups
+    from lowerk.presentations import Presentation, parse_word, todd_coxeter, van_buskirk
+
+    assert set(_FAMILY_SIZES) == set(groups._FAMILIES)
+    for family, sizes in _FAMILY_SIZES.items():
+        for n in sizes:
+            yield build_group(f"{family}:{n}"), None
+    G = build_group("binary-octahedral")
+    yield G, None
+    yield build_group("binary-tetrahedral"), None
+    yield dicyclic_group(24, ("Y", "Z")), None
+    yield quotient(G, center(G)), None
+    sub = subgroup_generated(G, [G.generator_labels[s] for s in ("P", "Q", "X")])
+    yield subgroup_as_group(sub, "labelled", {s: G.generator_labels[s] for s in "PQX"})[0], None
+    yield subgroup_as_group(sub, "greedy")[0], None
+    presentations = [van_buskirk(2)] + [
+        Presentation(("a", "b"), tuple(parse_word(r) for r in rels.split(";")))
+        for rels in _TRIANGLE_RELATORS]
+    for pres in presentations:
+        ct = todd_coxeter(pres)
+        yield groups.group_from_coset_table(ct, "cosets"), ct
+
+
+def test_inverses_match_an_independent_oracle():
+    # the inverse of a is where a's row reaches the identity; a coset-table
+    # group's generator rows are those a word replay reads off the table
+    seen = 0
+    for G, ct in _every_construction():
+        assert all(G.inverses[a] == G.table[a].index(0) for a in range(G.order)), G.name
+        if ct is not None:
+            replayed = _coset_rows_by_word_replay(ct)
+            assert {sym: G.table[s] for sym, s in G.generator_labels.items()} == replayed
+        seen += 1
+    assert seen == 24
+
+
 def test_associativity_checked_above_order_64():
     from lowerk.errors import PresentationCollapse
     from lowerk.groups import FiniteGroup

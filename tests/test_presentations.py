@@ -173,3 +173,16 @@ def test_verify_homomorphism_missing_image():
     pres = Presentation(("x",), ())
     with pytest.raises(UnknownSymbol):
         verify_homomorphism(pres, build_group("cyclic:2"), {})
+
+
+@pytest.mark.parametrize("exp", [2.5, "3", True, False, None])
+def test_word_refuses_an_exponent_that_is_not_an_int(exp):
+    # 2.5 would floor to a^2, "3" would read as a^3 and True would count as 1
+    with pytest.raises(ValueError, match="not an int"):
+        Word.of(("a", exp))
+
+
+@pytest.mark.parametrize("text", ["^2", "a ^-1", "^"])
+def test_parse_word_refuses_a_power_of_no_symbol(text):
+    with pytest.raises(ValueError):
+        parse_word(text)
