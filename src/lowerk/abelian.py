@@ -4,10 +4,15 @@ Groups are kept in invariant-factor form (free rank plus a divisibility
 chain of torsion coefficients).  Maps between presented abelian groups
 are integer matrices; kernels and cokernels are computed through the
 Smith normal form.  One elimination serves every caller and carries only
-the transforms that caller reads: a cokernel reads the diagonal alone, a
-kernel one column transform and one row transform, the well-definedness
-check one row transform.  All arithmetic uses Python's arbitrary-precision
-integers; entry growth during elimination is harmless.
+the transforms that caller reads.  A map eliminates [M | R_T] (its matrix
+beside the target relations) at most once for its kernel and cokernel
+together: the cokernel reads the diagonal alone, and so does the kernel of
+a map with a free source, whose kernel is free of a rank the diagonal
+gives.  The kernel of a map whose source has relations carries one column
+transform through that elimination and one row transform through a second,
+on the projected solution lattice; the well-definedness check carries one
+row transform.  All arithmetic uses Python's arbitrary-precision integers;
+entry growth during elimination is harmless.
 """
 
 from __future__ import annotations
@@ -344,16 +349,19 @@ class AbelianMap(Frozen):
     `matrix` has one row per target generator and one column per source
     generator; column j is the image of source generator j.  A matrix of
     the wrong shape, or one that sends a source relation outside the
-    target relation lattice, is refused when the map is built.
+    target relation lattice, is refused when the map is built.  The Smith
+    diagonal of [M | R_T], which kernel and cokernel both read, is kept in
+    `_diagonal` by the first of them to eliminate it.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_diagonal")
 
     def __init__(self, source: AbelianPresentation, target: AbelianPresentation,
                  matrix: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_diagonal", None)
         if len(self.matrix) != self.target.ngens:
             raise IllFormedMap(
                 f"matrix has {len(self.matrix)} rows, target has {self.target.ngens} generators")
@@ -369,27 +377,44 @@ class AbelianMap(Frozen):
                 raise IllFormedMap(f"image of source relation {rel} misses the target lattice")
 
 
+def _smith_diagonal(f: AbelianMap, v: Matrix | None = None) -> list[int]:
+    """The Smith diagonal of [M | R_T], eliminated once per map.  Given v,
+    the elimination carries it even when the diagonal is known; carrying
+    a transform leaves the diagonal as it is."""
+    if f._diagonal is None or v is not None:
+        rels = f.target.relations
+        g = [list(row) + [rel[i] for rel in rels] for i, row in enumerate(f.matrix)]
+        object.__setattr__(f, "_diagonal", _eliminate(g, v=v))
+    return f._diagonal
+
+
 def cokernel(f: AbelianMap) -> FgAbelianGroup:
     """Target modulo (image + target relations), in canonical form."""
-    images = tuple(zip(*f.matrix))
-    return group_of(AbelianPresentation(f.target.ngens, images + f.target.relations))
+    diag = _smith_diagonal(f)
+    return FgAbelianGroup.from_divisors(f.target.ngens - len(diag), diag)
 
 
 def kernel(f: AbelianMap) -> FgAbelianGroup:
     """Kernel of the induced map on quotients, in canonical form.
 
-    Solve M x + R_T y = 0 for x, project the solution lattice to the
-    source coordinates, then quotient by the source relations.
+    The x of the solutions of M x + R_T y = 0 are the preimage of the
+    kernel in Z^m.  With a free source they are the kernel: a subgroup of
+    Z^m, free of rank m - rank [M | R_T] + rank R_T, since the solutions
+    with x = 0 are the (0, y) with R_T y = 0.  Otherwise project the
+    solution lattice to the source coordinates, then quotient by the
+    source relations.
     """
     m = f.source.ngens
+    if not f.source.relations:
+        rank_t = f.target.ngens - group_of(f.target).free_rank
+        return FgAbelianGroup(m - sum(1 for x in _smith_diagonal(f) if x) + rank_t)
     rels = f.target.relations
     q = m + len(rels)
-    g = [list(row) + [rel[i] for rel in rels] for i, row in enumerate(f.matrix)]
     v = eye(q)[:m]
-    rank = sum(1 for x in _eliminate(g, v=v) if x)
+    rank = sum(1 for x in _smith_diagonal(f, v) if x)
     # the columns of v past the rank span the solutions; v holds their x part
     proj = [row[rank:] for row in v]
-    u = eye(m) if f.source.relations else None    # read only to solve for them
+    u = eye(m)
     diag = _eliminate(proj, u=u)
     rp = sum(1 for x in diag if x)
     # the projected lattice has basis d_i * (column i of u^-1), i < rp;

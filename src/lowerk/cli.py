@@ -2,8 +2,9 @@
 assembly of amalgam specs, and one-shot case verification.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 data gap (missing bundled data, ill-formed map).  Only `verify` imports
-the casebook, and with it the amalgams layer.
+3 data gap (missing bundled data, ill-formed map, cited K-data that a
+theorem rules out).  Only `verify` imports the casebook, and with it the
+amalgams layer.
 """
 
 from __future__ import annotations
@@ -197,9 +198,20 @@ def _resolve_spec(path: str) -> dict:
         raise AssemblySpecError(f"no such spec file or bundled spec: {path!r}") from None
 
 
+# cited values that a theorem rules out for every finite group G
+_THEOREMS = (("K0t", lambda g: g.free_rank == 0, "reduced K_0(ZG) is finite (Swan)"),
+             ("Km2", lambda g: g.is_trivial, "K_-2(ZG) = 0 (Carter)"))
+
+
 def cmd_assemble(args) -> int:
     raw = _resolve_spec(args.spec)
     spec = assembly_spec_from_json(raw)
+    for sheet in spec.sheets.values():
+        for deg, holds, theorem in _THEOREMS:
+            if not holds(sheet.entries[deg]):
+                print(f"error: the {sheet.group} sheet cites {deg} = {sheet.entries[deg]}, "
+                      f"but {theorem}", file=sys.stderr)
+                return 3
     assembled = amalgam_k_assemble(spec)
     data = {"name": spec.name,
             "amalgam": {"A": spec.group_a, "B": spec.group_b, "C": spec.group_c},

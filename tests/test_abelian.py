@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lowerk import abelian
 from lowerk.abelian import (
@@ -654,7 +654,45 @@ def _well_defined_maps(draw):
     return AbelianMap(source, target, tuple(map(tuple, matrix)))
 
 
+def _with_target_relations(matrix, rels, source_rels=()):
+    m = len(matrix[0]) if matrix else 0
+    return AbelianMap(AbelianPresentation(m, source_rels), AbelianPresentation(len(matrix), rels),
+                      tuple(map(tuple, matrix)))
+
+
+# target relations (2, 0), (4, 0), (0, 3) span 2Z + 3Z: rank R_T is 2, not 3
+_DEPENDENT = ((2, 0), (4, 0), (0, 3))
+_DEPENDENT_TARGET_MAPS = [
+    # images (2, 0) and (0, 3) lie in the span of R_T, and (1, 1) meets it in 6Z(1, 1)
+    _with_target_relations([[2, 0, 1], [0, 3, 1]], _DEPENDENT),
+    _with_target_relations([[0], [0]], _DEPENDENT),
+    _with_target_relations([[1, 2, 4], [0, 0, 3]], _DEPENDENT),
+    # a zero relation and a repeated one: rank R_T is 1 of 3
+    _with_target_relations([[1, 3], [0, 1]], ((0, 0), (2, 0), (2, 0))),
+    # relations spanning all of Z^2: every source vector is in the kernel
+    _with_target_relations([[5, 7], [1, -2]], ((1, 0), (0, 1), (1, 1))),
+    # a source with relations: Z/2 into the same target by (1, 0)
+    _with_target_relations([[1], [0]], _DEPENDENT, ((2,),)),
+]
+
+
+def test_free_source_kernel_rank_with_dependent_target_relations():
+    # the kernel of a map from Z^m is free of rank m - rank [M | R_T] + rank R_T;
+    # counting R_T's rank as len(rels) would give a larger kernel on every
+    # map here with a free source
+    for f in _DEPENDENT_TARGET_MAPS:
+        assert kernel(f) == _seed_kernel(f)
+        assert cokernel(f) == _seed_cokernel(f)
+    assert [kernel(f) for f in _DEPENDENT_TARGET_MAPS] == [
+        FgAbelianGroup(3), FgAbelianGroup(1), FgAbelianGroup(3), FgAbelianGroup(1),
+        FgAbelianGroup(2), TRIVIAL_GROUP]
+
+
 @given(_well_defined_maps())
+@example(_DEPENDENT_TARGET_MAPS[0])
+@example(_DEPENDENT_TARGET_MAPS[3])
+@example(_DEPENDENT_TARGET_MAPS[4])
+@example(_DEPENDENT_TARGET_MAPS[5])
 def test_lattice_path_matches_seed_oracle(f):
     _assert_matches_seed(f)
 
@@ -697,3 +735,56 @@ def test_lattice_path_runs_without_the_full_smith_form(monkeypatch):
     with pytest.raises(IllFormedMap):
         AbelianMap(presentation_of_sum([FgAbelianGroup(0, (2,))]),
                    presentation_of_sum([FgAbelianGroup(1)]), ((1,),))
+
+
+def _record_eliminations(monkeypatch):
+    """Each matrix _eliminate is given, copied before it is eliminated,
+    with the names of the transforms it carries."""
+    calls = []
+    real = abelian._eliminate
+
+    def recorded(a, **transforms):
+        calls.append(([list(row) for row in a],
+                      sorted(k for k, t in transforms.items() if t is not None)))
+        return real(a, **transforms)
+
+    monkeypatch.setattr(abelian, "_eliminate", recorded)
+    return calls
+
+
+def _m_beside_rt(f):
+    rels = f.target.relations
+    return [list(row) + [rel[i] for rel in rels] for i, row in enumerate(f.matrix)]
+
+
+def test_kernel_and_cokernel_eliminate_m_beside_rt_once(monkeypatch):
+    calls = _record_eliminations(monkeypatch)
+    target = presentation_of_sum([FgAbelianGroup(1, (2, 4))])
+    free = (AbelianPresentation(3), target, ((1, 2, 0), (3, 1, 1), (0, 4, 2)))
+    for first, second in ((kernel, cokernel), (cokernel, kernel)):
+        calls.clear()
+        f = AbelianMap(*free)
+        g = _m_beside_rt(f)
+        assert all(mat != g for mat, _ in calls)    # building a map eliminates R_T alone
+        calls.clear()
+        got = {first: first(f)}
+        got[second] = second(f)
+        assert got == {kernel: _seed_kernel(f), cokernel: _seed_cokernel(f)}
+        # a free source's kernel reads the shared diagonal, with no transform
+        # and no projected lattice
+        assert [mat for mat, _ in calls].count(g) == 1
+        assert all(not transforms for _, transforms in calls)
+
+    # Z/2 + Z into Z/4 + Z: the kernel eliminates [M | R_T] carrying v and
+    # the projected lattice carrying u; the cokernel then eliminates nothing
+    source = presentation_of_sum([FgAbelianGroup(1, (2,))])
+    f = AbelianMap(source, presentation_of_sum([FgAbelianGroup(1, (4,))]), ((2, 1), (0, 3)))
+    g = _m_beside_rt(f)
+    calls.clear()
+    assert kernel(f) == _seed_kernel(f)
+    done = len(calls)
+    assert cokernel(f) == _seed_cokernel(f)
+    assert len(calls) == done
+    assert [mat for mat, _ in calls].count(g) == 1
+    assert [(mat == g, transforms) for mat, transforms in calls if transforms] == [
+        (True, ["v"]), (False, ["u"])]

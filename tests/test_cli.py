@@ -393,6 +393,25 @@ def test_assemble_kernel_of_a_map_into_the_trivial_group_is_its_source(capsys, t
     assert json.loads(out)["degrees"]["K0t"]["ker_shift"] == {"rank": 2 ** 70, "torsion": [2]}
 
 
+@pytest.mark.parametrize("name", ["b3rp2", "pb3rp2", "mcg_rp2_3"])
+@pytest.mark.parametrize("degree, cited, shown, theorem", [
+    ("K0t", {"rank": 1, "torsion": [2]}, "Z + Z/2", "reduced K_0(ZG) is finite (Swan)"),
+    ("Km2", {"rank": 0, "torsion": [3]}, "Z/3", "K_-2(ZG) = 0 (Carter)"),
+], ids=["K0t", "Km2"])
+def test_assemble_refuses_cited_k_data_a_theorem_rules_out(name, degree, cited, shown, theorem,
+                                                           capsys, tmp_path):
+    raw = casebook.bundled_spec_json(name)
+    sheet = raw["sheets"][-1]
+    sheet[degree] = cited
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: the {sheet['group']} sheet cites {degree} = {shown}, but {theorem}\n"
+    # the parser takes the same sheet: the check belongs to the command
+    assembly_spec_from_json(raw)
+
+
 _SPEC_WORDS = ("cyclic:2", "cyclic:4", "dicyclic:12", "dicyclic:24", "quaternion:8",
                "dihedral:3", "dihedral:6", "symmetric:4", "binary-octahedral",
                "binary-tetrahedral", "cyclic:0", "dicyclic:10", "cyclic:99999",
@@ -445,16 +464,21 @@ def _run_module(*argv, timeout=30):
 
 
 def test_assemble_cited_torsion_of_a_large_prime(tmp_path):
-    # Z/(2^61 - 1) in the edge group's lowest degree passes into K_-1 as a
-    # kernel summand; nothing on the way may factor it
+    # Z/(2^61 - 1) in the edge group's K_-1, sent to 0, passes into reduced
+    # K_0 as a kernel summand; nothing on the way may factor it.  (Its K_-2
+    # would be refused: K_-2 of a finite group vanishes.)
     m = 2 ** 61 - 1
+
+    def edit(raw):
+        raw["sheets"][2]["Km1"]["torsion"] = [m]
+        raw["maps"][2]["matrix"] = [[0, 0], [0, 0], [0, 1], [0, 1], [0, 0]]
     path = tmp_path / "spec.json"
-    path.write_text(_b3_with(_set(("sheets", 2, "Km2", "torsion"), [m])))
+    path.write_text(_b3_with(edit))
     done = _run_module("--format", "json", "assemble", str(path))
     assert done.returncode == 0, done.stderr
-    km1 = json.loads(done.stdout)["degrees"]["Km1"]
-    assert km1["ker_shift"] == {"rank": 0, "torsion": [m]}
-    assert km1["pretty"] == f"Z^2 + Z/2 + Z/{2 * m}"
+    k0t = json.loads(done.stdout)["degrees"]["K0t"]
+    assert k0t["ker_shift"] == {"rank": 0, "torsion": [m]}
+    assert k0t["pretty"] == f"(Z/2)^3 + Z/{2 * m} + (Z/2)^(oo)"
 
 
 def test_fusion_prime_of_nineteen_digits():

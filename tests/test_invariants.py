@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from lowerk.abelian import prime_factors
 from lowerk.fusion import ModP, Padic, Rational, fused_classes
+from lowerk.ktheory import bundled_ksheets
 from lowerk.groups import (
     GroupHom,
     build_group,
@@ -373,3 +374,45 @@ def test_subgroups_as_groups_match_direct_routines(name, data):
 def test_coset_enumerated_groups_match_direct_routines():
     for name in ("binary-octahedral", "binary-tetrahedral"):
         assert_invariants_match(build_group(name))
+
+
+# --- r_Q by Artin's induction theorem -----------------------------------------
+
+
+def oracle_cyclic_subgroup_classes(G):
+    """The number of conjugacy classes of cyclic subgroups, read off the
+    table alone: each cyclic subgroup as the set of powers of one
+    generator, and its class as the subgroups its conjugates generate."""
+    def powers(g):
+        out, x = {0}, g
+        while x != 0:
+            out.add(x)
+            x = G.table[x][g]
+        return frozenset(out)
+
+    generator_of = {}
+    for g in range(G.order):
+        generator_of.setdefault(powers(g), g)
+    inverse = [row.index(0) for row in G.table]
+    seen, count = set(), 0
+    for H, g in generator_of.items():
+        if H not in seen:
+            count += 1
+            seen |= {powers(G.table[G.table[x][g]][inverse[x]]) for x in range(G.order)}
+    return count
+
+
+@settings(max_examples=30, deadline=None)
+@given(group_names)
+def test_rational_fusion_counts_the_classes_of_cyclic_subgroups(name):
+    # r_Q, the number of irreducible rational representations, is the
+    # number of conjugacy classes of cyclic subgroups (Artin's induction
+    # theorem; Serre, Linear Representations of Finite Groups, 13.1)
+    G = build_group(name)
+    assert fused_classes(G, Rational()).count == oracle_cyclic_subgroup_classes(G)
+
+
+def test_rational_fusion_counts_the_classes_of_cyclic_subgroups_of_the_sheet_groups():
+    for name in [*bundled_ksheets(), "binary-tetrahedral"]:
+        G = build_group(name)
+        assert fused_classes(G, Rational()).count == oracle_cyclic_subgroup_classes(G), name
