@@ -369,6 +369,8 @@ class AbelianMap(Frozen):
             if len(row) != self.source.ngens:
                 raise IllFormedMap(
                     f"matrix row length {len(row)} does not match {self.source.ngens} source generators")
+        if not self.source.relations:   # no relation whose image needs checking
+            return
         rels = self.target.relations
         u = eye(self.target.ngens)
         diag = _eliminate([[rel[i] for rel in rels] for i in range(self.target.ngens)], u=u)

@@ -3,28 +3,22 @@ assembly of amalgam specs, and one-shot case verification.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
 3 data gap (missing bundled data, ill-formed map, cited K-data that a
-theorem rules out).  Only `verify` imports the casebook, and with it the
-amalgams layer.
+theorem rules out).  A command refuses by raising: `main` prints one
+`error:` line and takes the code from the error's family in `errors`
+(`UsageError` 2, `DataGap` 3, any other `LowerKError` 1).  Only `verify`
+imports the casebook, and with it the amalgams layer.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-from collections import Counter
-
 from .abelian import FgAbelianGroup, prime_factors
 from .errors import (
     AssemblySpecError,
-    IllFormedMap,
+    DataGap,
     LowerKError,
-    MissingDegree,
-    NotPrime,
-    OrderLimitExceeded,
     UnknownSchurData,
     UnknownSpec,
+    UsageError,
 )
 from .fusion import (
     ModP,
@@ -44,6 +38,13 @@ from .ktheory import (
     k_minus1,
     DEGREES,
 )
+
+# after the library, whose import peak then has less beneath it (lower peak RSS)
+import argparse
+import json
+import os
+import sys
+from collections import Counter
 
 
 def rows_to_table(rows: list[tuple[str, ...]]) -> str:
@@ -209,9 +210,8 @@ def cmd_assemble(args) -> int:
     for sheet in spec.sheets.values():
         for deg, holds, theorem in _THEOREMS:
             if not holds(sheet.entries[deg]):
-                print(f"error: the {sheet.group} sheet cites {deg} = {sheet.entries[deg]}, "
-                      f"but {theorem}", file=sys.stderr)
-                return 3
+                raise DataGap(f"the {sheet.group} sheet cites {deg} = {sheet.entries[deg]}, "
+                              f"but {theorem}")
     assembled = amalgam_k_assemble(spec)
     data = {"name": spec.name,
             "amalgam": {"A": spec.group_a, "B": spec.group_b, "C": spec.group_c},
@@ -235,8 +235,7 @@ def cmd_verify(args) -> int:
 
     if args.case != "all" and args.case not in casebook.CASES:
         choices = ", ".join(casebook.CASES + ("all",))
-        print(f"error: unknown case {args.case!r}; choose from {choices}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown case {args.case!r}; choose from {choices}")
     names = list(casebook.CASES) if args.case == "all" else [args.case]
     reports = [casebook.run_case(name) for name in names]
     if args.format == "json":
@@ -300,16 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UnknownSpec, NotPrime, AssemblySpecError, MissingDegree,
-            OrderLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnknownSchurData, IllFormedMap) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except LowerKError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 3 if isinstance(exc, DataGap) else 1
 
 
 def console_main() -> None:

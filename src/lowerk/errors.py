@@ -1,15 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error's family sets the CLI's exit code: a `UsageError` exits 2, a
+`DataGap` 3, any other `LowerKError` 1.  A new refusal raises a subclass
+of one of the two families.
+"""
 
 
 class LowerKError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; the CLI exits 1."""
 
 
-class UnknownSpec(LowerKError):
+class UsageError(LowerKError):
+    """Input refused as given (a group name, flag, prime or spec); the CLI exits 2."""
+
+
+class DataGap(LowerKError):
+    """Data the input needs is missing or ruled out; the CLI exits 3."""
+
+
+class UnknownSpec(UsageError):
     """A group-name string does not match the supported grammar."""
 
 
-class OrderLimitExceeded(LowerKError):
+class OrderLimitExceeded(UsageError):
     """A requested construction or search exceeds the supported order cap."""
 
 
@@ -46,19 +59,19 @@ class UnknownSymbol(LowerKError):
     """A word uses a symbol with no assigned meaning in the target."""
 
 
-class NotPrime(LowerKError):
+class NotPrime(UsageError):
     """A fusion or singular-class computation was given a non-prime."""
 
 
-class UnknownSchurData(LowerKError):
+class UnknownSchurData(DataGap):
     """No bundled Schur-index data for the requested group."""
 
 
-class MissingDegree(LowerKError):
+class MissingDegree(UsageError):
     """An assembly spec lacks a required degree."""
 
 
-class IllFormedMap(LowerKError):
+class IllFormedMap(DataGap):
     """A matrix does not define a map between the given presented groups."""
 
 
@@ -70,5 +83,5 @@ class NotAnAction(LowerKError):
     """Generator permutations do not extend to a group action."""
 
 
-class AssemblySpecError(LowerKError):
+class AssemblySpecError(UsageError):
     """An assembly spec file violates the documented schema."""

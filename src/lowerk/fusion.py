@@ -59,26 +59,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _frobenius(p: int, m: int) -> set[int]:
-    """The powers of p mod m."""
-    frob = {1 % m}
-    f = p % m
-    while f not in frob:
-        frob.add(f)
-        f = (f * p) % m
-    return frob
-
-
-def padic_unit_subgroup(p: int, d: int) -> set[int]:
-    """Units k mod d fixing the p-adic cyclotomic Galois orbit of order-d
-    roots of unity: all units at the p-part, powers of p at the rest."""
-    dd = d
-    while dd % p == 0:
-        dd //= p
-    frob = _frobenius(p, dd)
-    return {k for k in range(d) if math.gcd(k, d) == 1 and k % dd in frob}
-
-
 # ---------------------------------------------------------------------------
 # fusion specifications
 # ---------------------------------------------------------------------------
@@ -147,12 +127,17 @@ class FusedClasses(Frozen):
 
 
 def _unit_exponents(d: int, spec: FusionSpec) -> set[int]:
-    """The exponents k by which `spec` acts on an element of order d."""
-    if isinstance(spec, Rational):
-        return {k for k in range(1, d + 1) if math.gcd(k, d) == 1}
-    if isinstance(spec, Padic):
-        return padic_unit_subgroup(spec.p, d)
-    return _frobenius(spec.p, d)
+    """The units k mod d by which `spec` acts on an element of order d: those
+    whose residue mod m is a power of p, where m is 1 over Q (every unit),
+    the prime-to-p part of d over Q_p and d over F_p."""
+    p, m = (1, 1) if isinstance(spec, Rational) else (spec.p, d)
+    while isinstance(spec, Padic) and m % p == 0:
+        m //= p
+    powers, f = {1 % m}, p % m
+    while f not in powers:
+        powers.add(f)
+        f = f * p % m
+    return {k for r in powers for k in range(r, d, m) if math.gcd(k, d) == 1}
 
 
 def fused_classes(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:

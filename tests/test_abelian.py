@@ -766,6 +766,7 @@ def test_kernel_and_cokernel_eliminate_m_beside_rt_once(monkeypatch):
         f = AbelianMap(*free)
         g = _m_beside_rt(f)
         assert all(mat != g for mat, _ in calls)    # building a map eliminates R_T alone
+        assert calls == []      # and a free source has no relation to check against R_T
         calls.clear()
         got = {first: first(f)}
         got[second] = second(f)

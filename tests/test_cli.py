@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lowerk import casebook
+from lowerk import casebook, cli, errors
 from lowerk.abelian import FgAbelianGroup
 from lowerk.cli import main
 from lowerk.errors import AssemblySpecError
@@ -560,6 +560,44 @@ def test_unknown_case_exits_2_and_names_the_cases(capsys):
     code, out, err = run_cli(capsys, "verify", "teichmueller")
     assert code == 2 and out == ""
     assert err == "error: unknown case 'teichmueller'; choose from pb3, b3, mcg-rp2-3, words, all\n"
+
+
+# The exit code of every error class, kept by hand: a class missing here
+# fails the test, so a new refusal has to choose its family.
+_EXIT_CODES = {
+    "UsageError": 2, "UnknownSpec": 2, "OrderLimitExceeded": 2, "NotPrime": 2,
+    "MissingDegree": 2, "AssemblySpecError": 2,
+    "DataGap": 3, "UnknownSchurData": 3, "IllFormedMap": 3,
+    "LowerKError": 1, "PresentationCollapse": 1, "NotNormal": 1, "NotInjective": 1,
+    "NotHomomorphism": 1, "LimitExceeded": 1, "UnknownSymbol": 1, "EdgeInversion": 1,
+    "NotAnAction": 1,
+}
+
+
+def _error_classes(cls=errors.LowerKError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+_ERROR_CLASSES = sorted(set(_error_classes()), key=lambda cls: cls.__name__)
+
+
+def test_the_exit_code_table_names_every_error_class():
+    assert sorted(cls.__name__ for cls in _ERROR_CLASSES) == sorted(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_an_error_exits_with_its_family_code(cls, capsys, monkeypatch):
+    exc = cls(9, 4) if cls is errors.LimitExceeded else cls("refused")
+
+    def refuse(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_group_info", refuse)
+    code, out, err = run_cli(capsys, "group", "info", "cyclic:2")
+    assert code == _EXIT_CODES[cls.__name__]
+    assert out == "" and err == f"error: {exc}\n"
 
 
 # The CLI's own vocabulary: group names with n <= 64, fusion flags, bundled

@@ -64,7 +64,7 @@ def test_cyclic_rational_counts_divisors(n):
     assert fused_classes(G, Rational()).count == len(divisors(n))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("n", range(1, 31))
 def test_cyclic_closed_forms(n, p):
     G = build_group(f"cyclic:{n}")
