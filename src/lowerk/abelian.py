@@ -6,13 +6,14 @@ are integer matrices; kernels and cokernels are computed through the
 Smith normal form.  One elimination serves every caller and carries only
 the transforms that caller reads.  A map eliminates [M | R_T] (its matrix
 beside the target relations) at most once for its kernel and cokernel
-together: the cokernel reads the diagonal alone, and so does the kernel of
-a map with a free source, whose kernel is free of a rank the diagonal
-gives.  The kernel of a map whose source has relations carries one column
-transform through that elimination and one row transform through a second,
-on the projected solution lattice; the well-definedness check carries one
-row transform.  All arithmetic uses Python's arbitrary-precision integers;
-entry growth during elimination is harmless.
+together, carrying no transform: both read the diagonal alone.  Building a
+map whose source has relations eliminates R_T once, carrying its row
+transform u, and lifts each source relation r to (r, -y'), where
+D' y' = u M r for the nonzero columns D' of the Smith form of R_T.  The
+map keeps these lifts in `_lifted`.  Its kernel is Z^(m + rank R_T)
+modulo the lifts, with rank [M | R_T] fewer free summands.  All
+arithmetic uses Python's arbitrary-precision integers; entry growth during
+elimination is harmless.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ def _eliminate(a: Matrix, u: Matrix | None = None, ui: Matrix | None = None,
     Each row operation is applied to u and its inverse to ui, each column
     operation to v and its inverse to vi, for those of the four that are
     given.  The steps depend on `a` alone, so a transform left out changes
-    nothing else.  A column operation acts on each row of v by itself, so
-    v may be some rows of the identity, giving just those rows of v.
+    nothing else.
     """
     r = len(a)
     c = len(a[0]) if r else 0
@@ -180,22 +180,6 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
     u, ui, v, vi = eye(r), eye(r), eye(c), eye(c)
     _eliminate(a, u, ui, v, vi)
     return SmithForm(u, a, v, ui, vi)
-
-
-def _smith_solve(u: Matrix, diagonal: list[int], ncols: int, vec: list[int]) -> list[int] | None:
-    """y with d * y = u * vec, or None, for the Smith form d (this diagonal,
-    `ncols` columns) that the row transform u reaches; then x = v * y
-    solves m * x = vec."""
-    y = [0] * ncols
-    for i, w in enumerate(mat_vec(u, vec)):
-        di = diagonal[i] if i < len(diagonal) else 0
-        if di:
-            if w % di:
-                return None
-            y[i] = w // di
-        elif w:
-            return None
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +333,15 @@ class AbelianMap(Frozen):
     `matrix` has one row per target generator and one column per source
     generator; column j is the image of source generator j.  A matrix of
     the wrong shape, or one that sends a source relation outside the
-    target relation lattice, is refused when the map is built.  The Smith
+    target relation lattice, is refused when the map is built.  That check
+    finds the lifts of the source relations (see `_lifts`), which the
+    kernel reads, and keeps them in `_lifted`; a free source has no
+    relation to check, so building its map eliminates nothing.  The Smith
     diagonal of [M | R_T], which kernel and cokernel both read, is kept in
     `_diagonal` by the first of them to eliminate it.
     """
 
-    __slots__ = ("source", "target", "matrix", "_diagonal")
+    __slots__ = ("source", "target", "matrix", "_diagonal", "_lifted")
 
     def __init__(self, source: AbelianPresentation, target: AbelianPresentation,
                  matrix: tuple[tuple[int, ...], ...]):
@@ -362,6 +349,7 @@ class AbelianMap(Frozen):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_diagonal", None)
+        object.__setattr__(self, "_lifted", None)
         if len(self.matrix) != self.target.ngens:
             raise IllFormedMap(
                 f"matrix has {len(self.matrix)} rows, target has {self.target.ngens} generators")
@@ -369,24 +357,39 @@ class AbelianMap(Frozen):
             if len(row) != self.source.ngens:
                 raise IllFormedMap(
                     f"matrix row length {len(row)} does not match {self.source.ngens} source generators")
-        if not self.source.relations:   # no relation whose image needs checking
-            return
-        rels = self.target.relations
-        u = eye(self.target.ngens)
-        diag = _eliminate([[rel[i] for rel in rels] for i in range(self.target.ngens)], u=u)
-        for rel in self.source.relations:
-            if _smith_solve(u, diag, len(rels), mat_vec(self.matrix, list(rel))) is None:
+        if self.source.relations:
+            _lifts(self)
+
+
+def _lifts(f: AbelianMap) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """rank R_T and the lift (r, -y') of each source relation r, found
+    once per map and kept in `_lifted`.
+
+    With the Smith form u R_T v = D, y' is the first rank R_T entries of
+    the y with D y = u M r; a relation with no such y is refused.  The
+    row transform u is carried only when there are relations to lift.
+    """
+    if f._lifted is None:
+        rels = f.target.relations
+        u = eye(f.target.ngens) if f.source.relations else None
+        diag = _eliminate([[rel[i] for rel in rels] for i in range(f.target.ngens)], u=u)
+        d = [x for x in diag if x]      # the nonzero entries come first
+        lifts = []
+        for rel in f.source.relations:
+            w = mat_vec(u, mat_vec(f.matrix, rel))
+            if any(w[len(d):]) or any(x % di for x, di in zip(w, d)):
                 raise IllFormedMap(f"image of source relation {rel} misses the target lattice")
+            lifts.append(tuple(rel) + tuple(-(x // di) for x, di in zip(w, d)))
+        object.__setattr__(f, "_lifted", (len(d), tuple(lifts)))
+    return f._lifted
 
 
-def _smith_diagonal(f: AbelianMap, v: Matrix | None = None) -> list[int]:
-    """The Smith diagonal of [M | R_T], eliminated once per map.  Given v,
-    the elimination carries it even when the diagonal is known; carrying
-    a transform leaves the diagonal as it is."""
-    if f._diagonal is None or v is not None:
+def _smith_diagonal(f: AbelianMap) -> list[int]:
+    """The Smith diagonal of [M | R_T], eliminated once per map."""
+    if f._diagonal is None:
         rels = f.target.relations
         g = [list(row) + [rel[i] for rel in rels] for i, row in enumerate(f.matrix)]
-        object.__setattr__(f, "_diagonal", _eliminate(g, v=v))
+        object.__setattr__(f, "_diagonal", _eliminate(g))
     return f._diagonal
 
 
@@ -399,29 +402,18 @@ def cokernel(f: AbelianMap) -> FgAbelianGroup:
 def kernel(f: AbelianMap) -> FgAbelianGroup:
     """Kernel of the induced map on quotients, in canonical form.
 
-    The x of the solutions of M x + R_T y = 0 are the preimage of the
-    kernel in Z^m.  With a free source they are the kernel: a subgroup of
-    Z^m, free of rank m - rank [M | R_T] + rank R_T, since the solutions
-    with x = 0 are the (0, y) with R_T y = 0.  Otherwise project the
-    solution lattice to the source coordinates, then quotient by the
-    source relations.
+    With the Smith form u R_T v = D and D' its first rank R_T columns, the
+    lattice K' = {(x, y') : u M x + D' y' = 0} is saturated in
+    Z^(m + rank R_T), of rank m + rank R_T - rank [M | R_T], so it has a
+    free complement of rank rank [M | R_T].  D' has full column rank, so
+    K' projects isomorphically onto the preimage {x : M x in L(R_T)} of
+    the kernel, and the lifts kept in `_lifted` map onto the source
+    relations.  So the kernel is K' modulo the lifts: Z^(m + rank R_T)
+    modulo the lifts, less rank [M | R_T] free summands.  A free source
+    has no lifts, and its kernel is free of rank
+    m - rank [M | R_T] + rank R_T.
     """
-    m = f.source.ngens
-    if not f.source.relations:
-        rank_t = f.target.ngens - group_of(f.target).free_rank
-        return FgAbelianGroup(m - sum(1 for x in _smith_diagonal(f) if x) + rank_t)
-    rels = f.target.relations
-    q = m + len(rels)
-    v = eye(q)[:m]
-    rank = sum(1 for x in _smith_diagonal(f, v) if x)
-    # the columns of v past the rank span the solutions; v holds their x part
-    proj = [row[rank:] for row in v]
-    u = eye(m)
-    diag = _eliminate(proj, u=u)
-    rp = sum(1 for x in diag if x)
-    # the projected lattice has basis d_i * (column i of u^-1), i < rp;
-    # a relation's coordinates in it are the y of d * y = u * rel
-    # (never None: M rel = R_T z when f is built, so (rel, -z) is a solution)
-    coeff_cols = tuple(tuple(_smith_solve(u, diag, q - rank, list(rel))[:rp])
-                       for rel in f.source.relations)
-    return group_of(AbelianPresentation(rp, coeff_cols))
+    rank_t, lifts = _lifts(f)
+    rank = sum(1 for x in _smith_diagonal(f) if x)
+    quotient = group_of(AbelianPresentation(f.source.ngens + rank_t, lifts))
+    return FgAbelianGroup(quotient.free_rank - rank, quotient.torsion)

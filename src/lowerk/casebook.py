@@ -375,8 +375,8 @@ def case_mcg_rp2_3() -> CaseReport:
     central_c = next(g for g in zc.elements if g != am.C.identity)
     rec.check("the central involutions match under both embeddings",
               [True, True],
-              [am.iA.apply(central_c) in za.elements,
-               am.iB.apply(central_c) in zb.elements], _SCOTT_CITE)
+              [am.iA.full_map()[central_c] in za.elements,
+               am.iB.full_map()[central_c] in zb.elements], _SCOTT_CITE)
     rec.check("octahedral vertex maps onto the symmetric group of degree 4",
               True, is_isomorphic(quotient(am.A, za), build_group("symmetric:4")),
               _SCOTT_CITE)

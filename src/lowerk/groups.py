@@ -173,9 +173,6 @@ class GroupHom(Record):
         return _right_muls(self.target, [self.images[lab]
                                          for lab in sorted(self.source.generator_labels)])
 
-    def apply(self, g: int) -> int:
-        return self.full_map()[g]
-
     def is_homomorphism(self) -> bool:
         """True iff the generator images extend to a homomorphism."""
         labels = self.source.generator_labels

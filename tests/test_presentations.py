@@ -157,7 +157,7 @@ def test_verify_homomorphism_with_quotient_projection():
     assert verify_homomorphism(pres, D24, in_group).ok
     Q = quotient(D24, center(D24))
     proj = GroupHom(D24, Q, Q.generator_labels)
-    images = {g: proj.apply(D24.generator_labels[g]) for g in ("x", "y")}
+    images = {g: proj.full_map()[D24.generator_labels[g]] for g in ("x", "y")}
     assert verify_homomorphism(pres, Q, images).ok
 
 
