@@ -173,10 +173,12 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
     """
     r = len(mat)
     c = len(mat[0]) if r else (cols or 0)
-    a = [list(map(int, row)) for row in mat]
+    a = [list(row) for row in mat]
     for row in a:
         if len(row) != c:
             raise ValueError("ragged matrix")
+        if any(type(x) is not int for x in row):
+            raise ValueError(f"matrix row {row!r} has an entry that is not an int")
     u, ui, v, vi = eye(r), eye(r), eye(c), eye(c)
     _eliminate(a, u, ui, v, vi)
     return SmithForm(u, a, v, ui, vi)
@@ -323,7 +325,7 @@ def presentation_of_sum(groups: list[FgAbelianGroup]) -> AbelianPresentation:
 
 def group_of(pres: AbelianPresentation) -> FgAbelianGroup:
     """Invariant-factor form of a presented abelian group."""
-    diag = _eliminate([[rel[i] for rel in pres.relations] for i in range(pres.ngens)])
+    diag = _eliminate([list(rel) for rel in pres.relations])
     return FgAbelianGroup.from_divisors(pres.ngens - len(diag), diag)
 
 

@@ -171,12 +171,12 @@ _SCOTT_CITE = "Scott 1970 (braids and mapping classes of the projective plane)"
 
 def phi(am: Amalgam, vb_word: Word):
     """Image of a braid word inside the amalgam."""
-    spliced = Word()
+    spliced = []
     for sym, exp in vb_word.entries:
         if sym not in PHI_IMAGES:
             raise KeyError(f"not a braid generator: {sym}")
-        spliced = spliced * (PHI_IMAGES[sym] ** exp)
-    return am.evaluate(spliced)
+        spliced.extend((PHI_IMAGES[sym] ** exp).entries)
+    return am.evaluate(Word(spliced))
 
 
 def _vb3_relator_names() -> list[str]:
@@ -337,7 +337,7 @@ def verify_word_identities() -> CaseReport:
         ("a Delta recovers Z", a_word * delta, "Z"),
     ]
     for name, word, label in recovery:
-        rec.check(name, am.evaluate(Word.of((label, 1))), phi(am, word),
+        rec.check(name, am.evaluate(Word(((label, 1),))), phi(am, word),
                   _GG_CITE, render=am.describe)
 
     rec.check("order of the image of r1 s2", 4,

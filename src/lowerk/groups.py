@@ -532,7 +532,7 @@ def group_from_coset_table(ct, name: str) -> FiniteGroup:
     words = _walk(tree, (), [lambda w, x=x: w + (x,) for x in letters])
     labels = {sym: col[0] for sym, col in zip(ct.generators, cols)}
     G = _group(name, [_walk(tree, s, acts) for s in labels.values()], labels,
-               ["1" if not w else str(Word.of(*w)).replace(" ", "*") for w in words])
+               [str(Word(w)).replace(" ", "*") for w in words])
     # over the trivial subgroup each generator acts on the cosets as right
     # multiplication by its label; over a larger one the rows can still
     # close into a group, but not into this one

@@ -1,8 +1,9 @@
 """Finitely presented groups: words, coset enumeration, hom verification.
 
-Words are freely reduced sequences of (symbol, exponent) pairs.  Relators
-are stored in "left side times inverted right side" shape so failure
-diagnostics keep the shape of the defining equations.
+A `Word` is freely reduced when it is built: its constructor merges and
+cancels adjacent (symbol, exponent) pairs.  Relators are stored in "left
+side times inverted right side" shape so failure diagnostics keep the
+shape of the defining equations.
 """
 
 from __future__ import annotations
@@ -34,21 +35,18 @@ def _reduce(entries) -> tuple[tuple[str, int], ...]:
 
 
 class Word(Frozen):
-    """Freely reduced word over symbolic generators."""
+    """Word over symbolic generators, freely reduced by its constructor,
+    which refuses an exponent that is not an int; equal words compare equal."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[str, int], ...] = ()):
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries=()):
+        object.__setattr__(self, "entries", _reduce(entries))
 
     def __eq__(self, other):
         if type(other) is not Word:
             return NotImplemented
         return self.entries == other.entries
-
-    @staticmethod
-    def of(*entries) -> "Word":
-        return Word(_reduce(entries))
 
     @property
     def length(self) -> int:
@@ -68,16 +66,10 @@ class Word(Frozen):
         return Word(tuple((s, -e) for s, e in reversed(self.entries)))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(_reduce(self.entries + other.entries))
+        return Word(self.entries + other.entries)
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        return Word((self if n > 0 else self.inverse()).entries * abs(n))
 
     def __str__(self) -> str:
         if not self.entries:
@@ -101,7 +93,7 @@ def parse_word(text: str) -> Word:
             entries.append((sym, int(exp)))
         else:
             entries.append((token, 1))
-    return Word.of(*entries)
+    return Word(entries)
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -139,8 +131,8 @@ def van_buskirk(n: int) -> Presentation:
     """
     if n < 1:
         raise ValueError("need at least one strand")
-    sig = [Word.of((f"s{i}", 1)) for i in range(1, n)]
-    rho = [Word.of((f"r{j}", 1)) for j in range(1, n + 1)]
+    sig = [Word(((f"s{i}", 1),)) for i in range(1, n)]
+    rho = [Word(((f"r{j}", 1),)) for j in range(1, n + 1)]
     gens = tuple(f"s{i}" for i in range(1, n)) + tuple(f"r{j}" for j in range(1, n + 1))
     rels: list[Word] = []
     for i in range(1, n):

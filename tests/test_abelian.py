@@ -110,6 +110,13 @@ def test_snf_zero_and_empty():
     assert smith_normal_form([[], []], cols=0).d == [[], []]
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+def test_snf_refuses_an_entry_that_is_not_an_int(bad):
+    # int() would floor 2.5, count True as 1 and read "3" as 3
+    with pytest.raises(ValueError, match="not an int"):
+        smith_normal_form([[bad]])
+
+
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
        st.data())
 def test_snf_hypothesis_postconditions(r, c, data):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lowerk import presentations
 from lowerk.amalgams import (
     Amalgam,
     AmalgamElement,
@@ -71,7 +72,7 @@ def test_construct_rejects_bad_embeddings():
 
 def _random_word(rng, symbols, max_len=6):
     entries = [(rng.choice(symbols), rng.randint(-3, 3)) for _ in range(rng.randint(0, max_len))]
-    return Word.of(*entries)
+    return Word(entries)
 
 
 @pytest.mark.parametrize("which,seed", [("pb3", 101), ("b3", 202), ("degenerate", 303)])
@@ -277,7 +278,7 @@ def normal_forms(draw, am, max_len=10):
 def words_over(am, max_len=12):
     symbols = sorted(am.A.generator_labels) + sorted(am.B.generator_labels)
     entries = st.tuples(st.sampled_from(symbols), st.integers(-4, 4))
-    return st.lists(entries, max_size=max_len).map(lambda es: Word.of(*es))
+    return st.lists(entries, max_size=max_len).map(lambda es: Word(es))
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,10 +350,10 @@ assert len(e.syllables) == 8
 big = am.power(e, 2000)
 half = am.power(e, 1000)
 assert big == am.mul(half, half)
-assert big == am.evaluate(Word.of(*(w.entries * 2000)))
+assert big == am.evaluate(Word(w.entries * 2000))
 assert am.power(big, -1) == am.inv(big) == am.power(am.inv(e), 2000)
 
-u = am.evaluate(Word.of(*[("P" if i % 2 == 0 else "Y", 1) for i in range(2000)]))
+u = am.evaluate(Word([("P" if i % 2 == 0 else "Y", 1) for i in range(2000)]))
 assert len(u.syllables) == 2000
 x = am.A.generator_labels["P"]
 conj = am.mul(am.mul(u, am.embed_vertex(SIDE_A, x)), am.inv(u))
@@ -368,6 +369,29 @@ def test_b3_power_2000_and_long_conjugate_finish():
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_powers_and_phi_splices_reduce_their_entries_once(monkeypatch):
+    # a power or a splice collects its entries and reduces them once, so
+    # the entries passed to _reduce grow linearly with the word
+    am, ab, braid = full_braid_amalgam(), parse_word("a b"), parse_word("s1 r2") ** 500
+    spliced = sum(len((PHI_IMAGES[sym] ** exp).entries) for sym, exp in braid.entries)
+    seen = []
+    real_reduce = presentations._reduce
+
+    def counting(entries):
+        entries = list(entries)
+        seen.append(len(entries))
+        return real_reduce(entries)
+
+    monkeypatch.setattr(presentations, "_reduce", counting)
+    for n in (1000, -1000):
+        seen.clear()
+        assert (ab ** n).length == 2000
+        assert sum(seen) <= 2002
+    seen.clear()
+    phi(am, braid)
+    assert sum(seen) <= 2 * spliced
 
 
 # --- quotients of graph actions ----------------------------------------------

@@ -19,8 +19,8 @@ entries = st.lists(
 
 @given(entries)
 def test_free_reduction_idempotent_and_shrinking(raw):
-    w = Word.of(*raw)
-    assert Word.of(*w.entries) == w
+    w = Word(raw)
+    assert Word(w.entries) == w
     assert w.length <= sum(abs(e) for _, e in raw)
     for (s1, _), (s2, _) in zip(w.entries, w.entries[1:]):
         assert s1 != s2
@@ -29,15 +29,16 @@ def test_free_reduction_idempotent_and_shrinking(raw):
 
 @given(entries, entries)
 def test_word_algebra(raw1, raw2):
-    w1, w2 = Word.of(*raw1), Word.of(*raw2)
+    w1, w2 = Word(raw1), Word(raw2)
     assert (w1 * w2) * (w2.inverse() * w1.inverse()) == Word()
     assert w1 ** 0 == Word()
     assert w1 ** -2 == (w1.inverse()) * (w1.inverse())
+    assert w1 ** 3 == w1 * w1 * w1
 
 
 @given(entries)
 def test_word_parser_round_trip(raw):
-    w = Word.of(*raw)
+    w = Word(raw)
     assert parse_word(str(w)) == w
 
 
@@ -66,7 +67,7 @@ def test_van_buskirk_counts():
 
 def test_coset_enumeration_cyclic():
     for n in range(1, 51):
-        pres = Presentation(("g",), (Word.of(("g", n)),))
+        pres = Presentation(("g",), (Word((("g", n),)),))
         assert todd_coxeter(pres).index == n
 
 
@@ -99,8 +100,8 @@ def test_triangle_group_converts_to_group():
 
 
 def test_coset_enumeration_with_subgroup():
-    pres = Presentation(("g",), (Word.of(("g", 5)),))
-    assert todd_coxeter(pres, (Word.of(("g", 1)),)).index == 1
+    pres = Presentation(("g",), (Word((("g", 5),)),))
+    assert todd_coxeter(pres, (Word((("g", 1),)),)).index == 1
 
 
 def test_braid_group_indexes():
@@ -134,7 +135,7 @@ def _trace(ct, coset, word):
 
 def test_coset_table_self_consistency():
     for pres in (van_buskirk(1), van_buskirk(2),
-                 Presentation(("g",), (Word.of(("g", 12)),))):
+                 Presentation(("g",), (Word((("g", 12),)),))):
         ct = todd_coxeter(pres)
         for rel in pres.relators:
             for c in range(ct.index):
@@ -179,7 +180,7 @@ def test_verify_homomorphism_missing_image():
 def test_word_refuses_an_exponent_that_is_not_an_int(exp):
     # 2.5 would floor to a^2, "3" would read as a^3 and True would count as 1
     with pytest.raises(ValueError, match="not an int"):
-        Word.of(("a", exp))
+        Word((("a", exp),))
 
 
 @pytest.mark.parametrize("text", ["^2", "a ^-1", "^"])
