@@ -69,6 +69,8 @@ class Word(Frozen):
         return Word(self.entries + other.entries)
 
     def __pow__(self, n: int) -> "Word":
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"exponent {n!r} is not an int")
         return Word((self if n > 0 else self.inverse()).entries * abs(n))
 
     def __str__(self) -> str:
@@ -80,7 +82,8 @@ class Word(Frozen):
 def parse_word(text: str) -> Word:
     """Parse whitespace-separated signed powers, e.g. "a^2 b^-1 a".
 
-    The bare token "1" denotes the empty word, matching the printer.
+    The bare token "1" denotes the empty word, matching the printer.  An
+    exponent is what the printer emits: an optional "-" and ASCII digits.
     """
     entries = []
     for token in text.split():
@@ -90,6 +93,9 @@ def parse_word(text: str) -> Word:
             sym, _, exp = token.partition("^")
             if not sym:
                 raise ValueError(f"token {token!r} has no symbol")
+            digits = exp.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"token {token!r} has no integer exponent")
             entries.append((sym, int(exp)))
         else:
             entries.append((token, 1))
@@ -191,14 +197,35 @@ class CosetTable(Record):
         return 2 * k if sgn > 0 else 2 * k + 1
 
 
+def _period(cols: list[int]) -> int:
+    """Least p dividing len(cols) with cols the (len/p)-th power of cols[:p]."""
+    n = len(cols)
+    for p in range(1, n):
+        if n % p == 0 and cols == cols[:p] * (n // p):
+            return p
+    return n
+
+
 def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
                  coset_limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
     """Enumerate cosets of the subgroup generated by `subgroup_gens`.
 
-    Relator-scanning strategy with coincidence handling; raises
-    LimitExceeded when more than `coset_limit` cosets get defined, which
-    is the expected outcome for infinite groups.
+    Relator-scanning (HLT) strategy with Holt's coincidence routine
+    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 5.1);
+    raises LimitExceeded when more than `coset_limit` cosets get defined,
+    which is the expected outcome for infinite groups.
+
+    A relator that is a proper power R = w^k (period p = |w| < |R|) is
+    scanned once per cycle: when a scan of R from a coset a closes with a
+    still live, R holds at each a w^j, and those cosets are not scanned
+    for R again.  A coincidence keeps the rows of live cosets consistent,
+    so a closed path stays closed through later merges and a skipped scan
+    would have changed nothing: the definitions, coincidences, limit
+    point and table are those of scanning every relator from every live
+    coset.
     """
+    if isinstance(coset_limit, bool) or not isinstance(coset_limit, int):
+        raise ValueError(f"coset_limit {coset_limit!r} is not an int")
     if coset_limit < 1:
         raise ValueError("coset_limit must be positive")
     gens = pres.generators
@@ -218,6 +245,9 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
 
     rel_cols = [word_cols(w) for w in pres.relators]
     sub_cols = [word_cols(w) for w in subgroup_gens]
+    # each relator's period, and the cosets where it is known to close
+    periods = [_period(cols) for cols in rel_cols]
+    closed: list[set[int]] = [set() for _ in rel_cols]
 
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
@@ -268,15 +298,21 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
         f, i = a, 0
         b, j = a, len(cols) - 1
         while True:
-            while i <= j and table[f][cols[i]] is not None:
-                f = table[f][cols[i]]
+            while i <= j:
+                g = table[f][cols[i]]
+                if g is None:
+                    break
+                f = g
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][cols[j] ^ 1] is not None:
-                b = table[b][cols[j] ^ 1]
+            while j >= i:
+                g = table[b][cols[j] ^ 1]
+                if g is None:
+                    break
+                b = g
                 j -= 1
             if j < i:
                 coincidence(f, b)
@@ -294,10 +330,18 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
         if rep(a) != a:
             a += 1
             continue
-        for cols in rel_cols:
+        for cols, p, done in zip(rel_cols, periods, closed):
             if rep(a) != a:
                 break
+            if a in done:
+                continue
             scan_and_fill(a, cols)
+            if p < len(cols) and rep(a) == a:
+                c = a
+                for i, x in enumerate(cols[:-p], 1):
+                    c = table[c][x]
+                    if i % p == 0:
+                        done.add(c)
         if rep(a) == a:
             for x in range(ncols):
                 if table[a][x] is None:

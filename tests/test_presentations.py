@@ -1,9 +1,15 @@
+import re
+import sys
+from collections import deque
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lowerk.errors import LimitExceeded, UnknownSymbol
 from lowerk.groups import build_group, group_from_coset_table, is_isomorphic
 from lowerk.presentations import (
+    DEFAULT_COSET_LIMIT,
+    CosetTable,
     Presentation,
     Word,
     parse_word,
@@ -187,3 +193,233 @@ def test_word_refuses_an_exponent_that_is_not_an_int(exp):
 def test_parse_word_refuses_a_power_of_no_symbol(text):
     with pytest.raises(ValueError):
         parse_word(text)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", None])
+def test_word_power_refuses_an_exponent_that_is_not_an_int(n):
+    # True would return the word itself and 2.0 raised a bare TypeError
+    with pytest.raises(ValueError, match="not an int"):
+        parse_word("a b") ** n
+
+
+@pytest.mark.parametrize("text", ["a^1_0", "a^٣", "a^²", "a^", "a^+3", "a^--1", "a^ 2"])
+def test_parse_word_refuses_an_exponent_the_printer_never_emits(text):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3
+    token = text.split()[0]
+    with pytest.raises(ValueError, match=re.escape(f"token {token!r}")):
+        parse_word(text)
+
+
+def test_parse_word_reads_signed_ascii_exponents():
+    assert parse_word("a^10 b^-3 a^0") == Word((("a", 10), ("b", -3)))
+
+
+@pytest.mark.parametrize("limit", [True, False, 2.5, "3", None])
+def test_todd_coxeter_refuses_a_limit_that_is_not_an_int(limit):
+    # True read as a limit of 1 and 2.5 as a limit between 2 and 3
+    pres = Presentation(("g",), (Word((("g", 3),)),))
+    with pytest.raises(ValueError, match="not an int"):
+        todd_coxeter(pres, coset_limit=limit)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_todd_coxeter_refuses_a_limit_below_one(limit):
+    pres = Presentation(("g",), (Word((("g", 3),)),))
+    with pytest.raises(ValueError, match="must be positive"):
+        todd_coxeter(pres, coset_limit=limit)
+
+
+def _seed_todd_coxeter(pres, subgroup_gens=(), coset_limit=DEFAULT_COSET_LIMIT):
+    """The enumerator that scans every relator from every live coset, kept
+    as an oracle for the one that scans a power relator once per cycle."""
+    if coset_limit < 1:
+        raise ValueError("coset_limit must be positive")
+    gens = pres.generators
+    ncols = 2 * len(gens)
+    colof = {}
+    for k, g in enumerate(gens):
+        colof[(g, 1)] = 2 * k
+        colof[(g, -1)] = 2 * k + 1
+
+    def word_cols(w: Word) -> list[int]:
+        out = []
+        for sym, sgn in w.letters():
+            if (sym, sgn) not in colof:
+                raise UnknownSymbol(f"symbol {sym!r} not in presentation")
+            out.append(colof[(sym, sgn)])
+        return out
+
+    rel_cols = [word_cols(w) for w in pres.relators]
+    sub_cols = [word_cols(w) for w in subgroup_gens]
+
+    table: list[list[int | None]] = [[None] * ncols]
+    parent = [0]
+
+    def rep(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def define(a: int, x: int) -> int:
+        if len(table) >= coset_limit:
+            raise LimitExceeded(coset_limit, sum(1 for c, p in enumerate(parent) if c == p))
+        b = len(table)
+        table.append([None] * ncols)
+        parent.append(b)
+        table[a][x] = b
+        table[b][x ^ 1] = a
+        return b
+
+    def merge(a: int, b: int, queue: deque) -> None:
+        a, b = rep(a), rep(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            parent[b] = a
+            queue.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        queue: deque = deque()
+        merge(a, b, queue)
+        while queue:
+            y = queue.popleft()
+            for x in range(ncols):
+                d = table[y][x]
+                if d is None:
+                    continue
+                table[d][x ^ 1] = None
+                mu, nu = rep(y), rep(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+
+    def scan_and_fill(a: int, cols: list[int]) -> None:
+        f, i = a, 0
+        b, j = a, len(cols) - 1
+        while True:
+            while i <= j and table[f][cols[i]] is not None:
+                f = table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][cols[j] ^ 1] is not None:
+                b = table[b][cols[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][cols[i]] = b
+                table[b][cols[i] ^ 1] = f
+                return
+            define(f, cols[i])
+
+    for cols in sub_cols:
+        scan_and_fill(0, cols)
+    a = 0
+    while a < len(table):
+        if rep(a) != a:
+            a += 1
+            continue
+        for cols in rel_cols:
+            if rep(a) != a:
+                break
+            scan_and_fill(a, cols)
+        if rep(a) == a:
+            for x in range(ncols):
+                if table[a][x] is None:
+                    define(a, x)
+        a += 1
+
+    live = [c for c in range(len(table)) if rep(c) == c]
+    index_of = {c: i for i, c in enumerate(live)}
+    rows = tuple(tuple(index_of[rep(table[c][x])] for x in range(ncols)) for c in live)
+    return CosetTable(tuple(gens), rows)
+
+
+def _enumerate(enumerator, pres, subgroup, limit):
+    """The table, or the (limit, live) of the LimitExceeded raised."""
+    try:
+        return enumerator(pres, subgroup, coset_limit=limit).table
+    except LimitExceeded as exc:
+        return (exc.limit, exc.live)
+
+
+def _dicyclic_relators(n, rotations, inverted):
+    """x^2n, y^2 x^-n and y x y^-1 x, each cyclically rotated and possibly
+    inverted: conjugates of relators or their inverses, so the same group."""
+    out = []
+    for word, k, inv in zip((f"x^{2 * n}", f"y^2 x^-{n}", "y x y^-1 x"), rotations, inverted):
+        letters = list(parse_word(word).letters())
+        if inv:
+            letters = [(s, -e) for s, e in reversed(letters)]
+        k %= len(letters)
+        out.append(Word(letters[k:] + letters[:k]))
+    return out
+
+
+@st.composite
+def power_presentations(draw):
+    """2- and 3-generator presentations full of proper powers: generator
+    powers, powers (w)^k of short words such as (ab)^k, and the rotated or
+    inverted dicyclic relators."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        rotations = draw(st.lists(st.integers(0, 40), min_size=3, max_size=3))
+        inverted = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        gens, rels = ("x", "y"), _dicyclic_relators(n, rotations, inverted)
+    else:
+        gens = ("a", "b", "c")[:draw(st.integers(2, 3))]
+        rels = [Word(((g, draw(st.integers(1, 6))),)) for g in gens
+                if draw(st.booleans())]
+        letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+        for _ in range(draw(st.integers(1, 3))):
+            base = draw(st.lists(letters, min_size=1, max_size=3))
+            rels.append(Word(base) ** draw(st.integers(1, 6)))
+    order = draw(st.permutations(range(len(rels))))
+    subgroup = tuple(Word(((g, 1),)) for g in gens[:draw(st.integers(0, 1))])
+    limit = draw(st.sampled_from((16, 64, 400)))
+    return Presentation(gens, tuple(rels[i] for i in order)), subgroup, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_presentations())
+def test_todd_coxeter_matches_the_scan_every_relator_oracle(case):
+    pres, subgroup, limit = case
+    assert _enumerate(todd_coxeter, pres, subgroup, limit) == \
+        _enumerate(_seed_todd_coxeter, pres, subgroup, limit)
+
+
+def _scans_of(cols_length, enumerator, pres):
+    """Count the calls of scan_and_fill on a relator of `cols_length` letters."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if (event == "call" and frame.f_code.co_name == "scan_and_fill"
+                and len(frame.f_locals["cols"]) == cols_length):
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        table = enumerator(pres).table
+    finally:
+        sys.setprofile(None)
+    return count, table
+
+
+def test_a_power_relator_is_scanned_once_per_cycle():
+    # <x, y | x^400, y^2 x^-200, y x y^-1 x> is dicyclic of order 800: the
+    # cosets fall into two x-cycles, and x^400 closes once on each
+    pres = Presentation(("x", "y"), tuple(parse_word(r) for r in
+                                          ("x^400", "y^2 x^-200", "y x y^-1 x")))
+    scans, table = _scans_of(400, todd_coxeter, pres)
+    seed_scans, seed_table = _scans_of(400, _seed_todd_coxeter, pres)
+    assert (scans, seed_scans) == (2, 800)
+    assert table == seed_table and len(table) == 800
