@@ -212,6 +212,10 @@ class FgAbelianGroup(Frozen):
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        torsion = tuple(torsion)
+        for v in (free_rank, *torsion):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"free rank or torsion coefficient {v!r} is not an int")
         if free_rank < 0:
             raise ValueError("negative free rank")
         prev = None

@@ -12,9 +12,9 @@ constructor gives its generator rows alone.
 
 One generator test serves every check of a map: `_respects` asks f(a s)
 == act_s(f(a)) for every element a and generator s, and `_walk` defines f
-along a Schreier tree by f(g s) = act_s(f(g)).  The axiom check (f the
-table rows), `GroupHom`, the leaf of `is_isomorphic` and the graph actions
-of the amalgams layer all go through the two.
+along a Schreier tree by f(g s) = act_s(f(g)).  `GroupHom`, the leaf of
+`is_isomorphic` and the amalgams layer's graph actions use the two;
+`_group` tests each row it closes.
 """
 
 from __future__ import annotations
@@ -187,32 +187,24 @@ class GroupHom(Record):
 # structural operations
 # ---------------------------------------------------------------------------
 
-def check_group_axioms(G: FiniteGroup) -> None:
-    """Identity, inverses and associativity by Light's test: (a s) b =
-    a (s b) for every a, b and generator s.  The elements s passing it are
-    closed under products, so once the labels generate, all of G passes."""
-    n = G.order
-    if len(G.table) != n or any(len(r) != n for r in G.table):
+def _check_group_axioms(G: FiniteGroup) -> None:
+    """`_group` on G's label rows must rebuild G's table and inverses."""
+    if len(G.table) != G.order or any(len(r) != G.order for r in G.table):
         raise PresentationCollapse(f"{G.name}: table shape mismatch")
-    for a in range(n):
-        if G.table[G.identity][a] != a or G.table[a][G.identity] != a:
-            raise PresentationCollapse(f"{G.name}: identity fails at {a}")
-        if G.table[a][G.inverses[a]] != G.identity or G.table[G.inverses[a]][a] != G.identity:
-            raise PresentationCollapse(f"{G.name}: inverse fails at {a}")
-    gens = G.generators()  # labels must generate
-    # row(a s) is row(a) gathered by row(s), the generator test on the rows
-    if n > 1 and not _respects(G, G.table, gens, [itemgetter(*G.table[s]) for s in gens]):
-        raise PresentationCollapse(f"{G.name}: associativity fails")
+    H = _group(G.name, [G.table[s] for s in G.generators()], G.generator_labels, G.element_names)
+    if (H.table, H.inverses) != (G.table, G.inverses):
+        raise PresentationCollapse(f"{G.name}: associativity or inverse fails")
 
 
 def _invariants(G: FiniteGroup) -> GroupInvariants:
-    """Classes as orbits under conjugation by the generators, O(n k)."""
+    """Classes as orbits under conjugation by the generators, O(n k); one
+    walk of g's powers gives ord(g^i) = m / gcd(i, m), m = ord(g)."""
     n = G.order
     conj = []
     for s in G.generators():
         times_inv_s = [row[G.inverses[s]] for row in G.table]
         conj.append([times_inv_s[x] for x in G.table[s]])   # x -> s x s^-1
-    cls_of = [-1] * n
+    cls_of, order = [-1] * n, [0] * n
     classes, orders = [], []
     for g in range(n):
         if cls_of[g] >= 0:
@@ -227,7 +219,13 @@ def _invariants(G: FiniteGroup) -> GroupInvariants:
                     cls_of[y] = k
                     orbit.append(y)
         classes.append(tuple(sorted(orbit)))
-        orders.append(G.element_order(g))
+        if not order[g]:
+            powers = [g]
+            while powers[-1]:
+                powers.append(G.table[g][powers[-1]])
+            for i, x in enumerate(powers, 1):
+                order[x] = len(powers) // math.gcd(i, len(powers))
+        orders.append(order[g])
     return GroupInvariants(tuple(classes), tuple(cls_of), tuple(orders))
 
 
@@ -411,20 +409,19 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 def _group(name: str, gen_rows: list[tuple[int, ...]], labels: dict[str, int],
            names) -> FiniteGroup:
-    """The one way a table becomes a group: close the generator rows, read
-    the inverses off the closure, then check the axioms once.
+    """The one way a table becomes a group: close the generator rows with
+    Light's test inside and read the inverses off the closure.
 
-    row(a s) is row(a) read at row(s), one C-level gather per row; the
-    identity row is 0..n-1, and a's row at index s names the element a s.
-    Rows reached from the identity are shared-int tuples.  The closure
-    reaches each a s along a breadth-first tree, and inv(a s) = s^-1
-    inv(a) walks the inverses along it, s^-1 being where row s holds the
-    identity.
+    Row 0 is 0..n-1; a's row names a s at index s.  One C-level gather
+    per pair (a, s) reads row(a) at row(s): on a breadth-first tree pair
+    it is row(a s), on any other it must equal it, Light's test (a s) b =
+    a (s b) (Clifford-Preston 1.2), which G passes once each s does.
+    inv(a s) = s^-1 inv(a) walks the tree, s^-1 being where row s holds 0.
     """
     n = len(names)
-    rows: list[tuple[int, ...] | None] = [None] * n
-    rows[0] = tuple(range(n))
-    steps = [(row_s[0], itemgetter(*row_s)) for row_s in gen_rows]
+    rows: list[tuple[int, ...] | None] = [tuple(range(n))] + [None] * (n - 1)
+    # a one-entry gather is a scalar; n = 1 has no pair to test
+    steps = [(row_s[0], itemgetter(*row_s)) for row_s in gen_rows] if n > 1 else []
     tree = [(0, -1, -1)]
     for a, _, _ in tree:
         row_a = rows[a]
@@ -433,6 +430,8 @@ def _group(name: str, gen_rows: list[tuple[int, ...]], labels: dict[str, int],
             if rows[b] is None:
                 rows[b] = times_s(row_a)
                 tree.append((b, a, k))
+            elif rows[b] != times_s(row_a):
+                raise PresentationCollapse(f"{name}: associativity fails at {names[a]} * {names[s]}")
     if len(tree) != n:
         raise PresentationCollapse(
             f"{name}: generation fails; the generator rows reach {len(tree)} of {n} elements")
@@ -440,7 +439,7 @@ def _group(name: str, gen_rows: list[tuple[int, ...]], labels: dict[str, int],
         raise PresentationCollapse(f"{name}: inverse fails; a generator row lacks the identity")
     inverses = _walk(tree, 0, [rows[row_s.index(0)].__getitem__ for row_s in gen_rows])
     G = FiniteGroup(name, n, tuple(rows), tuple(inverses), labels, tuple(names))
-    check_group_axioms(G)
+    G.generators()  # labels must generate
     return G
 
 

@@ -166,6 +166,22 @@ def test_from_divisors_examples():
     assert FgAbelianGroup.from_divisors(0, [1, 1]) == TRIVIAL_GROUP
 
 
+@pytest.mark.parametrize("rank,torsion", [
+    (1.5, ()), (0, (2.0,)), (True, ()), (0, (True,)), (0, (2, 4.0)), ("1", ()),
+])
+def test_fg_abelian_group_refuses_a_rank_or_coefficient_that_is_not_an_int(rank, torsion):
+    # Z^1.5 and Z/2.0 printed, and Z/2.0 compared equal to Z/2
+    with pytest.raises(ValueError, match="is not an int"):
+        FgAbelianGroup(rank, torsion)
+
+
+def test_fg_abelian_group_stores_its_torsion_as_a_tuple():
+    # equal values are isomorphic groups, however the torsion was passed
+    g = FgAbelianGroup(0, [2, 4])
+    assert g.torsion == (2, 4) and g == FgAbelianGroup(0, (2, 4))
+    assert FgAbelianGroup(1, iter([3])) == FgAbelianGroup(1, (3,))
+
+
 def test_rendering():
     assert str(TRIVIAL_GROUP) == "0"
     assert str(FgAbelianGroup(1)) == "Z"

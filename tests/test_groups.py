@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,10 @@ from lowerk.errors import (
 )
 from lowerk.groups import (
     GroupHom,
+    _check_group_axioms,
     build_group,
     canonical_group_name,
     center,
-    check_group_axioms,
     conjugacy_classes,
     dicyclic_group,
     group_order,
@@ -37,7 +38,7 @@ BUNDLED = [
 @pytest.mark.parametrize("name", BUNDLED)
 def test_axioms_and_class_equation(name):
     G = build_group(name)
-    check_group_axioms(G)
+    _check_group_axioms(G)
     classes = conjugacy_classes(G)
     assert sum(len(c) for c in classes) == G.order
     assert classes[0] == (G.identity,)
@@ -454,13 +455,13 @@ def test_associativity_checked_above_order_64():
     from lowerk.groups import FiniteGroup
 
     G = build_group("dicyclic:128")
-    check_group_axioms(G)
+    _check_group_axioms(G)
     rows = [list(r) for r in G.table]
     rows[5][7], rows[5][9] = rows[5][9], rows[5][7]
     broken = FiniteGroup("broken", G.order, tuple(map(tuple, rows)), G.inverses,
                          G.generator_labels, G.element_names)
     with pytest.raises(PresentationCollapse):
-        check_group_axioms(broken)
+        _check_group_axioms(broken)
 
 
 def test_generator_checks_reject_bad_inputs():
@@ -500,8 +501,9 @@ def test_invariants_need_generating_labels():
 
 
 # --- the generator test against all-pairs oracles ----------------------------
-# GroupHom.is_homomorphism, check_group_axioms and GraphWithAction share one
-# test on generators; each is held here to a check over every pair or triple.
+# GroupHom.is_homomorphism and GraphWithAction share one test on generators,
+# which the group constructor makes inside its closure and the axiom check
+# reruns; each is held here to a check over every pair or triple.
 
 SMALL = ["cyclic:1", "cyclic:2", "cyclic:4", "cyclic:6", "cyclic:12", "dihedral:2",
          "dihedral:3", "dihedral:4", "dihedral:6", "quaternion:8", "dicyclic:12",
@@ -548,10 +550,113 @@ def test_axiom_check_matches_all_triples_on_swapped_entries(name, data):
     table = tuple(map(tuple, rows))
     H = FiniteGroup("swapped", G.order, table, G.inverses, G.generator_labels, G.element_names)
     if is_group_table(table, G.inverses):
-        check_group_axioms(H)
+        _check_group_axioms(H)
     else:
         with pytest.raises((PresentationCollapse, UnknownSymbol)):
-            check_group_axioms(H)
+            _check_group_axioms(H)
+
+
+def closure_is_a_group(gen_rows, n) -> bool:
+    """The oracle for `_group`: close the rows breadth first with no check,
+    then ask for a full group table, by all triples, in which each
+    generator row is the row of the element it names."""
+    rows = {0: tuple(range(n))}
+    queue = [0]
+    for a in queue:
+        for r in gen_rows:
+            b = rows[a][r[0]]
+            if b not in rows:
+                rows[b] = tuple(rows[a][r[j]] for j in range(n))
+                queue.append(b)
+    if len(rows) != n or not all(0 in rows[a] for a in range(n)):
+        return False
+    table = [rows[a] for a in range(n)]
+    return (is_group_table(table, [r.index(0) for r in table])
+            and all(table[r[0]] == tuple(r) for r in gen_rows))
+
+
+def _group_or_refusal(gen_rows, names):
+    """_group's table, or None when it refuses."""
+    from lowerk import groups
+    from lowerk.errors import PresentationCollapse
+
+    labels = {f"s{k}": r[0] for k, r in enumerate(gen_rows)}
+    try:
+        return groups._group("swapped", [tuple(r) for r in gen_rows], labels, names).table
+    except PresentationCollapse as exc:
+        assert "fails" in str(exc)
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL), st.data())
+def test_group_constructor_matches_a_naive_closure_on_swapped_generator_rows(name, data):
+    # the constructor tests associativity inside its closure, on the pairs
+    # off the breadth-first tree; a swap in a generator row may break the
+    # rows, move the row to another element or leave them a group
+    G = build_group(name)
+    gen_rows = [list(G.table[s]) for s in G.generators() or [G.identity]]
+    row = data.draw(st.sampled_from(gen_rows))
+    i, j = (data.draw(st.integers(0, G.order - 1)) for _ in range(2))
+    row[i], row[j] = row[j], row[i]
+    table = _group_or_refusal(gen_rows, G.element_names)
+    assert (table is not None) == closure_is_a_group(gen_rows, G.order)
+    if table is not None:
+        assert all(table[r[0]] == tuple(r) for r in gen_rows)
+
+
+def test_two_generator_rows_naming_one_element_must_agree():
+    # dihedral:3's rows with entries 0 and 4 of the rotation row swapped
+    # both name the reflection, with different rows
+    from lowerk import groups
+    from lowerk.errors import PresentationCollapse
+
+    G = build_group("dihedral:3")
+    r, s = G.table[G.generator_labels["r"]], G.table[G.generator_labels["s"]]
+    swapped = (r[4],) + r[1:4] + (r[0],) + r[5:]
+    assert swapped[0] == s[0] and swapped != s
+    assert not closure_is_a_group([swapped, s], G.order)
+    with pytest.raises(PresentationCollapse, match="associativity fails"):
+        groups._group("swapped", [swapped, s], {"r": s[0], "s": s[0]}, G.element_names)
+
+
+@pytest.mark.parametrize("name,gathers", [
+    ("dicyclic:512", 1024), ("cyclic:256", 256), ("symmetric:4", 48),
+    ("binary-octahedral", 192), ("cyclic:1", 0),
+])
+def test_group_constructor_gathers_each_pair_once(monkeypatch, name, gathers):
+    # k generator rows over n elements take k n gathers, the n - 1 tree
+    # pairs among them: the axiom check makes none of its own
+    from lowerk import groups
+
+    calls = []
+
+    def counting_itemgetter(*items):
+        gather = itemgetter(*items)
+
+        def counted(row):
+            calls.append(1)
+            return gather(row)
+        return counted
+
+    monkeypatch.setattr(groups, "itemgetter", counting_itemgetter)
+    G = groups._build.__wrapped__(canonical_group_name(name))
+    assert len(calls) == gathers == (len(G.generator_labels) * G.order if G.order > 1 else 0)
+
+
+def test_class_orders_come_from_power_walks(monkeypatch):
+    # the invariants never ask for one element's order; the orders are
+    # checked against an oracle in test_invariants
+    from lowerk import groups
+
+    def refuse(self, g):
+        raise AssertionError("element_order called")
+
+    monkeypatch.setattr(groups.FiniteGroup, "element_order", refuse)
+    for name in ("cyclic:1", "cyclic:256", "dicyclic:24", "symmetric:4", "binary-octahedral"):
+        G = groups._build.__wrapped__(canonical_group_name(name))
+        orders = G.invariants().orders
+        assert len(orders) == len(G.invariants().classes) and orders[0] == 1
 
 
 @settings(max_examples=200, deadline=None)
