@@ -258,13 +258,9 @@ class GraphWithAction:
             if lab not in generator_action:
                 raise NotAnAction(f"no action given for generator {lab!r}")
             self._check_generator(*generator_action[lab])
-        try:
-            tree = group.label_tree()
-        except UnknownSymbol:
-            raise NotAnAction("generator labels do not generate the acting group") from None
         labels = sorted(group.generator_labels)
         acts = [_then(*generator_action[lab]) for lab in labels]
-        self._perm = _walk(tree, (tuple(range(num_vertices)), tuple(range(ne))), acts)
+        self._perm = _walk(group.label_tree, (tuple(range(num_vertices)), tuple(range(ne))), acts)
         if not _respects(group, self._perm, [group.generator_labels[lab] for lab in labels], acts):
             raise NotAnAction("generator permutations are inconsistent")
         for g, (_, ep) in enumerate(self._perm):

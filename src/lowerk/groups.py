@@ -6,9 +6,9 @@ symmetric and binary polyhedral families; the binary octahedral group and
 its index-2 binary tetrahedral subgroup are realized by coset enumeration
 of their standard presentations (Wolf, Spaces of constant curvature,
 p. 198).  Every table, these and quotients and subgroups alike, comes from
-one constructor that closes generator rows and checks the group axioms;
-the inverses are read off the closure's breadth-first tree, so a
-constructor gives its generator rows alone.
+one constructor that closes labelled generator rows and checks the group
+axioms; its breadth-first tree is the label tree, and the inverses are
+read off it, so a constructor gives its labelled rows alone.
 
 One generator test serves every check of a map: `_respects` asks f(a s)
 == act_s(f(a)) for every element a and generator s, and `_walk` defines f
@@ -60,20 +60,21 @@ class GroupInvariants(Frozen):
 class FiniteGroup:
     """A finite group as an explicit multiplication table.
 
-    table[a][b] is the product a*b; index 0 is the identity.  Values are
-    immutable after construction and safe to share.
+    table[a][b] is the product a*b; index 0 is the identity; label_tree is
+    `spanning_tree` over the labels in sorted order.  Values are immutable
+    after construction and safe to share.
     """
 
     __slots__ = ("name", "order", "table", "inverses", "generator_labels", "element_names",
-                 "_tree", "_invariants")
+                 "label_tree", "_invariants")
     identity = 0
 
     def __init__(self, name: str, order: int, table: tuple[tuple[int, ...], ...],
                  inverses: tuple[int, ...], generator_labels: dict[str, int],
-                 element_names: tuple[str, ...]):
+                 element_names: tuple[str, ...], label_tree: tuple[tuple[int, int, int], ...]):
         self.name, self.order, self.table, self.inverses = name, order, table, inverses
         self.generator_labels, self.element_names = generator_labels, element_names
-        self._tree: list[tuple[int, int, int]] | None = None
+        self.label_tree = label_tree
         self._invariants: GroupInvariants | None = None
 
     def mul(self, a: int, b: int) -> int:
@@ -115,21 +116,8 @@ class FiniteGroup:
         return acc
 
     def generators(self) -> list[int]:
-        """The distinct elements named by generator labels, after checking
-        that they generate the group."""
-        self.label_tree()
+        """The distinct elements named by generator labels."""
         return sorted(set(self.generator_labels.values()))
-
-    def label_tree(self) -> list[tuple[int, int, int]]:
-        """spanning_tree over the generator labels in sorted order; its
-        generator entries index sorted(generator_labels)."""
-        if self._tree is None:
-            labels = sorted(self.generator_labels)
-            tree = spanning_tree(self, [self.generator_labels[lab] for lab in labels])
-            if len(tree) != self.order:
-                raise UnknownSymbol(f"generator labels of {self.name} do not generate it")
-            self._tree = tree
-        return self._tree
 
     def invariants(self) -> GroupInvariants:
         """Classes, class_of and class orders, computed on first use."""
@@ -154,24 +142,31 @@ class Subgroup(Frozen):
 
 
 class GroupHom(Record):
-    """A homomorphism given by images of the source's labelled generators."""
+    """A homomorphism given by images of the source's labels, copied: one
+    int in range(target.order) per label, or ValueError."""
 
     __slots__ = ("source", "target", "images", "_full")
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images: dict[str, int]):
-        self.source, self.target, self.images = source, target, images
+        if images.keys() != source.generator_labels.keys():
+            lab = min(images.keys() ^ source.generator_labels.keys(), key=repr)
+            raise ValueError(f"{lab!r} is not a label of {source.name}" if lab in images
+                             else f"label {lab!r} of {source.name} has no image")
+        for lab, h in images.items():
+            if isinstance(h, bool) or not isinstance(h, int) or not 0 <= h < target.order:
+                raise ValueError(f"image {h!r} of {lab!r} is not an element of {target.name}")
+        self.source, self.target, self.images = source, target, dict(images)
         self._full: tuple[int, ...] | None = None
 
     def full_map(self) -> tuple[int, ...]:
         """The walk: f(g s) = f(g) f(s) along the source's label tree."""
         if self._full is None:
-            self._full = tuple(_walk(self.source.label_tree(), self.target.identity,
+            self._full = tuple(_walk(self.source.label_tree, self.target.identity,
                                      self._acts()))
         return self._full
 
     def _acts(self) -> list:
-        return _right_muls(self.target, [self.images[lab]
-                                         for lab in sorted(self.source.generator_labels)])
+        return _right_muls(self.target, [self.images[lab] for lab in sorted(self.images)])
 
     def is_homomorphism(self) -> bool:
         """True iff the generator images extend to a homomorphism."""
@@ -191,7 +186,7 @@ def _check_group_axioms(G: FiniteGroup) -> None:
     """`_group` on G's label rows must rebuild G's table and inverses."""
     if len(G.table) != G.order or any(len(r) != G.order for r in G.table):
         raise PresentationCollapse(f"{G.name}: table shape mismatch")
-    H = _group(G.name, [G.table[s] for s in G.generators()], G.generator_labels, G.element_names)
+    H = _group(G.name, {lab: G.table[s] for lab, s in G.generator_labels.items()}, G.element_names)
     if (H.table, H.inverses) != (G.table, G.inverses):
         raise PresentationCollapse(f"{G.name}: associativity or inverse fails")
 
@@ -313,10 +308,10 @@ def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
             for x in N.elements:
                 coset_of[row[x]] = len(reps)
             reps.append(g)
-    labels = {lab: coset_of[g] for lab, g in G.generator_labels.items()}
     return _group(f"{G.name}/N{N.order}",
-                  [tuple(coset_of[G.table[s][g]] for g in reps) for s in G.generators()],
-                  labels, [f"[{G.element_names[g]}]" for g in reps])
+                  {lab: tuple(coset_of[G.table[s][g]] for g in reps)
+                   for lab, s in G.generator_labels.items()},
+                  [f"[{G.element_names[g]}]" for g in reps])
 
 
 def subgroup_as_group(S: Subgroup, name: str,
@@ -325,19 +320,19 @@ def subgroup_as_group(S: Subgroup, name: str,
 
     `labels` maps generator names to parent element indices; when omitted a
     greedy generating set is chosen and labelled by parent element names.
+    A label outside S raises UnknownSymbol.
     """
     parent = S.parent
     elems = tuple(sorted(S.elements))
     index_of = {g: i for i, g in enumerate(elems)}
-    n = len(elems)
     if labels is None:
         labels = {parent.element_names[g]: g for g in _greedy_generators(parent, elems)}
-    local = {lab: index_of[g] for lab, g in labels.items()}
-    if len(spanning_tree(parent, labels.values())) != n:
-        raise UnknownSymbol(f"generator labels of {name} do not generate it")
-    H = _group(name, [tuple(index_of[parent.table[s][g]] for g in elems)
-                      for s in sorted(set(labels.values()))],
-               local, [parent.element_names[g] for g in elems])
+    for lab, s in labels.items():
+        if s not in index_of:
+            raise UnknownSymbol(f"label {lab!r} of {name} is outside the subgroup")
+    H = _group(name, {lab: tuple(index_of[parent.table[s][g]] for g in elems)
+                      for lab, s in labels.items()},
+               [parent.element_names[g] for g in elems])
     return H, elems
 
 
@@ -407,18 +402,20 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 # constructors
 # ---------------------------------------------------------------------------
 
-def _group(name: str, gen_rows: list[tuple[int, ...]], labels: dict[str, int],
-           names) -> FiniteGroup:
-    """The one way a table becomes a group: close the generator rows with
-    Light's test inside and read the inverses off the closure.
+def _group(name: str, label_rows: dict[str, tuple[int, ...]], names) -> FiniteGroup:
+    """The one way a table becomes a group: close the rows {label: row} in
+    sorted-label order with Light's test inside; read the labels, the label
+    tree and the inverses off the closure.
 
     Row 0 is 0..n-1; a's row names a s at index s.  One C-level gather
     per pair (a, s) reads row(a) at row(s): on a breadth-first tree pair
     it is row(a s), on any other it must equal it, Light's test (a s) b =
-    a (s b) (Clifford-Preston 1.2), which G passes once each s does.
-    inv(a s) = s^-1 inv(a) walks the tree, s^-1 being where row s holds 0.
+    a (s b) (Clifford-Preston 1.2), which G passes once each s does.  The
+    tree, spanning_tree's over the labels, must reach every element.
+    inv(a s) = s^-1 inv(a) walks it, s^-1 being where row s holds 0.
     """
     n = len(names)
+    gen_rows = [label_rows[lab] for lab in sorted(label_rows)]
     rows: list[tuple[int, ...] | None] = [tuple(range(n))] + [None] * (n - 1)
     # a one-entry gather is a scalar; n = 1 has no pair to test
     steps = [(row_s[0], itemgetter(*row_s)) for row_s in gen_rows] if n > 1 else []
@@ -438,9 +435,8 @@ def _group(name: str, gen_rows: list[tuple[int, ...]], labels: dict[str, int],
     if not all(0 in row_s for row_s in gen_rows):
         raise PresentationCollapse(f"{name}: inverse fails; a generator row lacks the identity")
     inverses = _walk(tree, 0, [rows[row_s.index(0)].__getitem__ for row_s in gen_rows])
-    G = FiniteGroup(name, n, tuple(rows), tuple(inverses), labels, tuple(names))
-    G.generators()  # labels must generate
-    return G
+    return FiniteGroup(name, n, tuple(rows), tuple(inverses),
+                       {lab: row[0] for lab, row in label_rows.items()}, tuple(names), tuple(tree))
 
 
 def _power_name(letter: str, i: int) -> str:
@@ -452,7 +448,7 @@ def _power_name(letter: str, i: int) -> str:
 
 
 def _cyclic(n: int, name: str) -> FiniteGroup:
-    return _group(name, [tuple((1 + j) % n for j in range(n))], {"g": 1 % n} if n > 1 else {},
+    return _group(name, {"g": tuple((1 + j) % n for j in range(n))} if n > 1 else {},
                   [_power_name("g", i) for i in range(n)])
 
 
@@ -468,7 +464,7 @@ def _metacyclic(m: int, t: int, letters: tuple[str, str], name: str) -> FiniteGr
     y_row = tuple(range(m, 2 * m)) + tuple((t + i) % m for i in range(m))
     names = [_power_name(ax, i) for i in range(m)] + [
         ay if i == 0 else f"{ay}*{_power_name(ax, i)}" for i in range(m)]
-    return _group(name, [x_row, y_row], {ax: 1, ay: m} if m > 1 else {ay: m}, names)
+    return _group(name, {ax: x_row, ay: y_row} if m > 1 else {ay: y_row}, names)
 
 
 def dicyclic_group(order: int, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
@@ -502,15 +498,10 @@ def _symmetric(n: int, name: str) -> FiniteGroup:
     def compose(p, q):
         return tuple(p[q[i]] for i in range(n))
 
-    labels = {}
-    if n >= 2:
-        t = tuple([1, 0] + list(range(2, n)))
-        labels["t"] = index_of[t]
-        c = tuple((i + 1) % n for i in range(n))
-        labels["c"] = index_of[c]
-    return _group(name, [tuple(index_of[compose(elems[g], q)] for q in elems)
-                         for g in labels.values()],
-                  labels, [_cycle_notation(p) for p in elems])
+    perms = {"t": (1, 0, *range(2, n)), "c": (*range(1, n), 0)} if n >= 2 else {}
+    return _group(name, {lab: tuple(index_of[compose(p, q)] for q in elems)
+                         for lab, p in perms.items()},
+                  [_cycle_notation(p) for p in elems])
 
 
 def group_from_coset_table(ct, name: str) -> FiniteGroup:
@@ -529,13 +520,13 @@ def group_from_coset_table(ct, name: str) -> FiniteGroup:
             f"{name}: generation fails; the letters reach {len(tree)} of {ct.index} cosets")
     acts = [col.__getitem__ for col in cols]
     words = _walk(tree, (), [lambda w, x=x: w + (x,) for x in letters])
-    labels = {sym: col[0] for sym, col in zip(ct.generators, cols)}
-    G = _group(name, [_walk(tree, s, acts) for s in labels.values()], labels,
+    G = _group(name, {sym: _walk(tree, col[0], acts) for sym, col in zip(ct.generators, cols)},
                [str(Word(w)).replace(" ", "*") for w in words])
     # over the trivial subgroup each generator acts on the cosets as right
     # multiplication by its label; over a larger one the rows can still
     # close into a group, but not into this one
-    if not _respects(G, range(G.order), list(labels.values()), acts[:len(labels)]):
+    labels = list(G.generator_labels.values())
+    if not _respects(G, range(G.order), labels, acts[:len(labels)]):
         raise PresentationCollapse(
             f"{name}: the coset action fails to be right multiplication; the subgroup is not trivial")
     return G

@@ -367,7 +367,7 @@ def test_generator_rows_that_make_no_group_are_refused(gen_rows, message):
 
     names = [str(i) for i in range(len(gen_rows[0]))]
     with pytest.raises(PresentationCollapse, match=message):
-        groups._group("rows", gen_rows, {"s": gen_rows[0][0]}, names)
+        groups._group("rows", {"s": gen_rows[0]}, names)
 
 
 def test_a_coset_table_its_letters_do_not_connect_is_refused():
@@ -459,7 +459,7 @@ def test_associativity_checked_above_order_64():
     rows = [list(r) for r in G.table]
     rows[5][7], rows[5][9] = rows[5][9], rows[5][7]
     broken = FiniteGroup("broken", G.order, tuple(map(tuple, rows)), G.inverses,
-                         G.generator_labels, G.element_names)
+                         G.generator_labels, G.element_names, G.label_tree)
     with pytest.raises(PresentationCollapse):
         _check_group_axioms(broken)
 
@@ -488,16 +488,83 @@ def test_generator_checks_reject_bad_inputs():
 
 
 def test_invariants_need_generating_labels():
-    from lowerk.errors import UnknownSymbol
-    from lowerk.groups import FiniteGroup
+    # the invariants walk the labels' conjugation orbits, so a group whose
+    # labels do not generate it is never built
+    from lowerk import groups
+    from lowerk.errors import PresentationCollapse
 
     G = build_group("dicyclic:12")
-    partial = FiniteGroup("partial", G.order, G.table, G.inverses,
-                          {"x": G.generator_labels["x"]}, G.element_names)
-    with pytest.raises(UnknownSymbol):
-        conjugacy_classes(partial)
-    with pytest.raises(UnknownSymbol):
-        center(partial)
+    with pytest.raises(PresentationCollapse, match="generation fails; the generator rows reach 6 of 12"):
+        groups._group("partial", {"x": G.table[G.generator_labels["x"]]}, G.element_names)
+
+
+def test_subgroup_as_group_refuses_labels_outside_the_subgroup_or_not_generating_it():
+    from lowerk.errors import PresentationCollapse, UnknownSymbol
+
+    S3 = build_group("symmetric:3")
+    t, u = (S3.element_names.index(name) for name in ("(0 1)", "(0 2)"))
+    S = subgroup_generated(S3, [t])
+    # u generates a subgroup of the same order as S, outside it
+    with pytest.raises(UnknownSymbol, match="'u' of sub is outside"):
+        subgroup_as_group(S, "sub", {"u": u})
+    with pytest.raises(PresentationCollapse, match="generation fails; the generator rows reach 1 of 2"):
+        subgroup_as_group(S, "sub", {"e": S3.identity})
+    H, elems = subgroup_as_group(S, "sub", {"t": t})
+    assert elems == S.elements and H.generator_labels == {"t": 1}
+
+
+def test_group_hom_refuses_malformed_images():
+    # the images are keyed by exactly the source's labels, each an int
+    # element index of the target
+    S3, C6 = build_group("symmetric:3"), build_group("cyclic:6")
+    for images, label in (({"t": -1, "c": 0}, "'t'"), ({"t": True, "c": 0}, "'t'"),
+                          ({"t": 7, "c": 0}, "'t'"), ({"t": 6, "c": 0}, "'t'"),
+                          ({"t": 3, "c": 0.0}, "'c'"), ({"t": "3", "c": 0}, "'t'"),
+                          ({"c": 0}, "'t' of symmetric:3 has no image"),
+                          ({"t": 3, "c": 0, "u": 0}, "'u' is not a label of symmetric:3")):
+        with pytest.raises(ValueError, match=label):
+            GroupHom(S3, C6, images)
+    images = {"t": 3, "c": 0}
+    hom = GroupHom(S3, C6, images)
+    images["t"] = -1   # the map keeps the images it checked
+    assert hom.is_homomorphism() and hom.images == {"t": 3, "c": 0}
+
+
+def test_the_label_tree_is_the_breadth_first_tree_over_sorted_labels():
+    from lowerk.casebook import pure_braid_graph_fixture
+    from lowerk.groups import spanning_tree
+
+    am = pure_braid_graph_fixture().segment_amalgam()
+    for G in [G for G, _ in _every_construction()] + [am.A, am.B, am.C]:
+        labels = G.generator_labels
+        assert list(G.label_tree) == spanning_tree(G, [labels[lab] for lab in sorted(labels)]), G.name
+
+
+@pytest.mark.parametrize("name,trees", [
+    ("cyclic:256", 0), ("dicyclic:512", 0), ("symmetric:5", 0),
+    ("binary-octahedral", 1),     # the coset tree
+    ("binary-tetrahedral", 1),    # the subgroup of O* its labels generate
+    ("binary-octahedral/Z", 0),   # the central quotient
+])
+def test_a_build_walks_no_tree_besides_its_closure(monkeypatch, name, trees):
+    # the closure's tree is the label tree, so no build walks the group it
+    # made a second time
+    from lowerk import groups
+
+    O = build_group("binary-octahedral")
+    calls = []
+    spanning_tree = groups.spanning_tree
+
+    def counted(G, gens):
+        calls.append(G)
+        return spanning_tree(G, gens)
+
+    monkeypatch.setattr(groups, "spanning_tree", counted)
+    if name == "binary-octahedral/Z":
+        quotient(O, center(O))
+    else:
+        groups._build.__wrapped__(canonical_group_name(name))
+    assert len(calls) == trees
 
 
 # --- the generator test against all-pairs oracles ----------------------------
@@ -540,7 +607,7 @@ def is_group_table(table, inverses) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SMALL), st.data())
 def test_axiom_check_matches_all_triples_on_swapped_entries(name, data):
-    from lowerk.errors import PresentationCollapse, UnknownSymbol
+    from lowerk.errors import PresentationCollapse
     from lowerk.groups import FiniteGroup
 
     G = build_group(name)
@@ -548,11 +615,12 @@ def test_axiom_check_matches_all_triples_on_swapped_entries(name, data):
     rows = [list(r) for r in G.table]
     rows[a][b], rows[a][c] = rows[a][c], rows[a][b]   # b == c leaves the group
     table = tuple(map(tuple, rows))
-    H = FiniteGroup("swapped", G.order, table, G.inverses, G.generator_labels, G.element_names)
+    H = FiniteGroup("swapped", G.order, table, G.inverses, G.generator_labels, G.element_names,
+                    G.label_tree)
     if is_group_table(table, G.inverses):
         _check_group_axioms(H)
     else:
-        with pytest.raises((PresentationCollapse, UnknownSymbol)):
+        with pytest.raises(PresentationCollapse):
             _check_group_axioms(H)
 
 
@@ -580,9 +648,9 @@ def _group_or_refusal(gen_rows, names):
     from lowerk import groups
     from lowerk.errors import PresentationCollapse
 
-    labels = {f"s{k}": r[0] for k, r in enumerate(gen_rows)}
     try:
-        return groups._group("swapped", [tuple(r) for r in gen_rows], labels, names).table
+        return groups._group("swapped", {f"s{k}": tuple(r) for k, r in enumerate(gen_rows)},
+                             names).table
     except PresentationCollapse as exc:
         assert "fails" in str(exc)
         return None
@@ -617,7 +685,7 @@ def test_two_generator_rows_naming_one_element_must_agree():
     assert swapped[0] == s[0] and swapped != s
     assert not closure_is_a_group([swapped, s], G.order)
     with pytest.raises(PresentationCollapse, match="associativity fails"):
-        groups._group("swapped", [swapped, s], {"r": s[0], "s": s[0]}, G.element_names)
+        groups._group("swapped", {"r": swapped, "s": s}, G.element_names)
 
 
 @pytest.mark.parametrize("name,gathers", [
