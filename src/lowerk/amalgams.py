@@ -8,7 +8,9 @@ syllable, so every operation builds its result once from a reversed list
 of syllables, linear in the syllables it touches: a product reduces only
 at the junction, a power squares and multiplies, and an element order
 comes from one two-pointer pass of cyclic reduction.  Uniqueness of the
-form makes equality a plain comparison (Serre, Trees).
+form makes equality a plain comparison (Serre, Trees).  An amalgam is
+read off its two embeddings of the edge group, and a word is read
+through one table of the vertex groups' labels.
 """
 
 from __future__ import annotations
@@ -62,22 +64,28 @@ class AmalgamElement(Frozen):
 
 
 class Amalgam:
-    """A *_C B built from two verified injective embeddings of C."""
+    """A *_C B, fixed by injective embeddings iA: C -> A and iB: C -> B
+    (Serre, Trees, I.1).  A label of both A and B is read only when both
+    readings are one element of the amalgam, and is refused otherwise."""
 
-    def __init__(self, A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
-                 iA: GroupHom, iB: GroupHom):
-        for hom, vertex in ((iA, A), (iB, B)):
-            if hom.source is not C or hom.target is not vertex:
-                raise NotHomomorphism("embedding endpoints do not match the amalgam data")
+    def __init__(self, iA: GroupHom, iB: GroupHom):
+        if iA.source is not iB.source:
+            raise NotHomomorphism("the two embeddings have different sources")
+        for hom in (iA, iB):
             if not hom.is_homomorphism():
-                raise NotHomomorphism(f"embedding into {vertex.name} is not a homomorphism")
+                raise NotHomomorphism(f"embedding into {hom.target.name} is not a homomorphism")
             if not hom.is_injective():
-                raise NotInjective(f"embedding into {vertex.name} is not injective")
-        self.A, self.B, self.C = A, B, C
+                raise NotInjective(f"embedding into {hom.target.name} is not injective")
+        self.A, self.B, self.C = iA.target, iB.target, iA.source
         self.iA, self.iB = iA, iB
-        self._vertex = (A, B)
+        self._vertex = (self.A, self.B)
         self._embed = (iA.full_map(), iB.full_map())
         self._transversal, self._factor = zip(*map(self._cosets, (SIDE_A, SIDE_B)))
+        self._symbols = {sym: (SIDE_A, g) for sym, g in self.A.generator_labels.items()}
+        for sym, g in self.B.generator_labels.items():
+            first = self._symbols.setdefault(sym, (SIDE_B, g))
+            if self.embed_vertex(*first) != self.embed_vertex(SIDE_B, g):
+                del self._symbols[sym]
 
     def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         """Right-coset representatives of the embedded edge group, and for
@@ -150,7 +158,9 @@ class Amalgam:
         return AmalgamElement(head, tuple(reversed(rev)))
 
     def power(self, e: AmalgamElement, n: int) -> AmalgamElement:
-        """e^n by square-and-multiply."""
+        """e^n by square-and-multiply; n is an int, not a bool."""
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"exponent {n!r} is not an int")
         if n < 0:
             e, n = self.inv(e), -n
         out = self.identity_element
@@ -167,19 +177,16 @@ class Amalgam:
         head = self._left_mul(side, x, self.C.identity, rev)
         return AmalgamElement(head, tuple(rev))
 
-    def _resolve(self, sym: str) -> tuple[int, int]:
-        if sym in self.A.generator_labels:
-            return SIDE_A, self.A.generator_labels[sym]
-        if sym in self.B.generator_labels:
-            return SIDE_B, self.B.generator_labels[sym]
-        raise UnknownSymbol(f"{sym!r} is not a generator label of either vertex group")
-
     def evaluate(self, word: Word) -> AmalgamElement:
         """Normal form of a word over the vertex groups' generator labels."""
         rev: list[tuple[int, int]] = []
         head = self.C.identity
         for sym, exp in reversed(word.entries):
-            side, g = self._resolve(sym)
+            try:
+                side, g = self._symbols[sym]
+            except KeyError:
+                raise UnknownSymbol(
+                    f"{sym!r} does not label exactly one amalgam element") from None
             head = self._left_mul(side, self._vertex[side].power(g, exp), head, rev)
         return AmalgamElement(head, tuple(reversed(rev)))
 
@@ -228,12 +235,12 @@ class Amalgam:
 class GraphWithAction:
     """A finite group acting on an oriented graph without edge inversions.
 
-    `generator_action` maps each generator label of the group to a pair
-    (vertex permutation, edge permutation).  Each generator is checked to
-    be a permutation preserving incidence and reversal; products of such
-    permutations are again such, so the action of every element, walked
-    along the group's label tree as act(g s) = act(g) o act(s) and checked
-    by the generator test, is one too.
+    `generator_action` maps the generator labels of the group, and no other
+    key, to pairs (vertex permutation, edge permutation).  Each generator
+    is checked to be a permutation preserving incidence and reversal;
+    products of such permutations are again such, so the action of every
+    element, walked along the group's label tree as act(g s) = act(g) o
+    act(s) and checked by the generator test, is one too.
     """
 
     def __init__(self, group: FiniteGroup, num_vertices: int,
@@ -254,9 +261,11 @@ class GraphWithAction:
             o, t = edge_endpoints[e]
             if edge_endpoints[r] != (t, o):
                 raise NotAnAction("reversal must swap endpoints")
+        if generator_action.keys() != group.generator_labels.keys():
+            lab = min(generator_action.keys() ^ group.generator_labels.keys(), key=repr)
+            raise NotAnAction(f"{lab!r} is not a generator label of {group.name}" if lab in
+                              generator_action else f"no action given for generator {lab!r}")
         for lab in group.generator_labels:
-            if lab not in generator_action:
-                raise NotAnAction(f"no action given for generator {lab!r}")
             self._check_generator(*generator_action[lab])
         labels = sorted(group.generator_labels)
         acts = [_then(*generator_action[lab]) for lab in labels]
@@ -318,17 +327,14 @@ class GraphWithAction:
         edge 0, which represents the first edge orbit."""
         if not self.is_segment():
             raise NotAnAction("quotient graph is not a single segment")
-        o, t = self.edge_endpoints[0]
         C, c_elems = subgroup_as_group(self.stabilizer(EDGES, 0), "edge-stabilizer")
-        A, a_elems = subgroup_as_group(self.stabilizer(VERTICES, o), "origin-stabilizer")
-        B, b_elems = subgroup_as_group(self.stabilizer(VERTICES, t), "target-stabilizer")
-        a_index = {g: i for i, g in enumerate(a_elems)}
-        b_index = {g: i for i, g in enumerate(b_elems)}
-        iA = GroupHom(C, A, {lab: a_index[c_elems[g]]
-                             for lab, g in C.generator_labels.items()})
-        iB = GroupHom(C, B, {lab: b_index[c_elems[g]]
-                             for lab, g in C.generator_labels.items()})
-        return Amalgam(A, B, C, iA, iB)
+        embeddings = []
+        for v, name in zip(self.edge_endpoints[0], ("origin-stabilizer", "target-stabilizer")):
+            V, v_elems = subgroup_as_group(self.stabilizer(VERTICES, v), name)
+            index = {g: i for i, g in enumerate(v_elems)}
+            embeddings.append(GroupHom(C, V, {lab: index[c_elems[g]]
+                                              for lab, g in C.generator_labels.items()}))
+        return Amalgam(*embeddings)
 
 
 def _then(vp, ep):

@@ -11,6 +11,7 @@ import math
 
 from .abelian import FgAbelianGroup, TRIVIAL_GROUP
 from .amalgams import EDGES, VERTICES, Amalgam, GraphWithAction
+from .errors import UnknownSymbol
 from .fusion import p_singular_classes
 from .groups import (
     FiniteGroup,
@@ -148,7 +149,7 @@ def full_braid_amalgam() -> Amalgam:
     i_a = GroupHom(dic12, ostar,
                    {"w": ostar.evaluate(parse_word("P^2 X^-1")),
                     "z": ostar.evaluate(parse_word("P^2 X R"))})
-    return Amalgam(ostar, dic24, dic12, i_a, i_b)
+    return Amalgam(i_a, i_b)
 
 
 # phi: images of the braid generators inside the amalgam
@@ -174,7 +175,7 @@ def phi(am: Amalgam, vb_word: Word):
     spliced = []
     for sym, exp in vb_word.entries:
         if sym not in PHI_IMAGES:
-            raise KeyError(f"not a braid generator: {sym}")
+            raise UnknownSymbol(f"{sym!r} is not a braid generator")
         spliced.extend((PHI_IMAGES[sym] ** exp).entries)
     return am.evaluate(Word(spliced))
 

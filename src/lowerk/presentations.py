@@ -375,16 +375,20 @@ def verify_homomorphism(pres: Presentation, target, images: dict) -> HomReport:
     """Check that generator images kill every relator of `pres`.
 
     `target` is any word-evaluable group: it must expose `evaluate(word)`,
-    `mul` and `power`, and evaluates the empty word to its identity.  Image
-    values may be Words over the target's own generator labels or raw
-    target elements.
+    `mul` and `power`, and evaluates the empty word to its identity.
+    `images` maps each generator of `pres`, and no other key, to a Word
+    over the target's own generator labels; an image that is not a Word
+    raises ValueError.
     """
+    if images.keys() != set(pres.generators):
+        sym = min(images.keys() ^ set(pres.generators), key=repr)
+        raise UnknownSymbol(f"{sym!r} is not a generator of the presentation" if sym in images
+                            else f"no image given for generator {sym!r}")
     resolved = {}
-    for sym in pres.generators:
-        if sym not in images:
-            raise UnknownSymbol(f"no image given for generator {sym!r}")
-        img = images[sym]
-        resolved[sym] = target.evaluate(img) if isinstance(img, Word) else img
+    for sym, img in images.items():
+        if not isinstance(img, Word):
+            raise ValueError(f"image {img!r} of {sym!r} is not a Word")
+        resolved[sym] = target.evaluate(img)
     identity = target.evaluate(Word())
     failing = []
     for rel in pres.relators:

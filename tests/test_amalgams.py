@@ -20,7 +20,7 @@ from lowerk.amalgams import (
     VERTICES,
 )
 from lowerk.casebook import PHI_IMAGES, full_braid_amalgam, phi, pure_braid_graph_fixture
-from lowerk.errors import EdgeInversion, NotAnAction, NotHomomorphism, NotInjective
+from lowerk.errors import EdgeInversion, NotAnAction, NotHomomorphism, NotInjective, UnknownSymbol
 from lowerk.groups import GroupHom, build_group, is_isomorphic
 from lowerk.presentations import Word, parse_word, van_buskirk, verify_homomorphism
 
@@ -28,7 +28,7 @@ from lowerk.presentations import Word, parse_word, van_buskirk, verify_homomorph
 def degenerate_amalgam(name="quaternion:8"):
     G = build_group(name)
     ident = GroupHom(G, G, dict(G.generator_labels))
-    return Amalgam(G, G, G, ident, ident)
+    return Amalgam(ident, ident)
 
 
 def pb3_amalgam():
@@ -37,7 +37,7 @@ def pb3_amalgam():
     Z2 = build_group("cyclic:2")
     iA = GroupHom(Z2, Z4, {"g": Z4.power(Z4.generator_labels["g"], 2)})
     iB = GroupHom(Z2, Q8, {"g": Q8.power(Q8.generator_labels["x"], 2)})
-    return Amalgam(Z4, Q8, Z2, iA, iB)
+    return Amalgam(iA, iB)
 
 
 def test_degenerate_amalgam_every_element_has_empty_syllables():
@@ -63,11 +63,59 @@ def test_construct_rejects_bad_embeddings():
     not_inj = GroupHom(Z2, Z4, {"g": Z4.identity})
     ok = GroupHom(Z2, Q8, {"g": Q8.power(Q8.generator_labels["x"], 2)})
     with pytest.raises(NotInjective):
-        Amalgam(Z4, Q8, Z2, not_inj, ok)
+        Amalgam(not_inj, ok)
     Z3 = build_group("cyclic:3")
     not_hom = GroupHom(Z3, Z4, {"g": Z4.generator_labels["g"]})
     with pytest.raises((NotHomomorphism, NotInjective)):
-        Amalgam(Z4, Q8, Z3, not_hom, GroupHom(Z3, Q8, {"g": Q8.identity}))
+        Amalgam(not_hom, GroupHom(Z3, Q8, {"g": Q8.identity}))
+
+
+def test_construct_rejects_embeddings_of_different_sources():
+    # each is an injective homomorphism; only their sources disagree
+    Z1, Z2, Z4 = build_group("cyclic:1"), build_group("cyclic:2"), build_group("cyclic:4")
+    iA = GroupHom(Z2, Z4, {"g": Z4.power(Z4.generator_labels["g"], 2)})
+    iB = GroupHom(Z1, Z4, {})
+    with pytest.raises(NotHomomorphism, match="different sources"):
+        Amalgam(iA, iB)
+
+
+def test_a_symbol_naming_two_elements_is_refused():
+    # y labels Q8's y and the Z/4 stabilizer's generator, two elements
+    # outside the edge group on different sides
+    am = pure_braid_graph_fixture().segment_amalgam()
+    assert "y" in am.A.generator_labels and "y" in am.B.generator_labels
+    with pytest.raises(UnknownSymbol, match="'y'"):
+        am.evaluate(parse_word("y"))
+    with pytest.raises(UnknownSymbol, match="'y'"):
+        am.evaluate(parse_word("x y"))
+    x = am.A.generator_labels["x"]
+    assert am.evaluate(parse_word("x")) == am.embed_vertex(SIDE_A, x)
+    assert am.evaluate(parse_word("x^2")) == am.embed_vertex(SIDE_A, am.A.power(x, 2))
+
+
+@pytest.mark.parametrize("which", ["pb3", "b3", "degenerate", "pb3-segment"])
+def test_each_table_symbol_evaluates_to_its_vertex_element(which):
+    am = amalgam_named(which)
+    assert am._symbols
+    for sym, (side, g) in am._symbols.items():
+        assert g == am._vertex[side].generator_labels[sym]
+        assert am.evaluate(Word(((sym, 1),))) == am.embed_vertex(side, g)
+    shared = am.A.generator_labels.keys() & am.B.generator_labels.keys()
+    if which == "degenerate":
+        assert shared and shared <= am._symbols.keys()
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_power_refuses_an_exponent_that_is_not_an_int(n):
+    am = amalgam_named("b3")
+    e = am.evaluate(parse_word("P Y"))
+    with pytest.raises(ValueError, match="not an int"):
+        am.power(e, n)
+
+
+def test_phi_refuses_a_symbol_that_is_not_a_braid_generator():
+    with pytest.raises(UnknownSymbol, match="'s9'"):
+        phi(amalgam_named("b3"), parse_word("s1 s9"))
 
 
 def _random_word(rng, symbols, max_len=6):
@@ -155,8 +203,6 @@ def test_broken_image_fails_one_relator():
 
 
 def test_evaluate_unknown_symbol():
-    from lowerk.errors import UnknownSymbol
-
     am = full_braid_amalgam()
     with pytest.raises(UnknownSymbol):
         am.evaluate(parse_word("W^2"))
@@ -232,7 +278,7 @@ def seed_power(am, e, n):
 def seed_evaluate(am, word):
     out = am.identity_element
     for sym, exp in reversed(word.entries):
-        side, g = am._resolve(sym)
+        side, g = am._symbols[sym]
         out = seed_left_mul_vertex(am, side, am._vertex[side].power(g, exp), out)
     return out
 
@@ -253,7 +299,8 @@ def seed_order_of(am, e):
 
 @functools.cache
 def amalgam_named(which):
-    return {"pb3": pb3_amalgam, "b3": full_braid_amalgam, "degenerate": degenerate_amalgam}[which]()
+    return {"pb3": pb3_amalgam, "b3": full_braid_amalgam, "degenerate": degenerate_amalgam,
+            "pb3-segment": lambda: pure_braid_graph_fixture().segment_amalgam()}[which]()
 
 
 amalgam_names = st.sampled_from(["pb3", "b3", "degenerate"])
@@ -460,6 +507,14 @@ def test_inconsistent_action_detected():
 
 def _z2_on_segment(vp, ep):
     return GraphWithAction(build_group("cyclic:2"), 2, ((0, 1), (1, 0)), (1, 0), {"g": (vp, ep)})
+
+
+def test_action_refuses_a_key_that_is_not_a_generator_label():
+    with pytest.raises(NotAnAction, match="'h' is not a generator label"):
+        GraphWithAction(build_group("cyclic:2"), 2, ((0, 1), (1, 0)), (1, 0),
+                        {"g": ((0, 1), (0, 1)), "h": ((1, 0), (1, 0))})
+    with pytest.raises(NotAnAction, match="no action given for generator 'g'"):
+        GraphWithAction(build_group("cyclic:2"), 2, ((0, 1), (1, 0)), (1, 0), {})
 
 
 def test_action_rejects_non_permutation():

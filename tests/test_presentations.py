@@ -156,24 +156,36 @@ def test_verify_homomorphism_identity_images():
 
 
 def test_verify_homomorphism_with_quotient_projection():
-    from lowerk.groups import GroupHom, center, quotient
+    from lowerk.groups import center, quotient
 
     pres = Presentation(("x", "y"), (parse_word("x^6 y^-2"), parse_word("y x y^-1 x")))
     D24 = build_group("dicyclic:24")
-    in_group = {g: D24.generator_labels[g] for g in ("x", "y")}
-    assert verify_homomorphism(pres, D24, in_group).ok
-    Q = quotient(D24, center(D24))
-    proj = GroupHom(D24, Q, Q.generator_labels)
-    images = {g: proj.full_map()[D24.generator_labels[g]] for g in ("x", "y")}
-    assert verify_homomorphism(pres, Q, images).ok
+    images = {g: parse_word(g) for g in ("x", "y")}
+    assert verify_homomorphism(pres, D24, images).ok
+    # the quotient keeps D24's labels, so the same words name the projections
+    assert verify_homomorphism(pres, quotient(D24, center(D24)), images).ok
 
 
 def test_verify_homomorphism_reports_failures():
     pres = Presentation(("x",), (parse_word("x^5"),))
     Z4 = build_group("cyclic:4")
-    report = verify_homomorphism(pres, Z4, {"x": Z4.generator_labels["g"]})
+    report = verify_homomorphism(pres, Z4, {"x": parse_word("g")})
     assert not report.ok
     assert report.failing_relators == [parse_word("x^5")]
+
+
+@pytest.mark.parametrize("image", [-1, 9, 3, True, "x"])
+def test_verify_homomorphism_refuses_an_image_that_is_not_a_word(image):
+    # -1 would read as element 3 of Z/4 and 9 would index past the table
+    pres = Presentation(("x",), (parse_word("x^4"),))
+    with pytest.raises(ValueError, match="not a Word"):
+        verify_homomorphism(pres, build_group("cyclic:4"), {"x": image})
+
+
+def test_verify_homomorphism_refuses_a_key_that_is_not_a_generator():
+    pres = Presentation(("x",), (parse_word("x^4"),))
+    with pytest.raises(UnknownSymbol, match="'zz' is not a generator"):
+        verify_homomorphism(pres, build_group("cyclic:4"), {"x": parse_word("g"), "zz": Word()})
 
 
 def test_verify_homomorphism_missing_image():
