@@ -413,8 +413,13 @@ def _group(name: str, label_rows: dict[str, tuple[int, ...]], names) -> FiniteGr
     a (s b) (Clifford-Preston 1.2), which G passes once each s does.  The
     tree, spanning_tree's over the labels, must reach every element.
     inv(a s) = s^-1 inv(a) walks it, s^-1 being where row s holds 0.
+    A row that is not n ints in range(n) is refused before the closure.
     """
     n = len(names)
+    for lab, row in label_rows.items():
+        if len(row) != n or set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            raise PresentationCollapse(
+                f"{name}: shape fails; the row of {lab!r} is not {n} ints in range({n})")
     gen_rows = [label_rows[lab] for lab in sorted(label_rows)]
     rows: list[tuple[int, ...] | None] = [tuple(range(n))] + [None] * (n - 1)
     # a one-entry gather is a scalar; n = 1 has no pair to test

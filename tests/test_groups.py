@@ -370,6 +370,18 @@ def test_generator_rows_that_make_no_group_are_refused(gen_rows, message):
         groups._group("rows", {"s": gen_rows[0]}, names)
 
 
+@pytest.mark.parametrize("row", [(1, 0, 2), (1,), (1, 5), (1, -1), (1.0, 0), (True, 0)])
+def test_a_generator_row_of_the_wrong_shape_is_refused(row):
+    # the first three raised a bare IndexError or TypeError, -1 read as the
+    # last element, 1.0 broke the gather and True read as 1
+    from lowerk import groups
+    from lowerk.errors import PresentationCollapse
+
+    with pytest.raises(PresentationCollapse,
+                       match=r"shape fails; the row of 's' is not 2 ints in range\(2\)"):
+        groups._group("x", {"s": row}, ["a", "b"])
+
+
 def test_a_coset_table_its_letters_do_not_connect_is_refused():
     # coset 1 is reached from coset 0 by no letter, so no walk names it
     from lowerk.errors import PresentationCollapse

@@ -1,3 +1,4 @@
+import inspect
 import re
 import sys
 from collections import deque
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowerk.errors import LimitExceeded, UnknownSymbol
-from lowerk.groups import build_group, group_from_coset_table, is_isomorphic
+from lowerk.groups import (
+    _BINARY_OCTAHEDRAL_PRESENTATION,
+    build_group,
+    group_from_coset_table,
+    is_isomorphic,
+)
 from lowerk.presentations import (
     DEFAULT_COSET_LIMIT,
     CosetTable,
@@ -376,12 +382,40 @@ def _dicyclic_relators(n, rotations, inverted):
     return out
 
 
+def _run_relators(draw):
+    """x^+-2n; half the time a second pure power x^+-b, b != 2n, so that the
+    x-cycles recorded first collapse when the other power is scanned; a
+    rotation of y^c x^-n or its inverse, the rotation splitting the x-run
+    in two; and y x y^-1 x^s, which collapses the group for most s.  The
+    subgroup is generated by a power of x or is trivial, and the limit
+    often falls inside the enumeration."""
+    n = draw(st.integers(2, 40))
+    rels = [Word((("x", draw(st.sampled_from((2 * n, -2 * n)))),))]
+    if draw(st.booleans()):
+        b = draw(st.integers(2, 4 * n).filter(lambda b: b != 2 * n))
+        rels.append(Word((("x", draw(st.sampled_from((b, -b)))),)))
+    letters = list(parse_word(f"y^{draw(st.integers(1, 3))} x^-{n}").letters())
+    if draw(st.booleans()):
+        letters = [(s, -e) for s, e in reversed(letters)]
+    k = draw(st.integers(0, len(letters) - 1))
+    rels.append(Word(letters[k:] + letters[:k]))
+    rels.append(parse_word(f"y x y^-1 x^{draw(st.sampled_from((1, -1, 2, -2, 3)))}"))
+    subgroup = (Word((("x", draw(st.integers(1, 2 * n))),)),) if draw(st.booleans()) else ()
+    return rels, subgroup, draw(st.integers(8, 12 * n))
+
+
 @st.composite
 def power_presentations(draw):
     """2- and 3-generator presentations full of proper powers: generator
-    powers, powers (w)^k of short words such as (ab)^k, and the rotated or
-    inverted dicyclic relators."""
-    if draw(st.booleans()):
+    powers, powers (w)^k of short words such as (ab)^k, the rotated or
+    inverted dicyclic relators, and long x-runs beside one or two pure
+    powers of x, which the enumerator jumps."""
+    kind = draw(st.sampled_from(("dicyclic", "powers", "runs")))
+    if kind == "runs":
+        gens, (rels, subgroup, limit) = ("x", "y"), _run_relators(draw)
+        order = draw(st.permutations(range(len(rels))))
+        return Presentation(gens, tuple(rels[i] for i in order)), subgroup, limit
+    if kind == "dicyclic":
         n = draw(st.integers(1, 12))
         rotations = draw(st.lists(st.integers(0, 40), min_size=3, max_size=3))
         inverted = draw(st.lists(st.booleans(), min_size=3, max_size=3))
@@ -435,3 +469,71 @@ def test_a_power_relator_is_scanned_once_per_cycle():
     seed_scans, seed_table = _scans_of(400, _seed_todd_coxeter, pres)
     assert (scans, seed_scans) == (2, 800)
     assert table == seed_table and len(table) == 800
+
+
+@pytest.mark.parametrize("gens,relators,subgroup,limit", [
+    # a walk recorded before the other power of x collapses it; a jump that
+    # skipped rep() would land on a merged coset
+    ("xy", ("x^40", "y x^-20", "y x y^-1 x^3"), (), 41),
+    # a power of x^-1 walks its cycle backwards
+    ("xy", ("x^-42", "y x^-21", "y x y^-1 x^2"), ("x^3",), 8),
+    # the backward jump must stop at the letter the forward walk reached
+    ("xy", ("x^6", "y x y^-1 x", "x^-1 y x^-2"), ("x^2",), 8),
+    ("xy", ("y^2 x^-2", "x^4", "y x y^-1 x^2"), (), 8),
+    # only a pure power records a cycle of its generator, not (c a)^3
+    ("abc", ("c^2", "c a c a c a", "a c^2"), (), 16),
+    # no cycle is recorded from a coset its own scan merged away
+    ("ab", ("b^3", "a^3", "a^4", "a b a b"), (), 16),
+])
+def test_todd_coxeter_matches_the_oracle_where_a_jump_could_go_wrong(gens, relators, subgroup,
+                                                                      limit):
+    pres = Presentation(tuple(gens), tuple(parse_word(r) for r in relators))
+    subgroup = tuple(parse_word(w) for w in subgroup)
+    assert _enumerate(todd_coxeter, pres, subgroup, limit) == \
+        _enumerate(_seed_todd_coxeter, pres, subgroup, limit)
+
+
+def _letters_and_jumps(pres):
+    """Count the table entries todd_coxeter's scans read and the runs they
+    jump, by the lines that do each."""
+    lines, first = inspect.getsourcelines(todd_coxeter)
+    kind = {}
+    for number, line in enumerate(lines, first):
+        if line.strip().startswith("g = table["):
+            kind[number] = "letters"
+        elif line.strip().startswith("g = rep("):
+            kind[number] = "jumps"
+    # two reads in the letter walk, one read and one jump in the jump walk
+    assert sorted(kind.values()) == ["jumps", "letters", "letters", "letters"]
+    count = {"letters": 0, "jumps": 0}
+
+    def line_hook(frame, event, arg):
+        if event == "line" and frame.f_lineno in kind:
+            count[kind[frame.f_lineno]] += 1
+        return line_hook
+
+    def call_hook(frame, event, arg):
+        return line_hook if frame.f_code.co_filename == todd_coxeter.__code__.co_filename else None
+
+    sys.settrace(call_hook)
+    try:
+        table = todd_coxeter(pres).table
+    finally:
+        sys.settrace(None)
+    return count, table
+
+
+def test_a_run_along_a_closed_cycle_is_jumped():
+    # the letter walk reads 167,601 table entries here, nearly all of them
+    # along the x-run of y^2 x^-200 from each of the 800 cosets
+    pres = Presentation(("x", "y"), tuple(parse_word(r) for r in
+                                          ("x^400", "y^2 x^-200", "y x y^-1 x")))
+    count, table = _letters_and_jumps(pres)
+    assert count["letters"] <= 10_000 and count["jumps"] > 0
+    assert table == _seed_todd_coxeter(pres).table
+
+
+def test_the_binary_octahedral_relators_keep_the_letter_walk():
+    # X^3 is its only pure power and no relator has a run of X
+    count, _ = _letters_and_jumps(_BINARY_OCTAHEDRAL_PRESENTATION)
+    assert count == {"letters": 2000, "jumps": 0}
