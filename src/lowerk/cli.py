@@ -3,10 +3,11 @@ assembly of amalgam specs, and one-shot case verification.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
 3 data gap (missing bundled data, ill-formed map, cited K-data that a
-theorem rules out).  A command refuses by raising: `main` prints one
-`error:` line and takes the code from the error's family in `errors`
-(`UsageError` 2, `DataGap` 3, any other `LowerKError` 1).  Only `verify`
-imports the casebook, and with it the amalgams layer.
+theorem rules out or whose K_-1 the engine computes otherwise).  A
+command refuses by raising: `main` prints one `error:` line and takes the
+code from the error's family in `errors` (`UsageError` 2, `DataGap` 3,
+any other `LowerKError` 1).  Only `verify` imports the casebook, and with
+it the amalgams layer.
 """
 
 from __future__ import annotations
@@ -207,11 +208,22 @@ _THEOREMS = (("K0t", lambda g: g.free_rank == 0, "reduced K_0(ZG) is finite (Swa
 def cmd_assemble(args) -> int:
     raw = _resolve_spec(args.spec)
     spec = assembly_spec_from_json(raw)
-    for sheet in spec.sheets.values():
+    for key, sheet in spec.sheets.items():
         for deg, holds, theorem in _THEOREMS:
             if not holds(sheet.entries[deg]):
                 raise DataGap(f"the {sheet.group} sheet cites {deg} = {sheet.entries[deg]}, "
                               f"but {theorem}")
+        G, cited = build_group(key), sheet.entries["Km1"]
+        try:
+            computed = k_minus1(G)
+            agrees = cited == computed
+        except UnknownSchurData:    # the free rank needs no Schur data
+            rank = carter_rank(G)
+            computed = f"{FgAbelianGroup(rank)} + unknown torsion (no bundled Schur data)"
+            agrees = cited.free_rank == rank
+        if not agrees:
+            raise DataGap(f"the {sheet.group} sheet cites Km1 = {cited}, "
+                          f"but the engine computes {computed}")
     assembled = amalgam_k_assemble(spec)
     data = {"name": spec.name,
             "amalgam": {"A": spec.group_a, "B": spec.group_b, "C": spec.group_c},

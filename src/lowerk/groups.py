@@ -7,14 +7,15 @@ its index-2 binary tetrahedral subgroup are realized by coset enumeration
 of their standard presentations (Wolf, Spaces of constant curvature,
 p. 198).  Every table, these and quotients and subgroups alike, comes from
 one constructor that closes labelled generator rows and checks the group
-axioms; its breadth-first tree is the label tree, and the inverses are
-read off it, so a constructor gives its labelled rows alone.
+axioms, once the rows are closed, by testing that each generator column
+commutes with each generator row; its breadth-first tree is the label
+tree, and the inverses are read off it, so a constructor gives its
+labelled rows alone.
 
 One generator test serves every check of a map: `_respects` asks f(a s)
 == act_s(f(a)) for every element a and generator s, and `_walk` defines f
 along a Schreier tree by f(g s) = act_s(f(g)).  `GroupHom`, the leaf of
-`is_isomorphic` and the amalgams layer's graph actions use the two;
-`_group` tests each row it closes.
+`is_isomorphic` and the amalgams layer's graph actions use the two.
 """
 
 from __future__ import annotations
@@ -404,16 +405,24 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 def _group(name: str, label_rows: dict[str, tuple[int, ...]], names) -> FiniteGroup:
     """The one way a table becomes a group: close the rows {label: row} in
-    sorted-label order with Light's test inside; read the labels, the label
-    tree and the inverses off the closure.
+    sorted-label order, then test that the columns commute with the rows;
+    read the labels, the label tree and the inverses off the closure.
 
     Row 0 is 0..n-1; a's row names a s at index s.  One C-level gather
-    per pair (a, s) reads row(a) at row(s): on a breadth-first tree pair
-    it is row(a s), on any other it must equal it, Light's test (a s) b =
-    a (s b) (Clifford-Preston 1.2), which G passes once each s does.  The
-    tree, spanning_tree's over the labels, must reach every element.
-    inv(a s) = s^-1 inv(a) walks it, s^-1 being where row s holds 0.
-    A row that is not n ints in range(n) is refused before the closure.
+    per breadth-first tree pair (a, s) reads row(a) at row(s), the row of
+    a s: n - 1 gathers in all.  The tree, spanning_tree's over the labels,
+    must reach every element.  Then each generator column t, x -> x t,
+    must commute with each generator row s: two gathers per pair (s, t),
+    2 k^2 in all, where Light's test (Clifford-Preston 1.2) takes one per
+    pair off the tree.  This suffices: the columns commute with every
+    product of rows and carry 0 to every element along the tree, so a
+    product of rows is determined by its value at 0 (the centralizer of a
+    transitive group is semiregular, Dixon-Mortimer, Permutation Groups,
+    4.2A).  So row(a) row(b) = row(a b), the table is associative, and a
+    generator whose row holds 0 has a right inverse, hence an inverse in
+    a finite monoid.  inv(a s) = s^-1 inv(a) walks the tree, s^-1 being
+    where row s holds 0.  A row that is not n ints in range(n) is refused
+    before the closure.
     """
     n = len(names)
     for lab, row in label_rows.items():
@@ -423,20 +432,25 @@ def _group(name: str, label_rows: dict[str, tuple[int, ...]], names) -> FiniteGr
     gen_rows = [label_rows[lab] for lab in sorted(label_rows)]
     rows: list[tuple[int, ...] | None] = [tuple(range(n))] + [None] * (n - 1)
     # a one-entry gather is a scalar; n = 1 has no pair to test
-    steps = [(row_s[0], itemgetter(*row_s)) for row_s in gen_rows] if n > 1 else []
+    steps = [(row_s[0], row_s, itemgetter(*row_s)) for row_s in gen_rows] if n > 1 else []
     tree = [(0, -1, -1)]
     for a, _, _ in tree:
         row_a = rows[a]
-        for k, (s, times_s) in enumerate(steps):
+        for k, (s, _, times_s) in enumerate(steps):
             b = row_a[s]
             if rows[b] is None:
                 rows[b] = times_s(row_a)
                 tree.append((b, a, k))
-            elif rows[b] != times_s(row_a):
-                raise PresentationCollapse(f"{name}: associativity fails at {names[a]} * {names[s]}")
     if len(tree) != n:
         raise PresentationCollapse(
             f"{name}: generation fails; the generator rows reach {len(tree)} of {n} elements")
+    for t, _, _ in steps:
+        col_t = [row[t] for row in rows]
+        times_t = itemgetter(*col_t)
+        for s, row_s, times_s in steps:
+            if times_s(col_t) != times_t(row_s):
+                raise PresentationCollapse(f"{name}: associativity fails; the row of {names[s]} "
+                                           f"and the column of {names[t]} do not commute")
     if not all(0 in row_s for row_s in gen_rows):
         raise PresentationCollapse(f"{name}: inverse fails; a generator row lacks the identity")
     inverses = _walk(tree, 0, [rows[row_s.index(0)].__getitem__ for row_s in gen_rows])

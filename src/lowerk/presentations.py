@@ -402,9 +402,11 @@ def todd_coxeter(pres: Presentation, subgroup_gens: tuple[Word, ...] = (),
                     define(a, x)
         a += 1
 
-    live = [c for c in range(len(table)) if rep(c) == c]
+    # a coincidence redirects every entry that named a dead coset, so the
+    # live rows name live cosets only
+    live = [c for c, p in enumerate(parent) if c == p]
     index_of = {c: i for i, c in enumerate(live)}
-    rows = tuple(tuple(index_of[rep(table[c][x])] for x in range(ncols)) for c in live)
+    rows = tuple([tuple([index_of[d] for d in table[c]]) for c in live])
     return CosetTable(tuple(gens), rows)
 
 

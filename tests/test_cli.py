@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lowerk import casebook, cli, errors
 from lowerk.abelian import FgAbelianGroup
 from lowerk.cli import main
-from lowerk.errors import AssemblySpecError
-from lowerk.ktheory import assembly_spec_from_json, bundled_ksheets
+from lowerk.errors import AssemblySpecError, IllFormedMap
+from lowerk.ktheory import amalgam_k_assemble, assembly_spec_from_json, bundled_ksheets
 
 
 def run_cli(capsys, *argv):
@@ -372,25 +372,33 @@ def test_assemble_refuses_an_ill_defined_cited_map(capsys, tmp_path):
 @pytest.mark.parametrize("rank", [2 ** 70, 10 ** 8], ids=["2^70", "10^8"])
 def test_assemble_holds_a_cited_rank_to_the_matrix_shape(rank, capsys, tmp_path):
     # the octahedral Km1 rank is held to the Km1 matrix's five rows before
-    # any relation vector of that length is built
+    # any relation vector of that length is built; the command refuses the
+    # rank before assembling, as Carter's formula gives rank 1
+    raw = json.loads(_b3_with(_set(("sheets", 0, "Km1", "rank"), rank)))
+    with pytest.raises(IllFormedMap) as refused:
+        amalgam_k_assemble(assembly_spec_from_json(raw))
+    assert str(refused.value) == f"Km1 matrix does not have the {rank + 4} x 1 shape of the sheets"
     path = tmp_path / "spec.json"
-    path.write_text(_b3_with(_set(("sheets", 0, "Km1", "rank"), rank)))
+    path.write_text(json.dumps(raw))
     code, out, err = run_cli(capsys, "assemble", str(path))
     assert code == 3 and out == ""
-    assert err == f"error: Km1 matrix does not have the {rank + 4} x 1 shape of the sheets\n"
+    assert err == (f"error: the binary-octahedral sheet cites Km1 = Z^{rank} + Z/2, "
+                   "but the engine computes Z + Z/2\n")
 
 
 def test_assemble_kernel_of_a_map_into_the_trivial_group_is_its_source(capsys, tmp_path):
     # pb3's Km1 matrix has no rows, so no column count bounds the edge
     # group's rank; the kernel of the zero map is that sheet, built from
-    # no vector
+    # no vector.  The command refuses the sheet: K_-1(Z[Z/2]) = 0
     raw = casebook.bundled_spec_json("pb3rp2")
     raw["sheets"][2]["Km1"] = {"rank": 2 ** 70, "torsion": [2]}
+    out = amalgam_k_assemble(assembly_spec_from_json(raw))
+    assert out["K0t"].ker_shift.to_json() == {"rank": 2 ** 70, "torsion": [2]}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(raw))
-    code, out, _ = run_cli(capsys, "--format", "json", "assemble", str(path))
-    assert code == 0
-    assert json.loads(out)["degrees"]["K0t"]["ker_shift"] == {"rank": 2 ** 70, "torsion": [2]}
+    code, out, err = run_cli(capsys, "--format", "json", "assemble", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: the cyclic:2 sheet cites Km1 = Z^{2 ** 70} + Z/2, but the engine computes 0\n"
 
 
 @pytest.mark.parametrize("name", ["b3rp2", "pb3rp2", "mcg_rp2_3"])
@@ -410,6 +418,46 @@ def test_assemble_refuses_cited_k_data_a_theorem_rules_out(name, degree, cited, 
     assert err == f"error: the {sheet['group']} sheet cites {degree} = {shown}, but {theorem}\n"
     # the parser takes the same sheet: the check belongs to the command
     assembly_spec_from_json(raw)
+
+
+@pytest.mark.parametrize("name, group, computed", [
+    ("b3rp2", "binary-octahedral", "Z + Z/2"),
+    ("pb3rp2", "cyclic:4", "0"),
+    ("mcg_rp2_3", "symmetric:4", "0"),
+])
+def test_assemble_refuses_a_cited_km1_the_engine_contradicts(name, group, computed,
+                                                             capsys, tmp_path):
+    # the A sheet's K_-1 cited with Z/4 as its torsion (b3's Z/2, the
+    # others' none): parsed, then refused
+    raw = casebook.bundled_spec_json(name)
+    sheet = raw["sheets"][0]
+    assert sheet["group"] == group
+    sheet["Km1"] = {"rank": sheet["Km1"]["rank"], "torsion": [4]}
+    cited = FgAbelianGroup.from_divisors(sheet["Km1"]["rank"], [4])
+    assembly_spec_from_json(raw)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: the {group} sheet cites Km1 = {cited}, but the engine computes {computed}\n"
+
+
+@pytest.mark.parametrize("rank, code", [(1, 0), (2, 3)])
+def test_assemble_holds_a_sheet_without_schur_data_to_the_carter_rank(rank, code, capsys,
+                                                                      tmp_path):
+    # no bundled sheet gives binary-tetrahedral's Schur data, so its cited
+    # torsion stands and its free rank must be Carter's, 1
+    raw = casebook.bundled_spec_json("b3rp2")
+    raw["sheets"].append(dict(raw["sheets"][0], group="binary-tetrahedral",
+                              Km1={"rank": rank, "torsion": [3]}))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    got, out, err = run_cli(capsys, "assemble", str(path))
+    assert got == code
+    if code:
+        assert out == "" and err == (
+            f"error: the binary-tetrahedral sheet cites Km1 = Z^2 + Z/3, but the engine "
+            "computes Z + unknown torsion (no bundled Schur data)\n")
 
 
 _SPEC_WORDS = ("cyclic:2", "cyclic:4", "dicyclic:12", "dicyclic:24", "quaternion:8",
@@ -452,21 +500,36 @@ def test_assemble_of_a_mutated_spec_exits_with_a_code(tmp_path_factory, name, da
         assert main(["assemble", str(spec)]) in (0, 2, 3)
 
 
-def _run_module(*argv, timeout=30):
+def _run_python(*argv, timeout=30):
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    return subprocess.run([sys.executable, "-m", "lowerk", *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def _run_module(*argv, timeout=30):
+    return _run_python("-m", "lowerk", *argv, timeout=timeout)
+
+
+_ASSEMBLE_K0T = """\
+import json, sys
+from lowerk.ktheory import amalgam_k_assemble, assembly_spec_from_json
+with open(sys.argv[1], encoding="utf-8") as fh:
+    k0t = amalgam_k_assemble(assembly_spec_from_json(json.load(fh)))["K0t"]
+print(json.dumps({"ker_shift": k0t.ker_shift.to_json(), "pretty": str(k0t)}))
+"""
 
 
 def test_assemble_cited_torsion_of_a_large_prime(tmp_path):
     # Z/(2^61 - 1) in the edge group's K_-1, sent to 0, passes into reduced
     # K_0 as a kernel summand; nothing on the way may factor it.  (Its K_-2
-    # would be refused: K_-2 of a finite group vanishes.)
+    # would be refused: K_-2 of a finite group vanishes.)  The command
+    # refuses the sheet, whose K_-1 Carter's formula gives as Z, and
+    # names the torsion unfactored too
     m = 2 ** 61 - 1
 
     def edit(raw):
@@ -474,11 +537,14 @@ def test_assemble_cited_torsion_of_a_large_prime(tmp_path):
         raw["maps"][2]["matrix"] = [[0, 0], [0, 0], [0, 1], [0, 1], [0, 0]]
     path = tmp_path / "spec.json"
     path.write_text(_b3_with(edit))
-    done = _run_module("--format", "json", "assemble", str(path))
+    done = _run_python("-c", _ASSEMBLE_K0T, str(path))
     assert done.returncode == 0, done.stderr
-    k0t = json.loads(done.stdout)["degrees"]["K0t"]
+    k0t = json.loads(done.stdout)
     assert k0t["ker_shift"] == {"rank": 0, "torsion": [m]}
     assert k0t["pretty"] == f"(Z/2)^3 + Z/{2 * m} + (Z/2)^(oo)"
+    done = _run_module("--format", "json", "assemble", str(path))
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == f"error: the dicyclic:12 sheet cites Km1 = Z + Z/{m}, but the engine computes Z\n"
 
 
 def test_fusion_prime_of_nineteen_digits():

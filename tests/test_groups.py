@@ -671,9 +671,9 @@ def _group_or_refusal(gen_rows, names):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SMALL), st.data())
 def test_group_constructor_matches_a_naive_closure_on_swapped_generator_rows(name, data):
-    # the constructor tests associativity inside its closure, on the pairs
-    # off the breadth-first tree; a swap in a generator row may break the
-    # rows, move the row to another element or leave them a group
+    # the constructor tests associativity after its closure, generator
+    # columns against generator rows; a swap in a generator row may break
+    # the rows, move the row to another element or leave them a group
     G = build_group(name)
     gen_rows = [list(G.table[s]) for s in G.generators() or [G.identity]]
     row = data.draw(st.sampled_from(gen_rows))
@@ -683,6 +683,26 @@ def test_group_constructor_matches_a_naive_closure_on_swapped_generator_rows(nam
     assert (table is not None) == closure_is_a_group(gen_rows, G.order)
     if table is not None:
         assert all(table[r[0]] == tuple(r) for r in gen_rows)
+
+
+@pytest.mark.parametrize("name,label,named", [
+    ("cyclic:3", "e", "1"),
+    ("dihedral:3", "t", "s"),
+], ids=["row-naming-the-identity", "second-row-naming-s"])
+def test_a_generator_row_that_adds_no_tree_row_is_still_tested(name, label, named):
+    # the label names the identity, or sorts after a row naming the same
+    # element, so the closure never reads its row (entries 1 and 2 of the
+    # named element's row swapped): only the column test does
+    from lowerk import groups
+    from lowerk.errors import PresentationCollapse
+
+    G = build_group(name)
+    rows = {lab: G.table[s] for lab, s in G.generator_labels.items()}
+    row = G.table[G.element_names.index(named)]
+    rows[label] = (row[0], row[2], row[1]) + row[3:]
+    assert not closure_is_a_group([rows[lab] for lab in sorted(rows)], G.order)
+    with pytest.raises(PresentationCollapse, match="associativity fails"):
+        groups._group("extra", rows, G.element_names)
 
 
 def test_two_generator_rows_naming_one_element_must_agree():
@@ -700,13 +720,14 @@ def test_two_generator_rows_naming_one_element_must_agree():
         groups._group("swapped", {"r": swapped, "s": s}, G.element_names)
 
 
-@pytest.mark.parametrize("name,gathers", [
+@pytest.mark.parametrize("name,pairs", [
     ("dicyclic:512", 1024), ("cyclic:256", 256), ("symmetric:4", 48),
     ("binary-octahedral", 192), ("cyclic:1", 0),
 ])
-def test_group_constructor_gathers_each_pair_once(monkeypatch, name, gathers):
-    # k generator rows over n elements take k n gathers, the n - 1 tree
-    # pairs among them: the axiom check makes none of its own
+def test_group_constructor_gathers_each_pair_once(monkeypatch, name, pairs):
+    # the closure visits the k n (element, generator) pairs and gathers on
+    # the n - 1 tree pairs; the column test takes two gathers per pair of
+    # generators, 2 k^2: dicyclic:512 519, binary-octahedral 79
     from lowerk import groups
 
     calls = []
@@ -721,7 +742,11 @@ def test_group_constructor_gathers_each_pair_once(monkeypatch, name, gathers):
 
     monkeypatch.setattr(groups, "itemgetter", counting_itemgetter)
     G = groups._build.__wrapped__(canonical_group_name(name))
-    assert len(calls) == gathers == (len(G.generator_labels) * G.order if G.order > 1 else 0)
+    n, k = G.order, len(G.generator_labels)
+    assert pairs == (k * n if n > 1 else 0)
+    assert len(calls) == {"dicyclic:512": 519, "cyclic:256": 257, "symmetric:4": 31,
+                          "binary-octahedral": 79, "cyclic:1": 0}[name]
+    assert len(calls) == (n - 1 + 2 * k * k if n > 1 else 0)
 
 
 def test_class_orders_come_from_power_walks(monkeypatch):
