@@ -2,24 +2,25 @@
 
 Groups are kept in invariant-factor form (free rank plus a divisibility
 chain of torsion coefficients).  Maps between presented abelian groups
-are integer matrices; kernels and cokernels are computed through the
-Smith normal form.  One elimination serves every caller and carries only
-the transforms that caller reads.  A map eliminates [M | R_T] (its matrix
-beside the target relations) at most once for its kernel and cokernel
-together, carrying no transform: both read the diagonal alone.  Building a
-map whose source has relations eliminates R_T once, carrying its row
-transform u, and lifts each source relation r to (r, -y'), where
-D' y' = u M r for the nonzero columns D' of the Smith form of R_T.  The
-map keeps these lifts in `_lifted`.  Its kernel is Z^(m + rank R_T)
-modulo the lifts, with rank [M | R_T] fewer free summands.  All
-arithmetic uses Python's arbitrary-precision integers; entry growth during
-elimination is harmless.
+are integer matrices.  Kernels and cokernels are read from a diagonal
+form, whose pivots need not divide one another: `_eliminate` makes it
+with row operations alone, reducing each pivot row in place, and
+`FgAbelianGroup.from_divisors` turns its pivots into invariant factors.
+A map eliminates [M | R_T] (its matrix beside the target relations) at
+most once for its kernel and cokernel together, carrying no transform.
+Building a map whose source has relations eliminates R_T once, carrying
+its row transform u, and lifts each source relation r to (r, -y'), where
+D y' = u M r for the pivots D of R_T.  The map keeps these lifts in
+`_lifted`.  Its kernel is Z^(m + rank R_T) modulo the lifts, with
+rank [M | R_T] fewer free summands.  Only `smith_normal_form` keeps the
+four transforms of a Smith form.  All arithmetic uses Python's
+arbitrary-precision integers; entry growth during elimination is harmless.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable
 from .errors import IllFormedMap
 from .records import Frozen, Record
@@ -36,16 +37,16 @@ def eye(n: int) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: list[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in m]
+    return [sum(map(operator.mul, row, v)) for row in m]
 
 
 class SmithForm(Record):
     """Decomposition u * m * v = d with u, v unimodular and d diagonal.
 
     The diagonal is nonnegative and forms a divisibility chain.  u_inv and
-    v_inv are the inverses of u and v, kept by the same elimination.  The
-    lattice computations below do not build a SmithForm: each runs the
-    elimination with only the transform it reads.
+    v_inv are the inverses of u and v, kept by the same elimination.  Only
+    `smith_normal_form` builds one: the library reads diagonal forms from
+    `_eliminate` instead.
     """
 
     __slots__ = ("u", "d", "v", "u_inv", "v_inv")
@@ -67,103 +68,70 @@ class SmithForm(Record):
         return sum(1 for x in self.diagonal if x != 0)
 
 
-def _eliminate(a: Matrix, u: Matrix | None = None, ui: Matrix | None = None,
-               v: Matrix | None = None, vi: Matrix | None = None) -> list[int]:
-    """Diagonalize `a` in place into Smith form and return its diagonal.
+def _eliminate(a: Matrix, u: Matrix | None = None) -> list[int]:
+    """The rank-many positive pivots of a diagonal form of `a`, which is
+    used up; each row operation is mirrored on u when it is given.
 
-    Each row operation is applied to u and its inverse to ui, each column
-    operation to v and its inverse to vi, for those of the four that are
-    given.  The steps depend on `a` alone, so a transform left out changes
-    nothing else.
+    Each pivot p is the smallest nonzero |entry| left.  Euclid row
+    operations clear its column.  Then a column operation changes the
+    pivot row alone, so that row is reduced modulo p in place and no column
+    transform is kept.  A nonzero remainder, in the column or in the row,
+    becomes the pivot in turn.  Then the pivot's row and column drop out.
+    So u a v = D for a unimodular v never formed, pivot k in row k of D
+    (Cohen, GTM 138, section 2.4).
     """
     r = len(a)
-    c = len(a[0]) if r else 0
-    rowed = [a] if u is None else [a, u]
-    coled = [a] if v is None else [a, v]
-
-    def row_swap(i, j):
-        for m in rowed:
-            m[i], m[j] = m[j], m[i]
-        for row in ui or ():
-            row[i], row[j] = row[j], row[i]
-
-    def row_neg(i):
-        for m in rowed:
-            m[i] = [-x for x in m[i]]
-        for row in ui or ():
-            row[i] = -row[i]
-
-    def row_add(i, t, q):
-        # row_i += q * row_t
-        for m in rowed:
-            m[i] = [x + q * y for x, y in zip(m[i], m[t])]
-        for row in ui or ():
-            row[t] -= q * row[i]
-
-    def col_swap(i, j):
-        for m in coled:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
-
-    def col_add(j, t, q):
-        # col_j += q * col_t
-        for m in coled:
-            for row in m:
-                row[j] += q * row[t]
-        if vi is not None:
-            vi[t] = [x - q * y for x, y in zip(vi[t], vi[j])]
-
-    t = 0
-    limit = min(r, c)
-    while t < limit:
-        pivot = None
-        best = None
+    diag = []
+    for t in range(r):
+        p = 0
         for i in range(t, r):
-            for j in range(t, c):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    pivot, best = (i, j), x
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        if a[t][t] < 0:
-            row_neg(t)
-        dirty = False
-        for i in range(t + 1, r):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                if q:
-                    row_add(i, t, -q)
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, c):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                if q:
-                    col_add(j, t, -q)
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
+            for x in a[i]:
+                if x and (not p or abs(x) < p):
+                    p, k = abs(x), i
+            if p == 1:
                 break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-        t += 1
-    return [a[i][i] for i in range(limit)]
+        if not p:
+            break
+        while True:
+            if k != t:
+                a[t], a[k] = a[k], a[t]
+                if u is not None:
+                    u[t], u[k] = u[k], u[t]
+            at = a[t]
+            if p in at:
+                j = at.index(p)
+            else:
+                j = at.index(-p)
+                a[t] = at = [-x for x in at]
+                if u is not None:
+                    u[t] = [-x for x in u[t]]
+            rem = 0
+            for i in range(t + 1, r):
+                x = a[i][j]
+                if x:
+                    q = x // p
+                    if q:
+                        a[i] = [y - q * z for y, z in zip(a[i], at)]
+                        if u is not None:
+                            u[i] = [y - q * z for y, z in zip(u[i], u[t])]
+                        x -= q * p
+                    if x and (not rem or x < rem):
+                        rem, k = x, i
+            if rem:
+                p = rem
+                continue
+            if p == 1:
+                break
+            at = [x % p for x in at]
+            at[j] = p
+            m = min(filter(None, at))
+            if m == p:
+                break
+            a[t], p, k = at, m, t
+        diag.append(p)
+        for row in a[t + 1:]:
+            del row[j]
+    return diag
 
 
 def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
@@ -180,7 +148,61 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
         if any(type(x) is not int for x in row):
             raise ValueError(f"matrix row {row!r} has an entry that is not an int")
     u, ui, v, vi = eye(r), eye(r), eye(c), eye(c)
-    _eliminate(a, u, ui, v, vi)
+
+    def row_add(i, t, q):
+        # row_i += q * row_t
+        for m in (a, u):
+            m[i] = [x + q * y for x, y in zip(m[i], m[t])]
+        for row in ui:
+            row[t] -= q * row[i]
+
+    t = 0
+    while t < min(r, c):
+        pivot = best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    pivot, best = (i, j), x
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            for m in (a, u):
+                m[t], m[pi] = m[pi], m[t]
+            for row in ui:
+                row[t], row[pi] = row[pi], row[t]
+        if pj != t:
+            for row in itertools.chain(a, v):
+                row[t], row[pj] = row[pj], row[t]
+            vi[t], vi[pj] = vi[pj], vi[t]
+        if a[t][t] < 0:
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+            for row in ui:
+                row[t] = -row[t]
+        dirty = False
+        for i in range(t + 1, r):
+            if a[i][t]:
+                q = a[i][t] // a[t][t]
+                if q:
+                    row_add(i, t, -q)
+                dirty = dirty or bool(a[i][t])
+        for j in range(t + 1, c):
+            if a[t][j]:
+                q = a[t][j] // a[t][t]
+                if q:     # col_j -= q * col_t
+                    for row in itertools.chain(a, v):
+                        row[j] -= q * row[t]
+                    vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
+                dirty = dirty or bool(a[t][j])
+        if dirty:
+            continue
+        offender = next((i for i in range(t + 1, r) for j in range(t + 1, c)
+                         if a[i][j] % a[t][t]), None)
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
     return SmithForm(u, a, v, ui, vi)
 
 
@@ -246,7 +268,8 @@ class FgAbelianGroup(Frozen):
         for d in divisors:
             if isinstance(d, bool) or not isinstance(d, int):
                 raise ValueError(f"cyclic divisor {d!r} is not an int")
-            ds.append(abs(d))
+            if d not in (1, -1):    # Z/1 is no summand
+                ds.append(abs(d))
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
                 ds[i], ds[j] = math.gcd(ds[i], ds[j]), math.lcm(ds[i], ds[j])
@@ -342,9 +365,9 @@ class AbelianMap(Frozen):
     target relation lattice, is refused when the map is built.  That check
     finds the lifts of the source relations (see `_lifts`), which the
     kernel reads, and keeps them in `_lifted`; a free source has no
-    relation to check, so building its map eliminates nothing.  The Smith
-    diagonal of [M | R_T], which kernel and cokernel both read, is kept in
-    `_diagonal` by the first of them to eliminate it.
+    relation to check, so building its map eliminates nothing.  The pivots
+    of a diagonal form of [M | R_T], which kernel and cokernel both read,
+    are kept in `_diagonal` by the first of them to eliminate it.
     """
 
     __slots__ = ("source", "target", "matrix", "_diagonal", "_lifted")
@@ -371,27 +394,28 @@ def _lifts(f: AbelianMap) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """rank R_T and the lift (r, -y') of each source relation r, found
     once per map and kept in `_lifted`.
 
-    With the Smith form u R_T v = D, y' is the first rank R_T entries of
-    the y with D y = u M r; a relation with no such y is refused.  The
-    row transform u is carried only when there are relations to lift.
+    With a diagonal form u R_T v = D, pivot k in row k, y' is the first
+    rank R_T entries of the y with D y = u M r; a relation with no such y
+    is refused.  Any diagonal form will do: the pivots need not divide one
+    another.  The row transform u is carried only when there are relations
+    to lift.
     """
     if f._lifted is None:
         rels = f.target.relations
         u = eye(f.target.ngens) if f.source.relations else None
         diag = _eliminate([[rel[i] for rel in rels] for i in range(f.target.ngens)], u=u)
-        d = [x for x in diag if x]      # the nonzero entries come first
         lifts = []
         for rel in f.source.relations:
             w = mat_vec(u, mat_vec(f.matrix, rel))
-            if any(w[len(d):]) or any(x % di for x, di in zip(w, d)):
+            if any(w[len(diag):]) or any(x % d for x, d in zip(w, diag)):
                 raise IllFormedMap(f"image of source relation {rel} misses the target lattice")
-            lifts.append(tuple(rel) + tuple(-(x // di) for x, di in zip(w, d)))
-        object.__setattr__(f, "_lifted", (len(d), tuple(lifts)))
+            lifts.append(tuple(rel) + tuple(-(x // d) for x, d in zip(w, diag)))
+        object.__setattr__(f, "_lifted", (len(diag), tuple(lifts)))
     return f._lifted
 
 
-def _smith_diagonal(f: AbelianMap) -> list[int]:
-    """The Smith diagonal of [M | R_T], eliminated once per map."""
+def _diagonal_form(f: AbelianMap) -> list[int]:
+    """The pivots of a diagonal form of [M | R_T], eliminated once per map."""
     if f._diagonal is None:
         rels = f.target.relations
         g = [list(row) + [rel[i] for rel in rels] for i, row in enumerate(f.matrix)]
@@ -400,15 +424,17 @@ def _smith_diagonal(f: AbelianMap) -> list[int]:
 
 
 def cokernel(f: AbelianMap) -> FgAbelianGroup:
-    """Target modulo (image + target relations), in canonical form."""
-    diag = _smith_diagonal(f)
+    """Target modulo (image + target relations), in canonical form: the
+    pivots of [M | R_T] are its cyclic summands, and `from_divisors`
+    exchanges them for invariant factors."""
+    diag = _diagonal_form(f)
     return FgAbelianGroup.from_divisors(f.target.ngens - len(diag), diag)
 
 
 def kernel(f: AbelianMap) -> FgAbelianGroup:
     """Kernel of the induced map on quotients, in canonical form.
 
-    With the Smith form u R_T v = D and D' its first rank R_T columns, the
+    With a diagonal form u R_T v = D and D' its rank R_T pivot columns, the
     lattice K' = {(x, y') : u M x + D' y' = 0} is saturated in
     Z^(m + rank R_T), of rank m + rank R_T - rank [M | R_T], so it has a
     free complement of rank rank [M | R_T].  D' has full column rank, so
@@ -420,6 +446,6 @@ def kernel(f: AbelianMap) -> FgAbelianGroup:
     m - rank [M | R_T] + rank R_T.
     """
     rank_t, lifts = _lifts(f)
-    rank = sum(1 for x in _smith_diagonal(f) if x)
+    rank = len(_diagonal_form(f))
     quotient = group_of(AbelianPresentation(f.source.ngens + rank_t, lifts))
     return FgAbelianGroup(quotient.free_rank - rank, quotient.torsion)

@@ -309,8 +309,11 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
         nils.append((vc_from_json(raw["vc"]), _spec_str(raw.get("cite", ""), "nil cite")))
     spec = AssemblySpec(_spec_str(data["name"], "spec name"), data["A"], data["B"], data["C"],
                         sheets, maps, nils)
-    for g in (spec.group_a, spec.group_b, spec.group_c):
-        spec.sheet(g)
+    used = [spec.sheet(g) for g in (spec.group_a, spec.group_b, spec.group_c)]
+    for sheet in sheets.values():
+        if sheet not in used:
+            raise AssemblySpecError(f"spec {spec.name!r} has a sheet for {sheet.group}, "
+                                    "which is none of A, B and C")
     for deg, ms in maps.items():
         if canonical_group_name(ms.source) != canonical_group_name(spec.group_c):
             raise AssemblySpecError(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,10 +447,14 @@ def test_assemble_refuses_a_cited_km1_the_engine_contradicts(name, group, comput
 def test_assemble_holds_a_sheet_without_schur_data_to_the_carter_rank(rank, code, capsys,
                                                                       tmp_path):
     # no bundled sheet gives binary-tetrahedral's Schur data, so its cited
-    # torsion stands and its free rank must be Carter's, 1
+    # torsion stands and its free rank must be Carter's, 1.  It stands in
+    # for b3's A, O*, whose cited Km1 is Z + Z/2: with rank 1 the Km1 map
+    # keeps its shape and the spec assembles.
     raw = casebook.bundled_spec_json("b3rp2")
-    raw["sheets"].append(dict(raw["sheets"][0], group="binary-tetrahedral",
-                              Km1={"rank": rank, "torsion": [3]}))
+    assert raw["sheets"][0]["group"] == raw["A"] == "binary-octahedral"
+    raw["A"] = "binary-tetrahedral"
+    raw["sheets"][0] = dict(raw["sheets"][0], group="binary-tetrahedral",
+                            Km1={"rank": rank, "torsion": [3]})
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(raw))
     got, out, err = run_cli(capsys, "assemble", str(path))
@@ -458,6 +463,25 @@ def test_assemble_holds_a_sheet_without_schur_data_to_the_carter_rank(rank, code
         assert out == "" and err == (
             f"error: the binary-tetrahedral sheet cites Km1 = Z^2 + Z/3, but the engine "
             "computes Z + unknown torsion (no bundled Schur data)\n")
+    else:
+        assert err == "" and "Km1" in out
+
+
+def test_assemble_refuses_a_sheet_for_none_of_a_b_and_c(capsys, tmp_path):
+    # a sheet beside A, B and C is refused as the spec is read, before any
+    # group is built: cyclic:10000's table alone is hundreds of megabytes
+    raw = casebook.bundled_spec_json("b3rp2")
+    raw["sheets"].append(dict(raw["sheets"][2], group="cyclic:10000"))
+    msg = "spec 'b3rp2' has a sheet for cyclic:10000, which is none of A, B and C"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    with pytest.raises(AssemblySpecError) as refused:
+        assembly_spec_from_json(raw)
+    assert str(refused.value) == msg
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert (code, out, err) == (2, "", f"error: {msg}\n")
+    assert time.perf_counter() - start < 1.0
 
 
 _SPEC_WORDS = ("cyclic:2", "cyclic:4", "dicyclic:12", "dicyclic:24", "quaternion:8",
