@@ -11,6 +11,12 @@ comes from one two-pointer pass of cyclic reduction.  Uniqueness of the
 form makes equality a plain comparison (Serre, Trees).  An amalgam is
 read off its two embeddings of the edge group, and a word is read
 through one table of the vertex groups' labels.
+
+The first factorization of a step depends only on the vertex element x
+and the head h, so each side holds an action table of x * i(h) -> (c, t)
+for every x and h: |V| * |C| references to the factor pairs, no more
+than the vertex group's own Cayley table.  With the cyclic powers of
+each label, also tabled, a letter of a word costs one read of each.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _greedy_generators,
     _respects,
     _walk,
     subgroup_as_group,
@@ -81,11 +88,15 @@ class Amalgam:
         self._vertex = (self.A, self.B)
         self._embed = (iA.full_map(), iB.full_map())
         self._transversal, self._factor = zip(*map(self._cosets, (SIDE_A, SIDE_B)))
+        self._act = tuple(tuple(tuple([factor[row[i]] for i in image]) for row in V.table)
+                          for V, image, factor in zip(self._vertex, self._embed, self._factor))
         self._symbols = {sym: (SIDE_A, g) for sym, g in self.A.generator_labels.items()}
         for sym, g in self.B.generator_labels.items():
             first = self._symbols.setdefault(sym, (SIDE_B, g))
             if self.embed_vertex(*first) != self.embed_vertex(SIDE_B, g):
                 del self._symbols[sym]
+        self._powers = {sym: (side, _cyclic_powers(self._vertex[side], g))
+                        for sym, (side, g) in self._symbols.items()}
 
     def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         """Right-coset representatives of the embedded edge group, and for
@@ -121,18 +132,16 @@ class Amalgam:
                   rev: list[tuple[int, int]]) -> int:
         """Left-multiply x (in vertex group `side`) onto the normal form
         (head, reversed(rev)).  Updates `rev`, whose last entry is the
-        leftmost syllable, in place and returns the new head: one coset
-        factorization, and a second where x's side meets the first
-        syllable."""
-        V = self._vertex[side]
-        factor = self._factor[side]
-        c, t = factor[V.table[x][self._embed[side][head]]]
-        if t == V.identity:
+        leftmost syllable, in place and returns the new head: one read of
+        the action table for x * i(head), and a coset factorization where
+        x's side meets the first syllable."""
+        c, t = self._act[side][x][head]
+        if t == FiniteGroup.identity:
             return c
         if rev and rev[-1][0] == side:
-            c2, t = factor[V.table[t][rev[-1][1]]]
+            c2, t = self._factor[side][self._vertex[side].table[t][rev[-1][1]]]
             c = self.C.table[c][c2]
-            if t == V.identity:
+            if t == FiniteGroup.identity:
                 rev.pop()
             else:
                 rev[-1] = (side, t)
@@ -178,16 +187,19 @@ class Amalgam:
         return AmalgamElement(head, tuple(rev))
 
     def evaluate(self, word: Word) -> AmalgamElement:
-        """Normal form of a word over the vertex groups' generator labels."""
+        """Normal form of a word over the vertex groups' generator labels:
+        per letter, one read of the label's power table and one junction
+        step, itself one action-table read unless it meets a syllable of
+        its own side."""
         rev: list[tuple[int, int]] = []
         head = self.C.identity
         for sym, exp in reversed(word.entries):
             try:
-                side, g = self._symbols[sym]
+                side, powers = self._powers[sym]
             except KeyError:
                 raise UnknownSymbol(
                     f"{sym!r} does not label exactly one amalgam element") from None
-            head = self._left_mul(side, self._vertex[side].power(g, exp), head, rev)
+            head = self._left_mul(side, powers[exp % len(powers)], head, rev)
         return AmalgamElement(head, tuple(reversed(rev)))
 
     def describe(self, e: AmalgamElement) -> str:
@@ -226,6 +238,15 @@ class Amalgam:
         if hi > lo:
             return INFINITE
         return self._vertex[side].element_order(first)
+
+
+def _cyclic_powers(G: FiniteGroup, g: int) -> tuple[int, ...]:
+    """g^0, g^1, ..., g^(o-1) for o the order of g: one walk along g's row."""
+    powers, x = [G.identity], g
+    while x != G.identity:
+        powers.append(x)
+        x = G.table[g][x]
+    return tuple(powers)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +345,26 @@ class GraphWithAction:
 
     def segment_amalgam(self) -> Amalgam:
         """The induced amalgam Stab(origin) *_Stab(edge) Stab(target) of
-        edge 0, which represents the first edge orbit."""
+        edge 0, which represents the first edge orbit.  The stabilizers'
+        generators are labelled e1, e2, ... (edge), o1, ... (origin) and
+        t1, ... (target), so a word reaches each of them by its label."""
         if not self.is_segment():
             raise NotAnAction("quotient graph is not a single segment")
-        C, c_elems = subgroup_as_group(self.stabilizer(EDGES, 0), "edge-stabilizer")
+        C, c_elems = _stabilizer_group(self.stabilizer(EDGES, 0), "edge-stabilizer", "e")
         embeddings = []
-        for v, name in zip(self.edge_endpoints[0], ("origin-stabilizer", "target-stabilizer")):
-            V, v_elems = subgroup_as_group(self.stabilizer(VERTICES, v), name)
+        for v, name, prefix in zip(self.edge_endpoints[0],
+                                   ("origin-stabilizer", "target-stabilizer"), "ot"):
+            V, v_elems = _stabilizer_group(self.stabilizer(VERTICES, v), name, prefix)
             index = {g: i for i, g in enumerate(v_elems)}
             embeddings.append(GroupHom(C, V, {lab: index[c_elems[g]]
                                               for lab, g in C.generator_labels.items()}))
         return Amalgam(*embeddings)
+
+
+def _stabilizer_group(S: Subgroup, name: str, prefix: str) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """S as a group whose greedy generators are labelled prefix1, prefix2, ..."""
+    gens = _greedy_generators(S.parent, sorted(S.elements))
+    return subgroup_as_group(S, name, {f"{prefix}{k}": g for k, g in enumerate(gens, 1)})
 
 
 def _then(vp, ep):

@@ -224,18 +224,27 @@ class MapSpec(Record):
 
 class AssemblySpec(Record):
     """An amalgam A *_C B with its cited K-sheets, one map per degree, and
-    the (vc, cite) pairs of its Nil ledger entries."""
+    the (vc, cite) pairs of its Nil ledger entries.  Each group name is
+    canonicalized once: a sheet's own name maps to its key, and any other
+    name is parsed on first lookup and remembered."""
 
-    __slots__ = ("name", "group_a", "group_b", "group_c", "sheets", "maps", "nils")
+    __slots__ = ("name", "group_a", "group_b", "group_c", "sheets", "maps", "nils", "_keys")
 
     def __init__(self, name: str, group_a: str, group_b: str, group_c: str,
                  sheets: dict[str, KSheet], maps: dict[str, MapSpec],
                  nils: list[tuple[VcShape, str]]):
         self.name, self.group_a, self.group_b, self.group_c = name, group_a, group_b, group_c
         self.sheets, self.maps, self.nils = sheets, maps, nils
+        self._keys = {sheet.group: key for key, sheet in sheets.items()}
+
+    def _key(self, group: str) -> str:
+        key = self._keys.get(group) if isinstance(group, str) else None
+        if key is None:
+            key = self._keys[group] = canonical_group_name(group)
+        return key
 
     def sheet(self, group: str) -> KSheet:
-        key = canonical_group_name(group)
+        key = self._key(group)
         if key not in self.sheets:
             raise AssemblySpecError(f"spec {self.name!r} has no sheet for {group}")
         return self.sheets[key]
@@ -315,7 +324,7 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
             raise AssemblySpecError(f"spec {spec.name!r} has a sheet for {sheet.group}, "
                                     "which is none of A, B and C")
     for deg, ms in maps.items():
-        if canonical_group_name(ms.source) != canonical_group_name(spec.group_c):
+        if spec._key(ms.source) != spec._key(spec.group_c):
             raise AssemblySpecError(
                 f"map in degree {deg} has source {ms.source}, expected {spec.group_c}")
     return spec

@@ -21,7 +21,14 @@ from lowerk.amalgams import (
 )
 from lowerk.casebook import PHI_IMAGES, full_braid_amalgam, phi, pure_braid_graph_fixture
 from lowerk.errors import EdgeInversion, NotAnAction, NotHomomorphism, NotInjective, UnknownSymbol
-from lowerk.groups import GroupHom, build_group, is_isomorphic
+from lowerk.groups import (
+    FiniteGroup,
+    GroupHom,
+    build_group,
+    is_isomorphic,
+    subgroup_as_group,
+    subgroup_generated,
+)
 from lowerk.presentations import Word, parse_word, van_buskirk, verify_homomorphism
 
 
@@ -79,10 +86,19 @@ def test_construct_rejects_embeddings_of_different_sources():
         Amalgam(iA, iB)
 
 
+def shared_label_amalgam():
+    """Q8 *_{Z/2} <y>, where y labels Q8's y and the generator of the
+    cyclic subgroup <y>: two elements outside the edge group on different
+    sides."""
+    Q8, Z2 = build_group("quaternion:8"), build_group("cyclic:2")
+    y = Q8.generator_labels["y"]
+    Y, _ = subgroup_as_group(subgroup_generated(Q8, [y]), "cyclic-y", {"y": y})
+    return Amalgam(GroupHom(Z2, Q8, {"g": Q8.power(y, 2)}),
+                   GroupHom(Z2, Y, {"g": Y.power(Y.generator_labels["y"], 2)}))
+
+
 def test_a_symbol_naming_two_elements_is_refused():
-    # y labels Q8's y and the Z/4 stabilizer's generator, two elements
-    # outside the edge group on different sides
-    am = pure_braid_graph_fixture().segment_amalgam()
+    am = shared_label_amalgam()
     assert "y" in am.A.generator_labels and "y" in am.B.generator_labels
     with pytest.raises(UnknownSymbol, match="'y'"):
         am.evaluate(parse_word("y"))
@@ -91,6 +107,22 @@ def test_a_symbol_naming_two_elements_is_refused():
     x = am.A.generator_labels["x"]
     assert am.evaluate(parse_word("x")) == am.embed_vertex(SIDE_A, x)
     assert am.evaluate(parse_word("x^2")) == am.embed_vertex(SIDE_A, am.A.power(x, 2))
+
+
+def test_a_parsed_word_reaches_every_generator_of_the_segment_amalgam():
+    # the stabilizers' labels differ between the sides and parse back as
+    # symbols, so no generator of either vertex group is out of reach
+    am = amalgam_named("pb3-segment")
+    labels = [(side, lab, g) for side, V in ((SIDE_A, am.A), (SIDE_B, am.B))
+              for lab, g in V.generator_labels.items()]
+    assert len(labels) == len(am.A.generator_labels.keys() | am.B.generator_labels.keys())
+    for side, lab, g in labels:
+        assert parse_word(lab).entries == ((lab, 1),)
+        assert am.evaluate(parse_word(lab)) == am.embed_vertex(side, g)
+        assert am.evaluate(parse_word(f"{lab}^-3")) == am.embed_vertex(
+            side, am._vertex[side].power(g, -3))
+    assert subgroup_generated(am.A, [g for side, _, g in labels if side == SIDE_A]).order == am.A.order
+    assert subgroup_generated(am.B, [g for side, _, g in labels if side == SIDE_B]).order == am.B.order
 
 
 @pytest.mark.parametrize("which", ["pb3", "b3", "degenerate", "pb3-segment"])
@@ -300,7 +332,8 @@ def seed_order_of(am, e):
 @functools.cache
 def amalgam_named(which):
     return {"pb3": pb3_amalgam, "b3": full_braid_amalgam, "degenerate": degenerate_amalgam,
-            "pb3-segment": lambda: pure_braid_graph_fixture().segment_amalgam()}[which]()
+            "pb3-segment": lambda: pure_braid_graph_fixture().segment_amalgam(),
+            "identity-label": identity_label_amalgam}[which]()
 
 
 amalgam_names = st.sampled_from(["pb3", "b3", "degenerate"])
@@ -383,6 +416,54 @@ def test_order_of_matches_seed_oracle(which, data):
     for e in (u, v, conj):
         assert am.order_of(e) == seed_order_of(am, e)
     assert am.order_of(conj) == am.order_of(v)
+
+
+def identity_label_amalgam():
+    """Z/4 *_{Z/2} Q8, with Q8 given a third label `one` for its identity."""
+    Z4, Q8, Z2 = build_group("cyclic:4"), build_group("quaternion:8"), build_group("cyclic:2")
+    labels = dict(Q8.generator_labels, one=Q8.identity)
+    Q, _ = subgroup_as_group(subgroup_generated(Q8, labels.values()), "quaternion-one", labels)
+    return Amalgam(GroupHom(Z2, Z4, {"g": Z4.power(Z4.generator_labels["g"], 2)}),
+                   GroupHom(Z2, Q, {"g": Q.power(Q.generator_labels["x"], 2)}))
+
+
+@pytest.mark.parametrize("which", ["pb3", "b3", "degenerate", "pb3-segment", "identity-label"])
+def test_evaluate_reads_any_exponent_like_the_seed_oracle(which):
+    # exponents that are multiples of the order, negative, or at least 10^6
+    # wrap around the power tables as FiniteGroup.power reads them
+    am = amalgam_named(which)
+    if which == "identity-label":
+        assert am._powers["one"] == (SIDE_B, (am.B.identity,))
+    letters = []
+    for sym, (side, g) in sorted(am._symbols.items()):
+        o = am._vertex[side].element_order(g)
+        for exp in (0, o, -o, 7 * o, -1, -o - 1, 10**6, -(10**6) - 1, 10**9 + 7, 3 * 10**6 * o):
+            w = Word(((sym, exp),))
+            assert am.evaluate(w) == seed_evaluate(am, w) == am.embed_vertex(
+                side, am._vertex[side].power(g, exp))
+            letters.append((sym, exp))
+    rng = random.Random(which)
+    for _ in range(20):
+        w = Word(rng.sample(letters, min(12, len(letters))))
+        assert am.evaluate(w) == seed_evaluate(am, w)
+
+
+def test_b3_words_and_products_call_no_group_power(monkeypatch):
+    # a letter reads its label's power table, and a junction step its side's
+    # action table, so no square-and-multiply runs per letter or syllable
+    am = amalgam_named("b3")
+    w = parse_word("P^5 Y^-3 Q^3 X^-1 Y^1000001 P^-7 Y^2 Q^-5")
+    want = seed_evaluate(am, w)
+    u = seed_evaluate(am, parse_word("Y P^3 Y^-1 Q"))
+    product = seed_mul(am, want, u)
+
+    def refused(*_):
+        raise AssertionError("FiniteGroup.power called")
+
+    monkeypatch.setattr(FiniteGroup, "power", refused)
+    assert am.evaluate(w) == want
+    assert am.mul(want, u) == product
+    assert am.mul(am.inv(want), want) == am.identity_element
 
 
 _B3_SCALE = """

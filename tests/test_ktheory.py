@@ -270,6 +270,32 @@ def test_identity_maps_give_zero_cokernels():
         assert out[deg].coker == TRIVIAL_GROUP
 
 
+@pytest.mark.parametrize("spec", ["pb3rp2", "b3rp2", "mcg_rp2_3"])
+def test_a_nil_free_spec_parses_each_group_name_once(monkeypatch, spec):
+    # the three sheet names are parsed once each; A, B, C and every map
+    # source resolve through them, however often the assembly looks them up
+    from lowerk import groups
+
+    raw = copy.deepcopy(bundled_spec_json(spec))
+    raw["nils"] = []
+    calls = []
+    real_parse = groups._parse
+
+    def counting(name):
+        calls.append(name)
+        return real_parse(name)
+
+    monkeypatch.setattr(groups, "_parse", counting)
+    parsed = assembly_spec_from_json(raw)
+    amalgam_k_assemble(parsed)
+    assert len(calls) <= 4, calls
+    # a name spelt otherwise than its sheet is parsed on its first lookup only
+    calls.clear()
+    other = f" {parsed.group_c}"
+    assert parsed.sheet(other) is parsed.sheet(other) is parsed.sheet(parsed.group_c)
+    assert calls == [other]
+
+
 def test_unlisted_vc_type_propagates_as_unknown():
     raw = copy.deepcopy(bundled_spec_json("pb3rp2"))
     raw["nils"].append({"vc": {"type": "product", "finite": "cyclic:16"},
