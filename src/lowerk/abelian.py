@@ -13,8 +13,12 @@ its row transform u, and lifts each source relation r to (r, -y'), where
 D y' = u M r for the pivots D of R_T.  The map keeps these lifts in
 `_lifted`.  Its kernel is Z^(m + rank R_T) modulo the lifts, with
 rank [M | R_T] fewer free summands.  Only `smith_normal_form` keeps the
-four transforms of a Smith form.  All arithmetic uses Python's
-arbitrary-precision integers; entry growth during elimination is harmless.
+four transforms of a Smith form, which no library path reads.  It runs
+Euclid at each pivot with quotients rounded to the nearest integer,
+updates every transform by row operations, and eliminates along the
+shorter side: a tall matrix is solved as its transpose.  All arithmetic
+uses Python's arbitrary-precision integers; entry growth during
+elimination is harmless.
 """
 from __future__ import annotations
 
@@ -36,6 +40,10 @@ def eye(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _transpose(m: Matrix) -> Matrix:
+    return [list(col) for col in zip(*m)]
+
+
 def mat_vec(m: Matrix, v: list[int]) -> list[int]:
     return [sum(map(operator.mul, row, v)) for row in m]
 
@@ -43,10 +51,11 @@ def mat_vec(m: Matrix, v: list[int]) -> list[int]:
 class SmithForm(Record):
     """Decomposition u * m * v = d with u, v unimodular and d diagonal.
 
-    The diagonal is nonnegative and forms a divisibility chain.  u_inv and
-    v_inv are the inverses of u and v, kept by the same elimination.  Only
-    `smith_normal_form` builds one: the library reads diagonal forms from
-    `_eliminate` instead.
+    d has the shape of m.  Its diagonal is nonnegative and forms a
+    divisibility chain, zeros last, so d is unique; u and v are not.
+    u_inv and v_inv are the inverses of u and v, kept by the same
+    elimination.  Only `smith_normal_form` builds one: the library reads
+    diagonal forms from `_eliminate` instead.
     """
 
     __slots__ = ("u", "d", "v", "u_inv", "v_inv")
@@ -137,9 +146,20 @@ def _eliminate(a: Matrix, u: Matrix | None = None) -> list[int]:
 def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
     """Smith normal form over the integers, with all four transforms.
 
-    `cols` is only needed to fix the width of a matrix with zero rows.
+    `cols` fixes the width of a matrix with no rows; given with rows, it
+    must be their length.  A tall matrix is solved as its transpose, so
+    the elimination runs along the shorter side.  Each pivot is the
+    smallest nonzero |entry| left, and Euclid runs there: row operations
+    clear its column, then column operations, which change the pivot row
+    alone, clear its row.  Quotients are rounded to the nearest integer,
+    and a remainder becomes the pivot by one swap.  A pivot that misses
+    an entry left gets that entry's row added to its own, and Euclid
+    resumes (Cohen, GTM 138, section 2.4).  u_inv and v are kept
+    transposed, so every transform update is a row operation.
     """
     r = len(mat)
+    if cols is not None and (type(cols) is not int or cols < 0 or (r and cols != len(mat[0]))):
+        raise ValueError(f"cols={cols!r} does not match the matrix width")
     c = len(mat[0]) if r else (cols or 0)
     a = [list(row) for row in mat]
     for row in a:
@@ -147,63 +167,85 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
             raise ValueError("ragged matrix")
         if any(type(x) is not int for x in row):
             raise ValueError(f"matrix row {row!r} has an entry that is not an int")
-    u, ui, v, vi = eye(r), eye(r), eye(c), eye(c)
-
-    def row_add(i, t, q):
-        # row_i += q * row_t
-        for m in (a, u):
-            m[i] = [x + q * y for x, y in zip(m[i], m[t])]
-        for row in ui:
-            row[t] -= q * row[i]
-
-    t = 0
-    while t < min(r, c):
-        pivot = best = None
+    tall = r > c
+    if tall:
+        a, r, c = _transpose(a), c, r
+    u, ui_t, v_t, vi = eye(r), eye(r), eye(c), eye(c)
+    live = list(range(c))   # the v column of each column left in a
+    order = []              # the v column of each pivot, in turn
+    diag = []
+    for t in range(r):
+        p = 0
         for i in range(t, r):
-            for j in range(t, c):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    pivot, best = (i, j), x
-        if pivot is None:
+            for jj, x in enumerate(a[i]):
+                if x and (not p or abs(x) < p):
+                    p, k, j = abs(x), i, jj
+            if p == 1:
+                break
+        if not p:
             break
-        pi, pj = pivot
-        if pi != t:
-            for m in (a, u):
-                m[t], m[pi] = m[pi], m[t]
-            for row in ui:
-                row[t], row[pi] = row[pi], row[t]
-        if pj != t:
-            for row in itertools.chain(a, v):
-                row[t], row[pj] = row[pj], row[t]
-            vi[t], vi[pj] = vi[pj], vi[t]
-        if a[t][t] < 0:
-            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
-            for row in ui:
-                row[t] = -row[t]
-        dirty = False
-        for i in range(t + 1, r):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                if q:
-                    row_add(i, t, -q)
-                dirty = dirty or bool(a[i][t])
-        for j in range(t + 1, c):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                if q:     # col_j -= q * col_t
-                    for row in itertools.chain(a, v):
-                        row[j] -= q * row[t]
-                    vi[t] = [x + q * y for x, y in zip(vi[t], vi[j])]
-                dirty = dirty or bool(a[t][j])
-        if dirty:
-            continue
-        offender = next((i for i in range(t + 1, r) for j in range(t + 1, c)
-                         if a[i][j] % a[t][t]), None)
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-        t += 1
-    return SmithForm(u, a, v, ui, vi)
+        while True:
+            if k != t:
+                a[t], a[k] = a[k], a[t]
+                u[t], u[k] = u[k], u[t]
+                ui_t[t], ui_t[k] = ui_t[k], ui_t[t]
+                k = t
+            at, ut = a[t], u[t]
+            p, rem = at[j], 0
+            for i in range(t + 1, r):
+                x = a[i][j]
+                if x:
+                    q = (2 * x + p) // (2 * p)
+                    if q:
+                        a[i] = [y - q * z for y, z in zip(a[i], at)]
+                        u[i] = [y - q * z for y, z in zip(u[i], ut)]
+                        ui_t[t] = [y + q * z for y, z in zip(ui_t[t], ui_t[i])]
+                        x -= q * p
+                    if x and (not rem or abs(x) < rem):
+                        rem, k = abs(x), i
+            if rem:
+                continue
+            # column j is clear below the pivot, so column operations
+            # against it change row t alone
+            vj = live[j]
+            for jj, x in enumerate(at):
+                if x and jj != j:
+                    q = (2 * x + p) // (2 * p)
+                    if q:
+                        w = live[jj]
+                        v_t[w] = [y - q * z for y, z in zip(v_t[w], v_t[vj])]
+                        vi[vj] = [y + q * z for y, z in zip(vi[vj], vi[w])]
+                        x -= q * p
+                        at[jj] = x
+                    if x and (not rem or abs(x) < rem):
+                        rem, jn = abs(x), jj
+            if rem:
+                j = jn
+                continue
+            if p in (1, -1):
+                break
+            k = next((i for i in range(t + 1, r) if any(x % p for x in a[i])), t)
+            if k == t:
+                break
+            a[t] = [y + z for y, z in zip(at, a[k])]
+            u[t] = [y + z for y, z in zip(ut, u[k])]
+            ui_t[k] = [y - z for y, z in zip(ui_t[k], ui_t[t])]
+            k = t
+        if p < 0:
+            p, u[t], ui_t[t] = -p, [-x for x in u[t]], [-x for x in ui_t[t]]
+        diag.append(p)
+        order.append(live.pop(j))
+        for row in a[t + 1:]:
+            del row[j]
+    order += live
+    v_t, vi = [v_t[w] for w in order], [vi[w] for w in order]
+    if tall:    # u m^T v = d gives v^T m u^T = d^T
+        r, c = c, r
+        u, ui_t, v_t, vi = v_t, vi, u, ui_t
+    d = [[0] * c for _ in range(r)]
+    for i, p in enumerate(diag):
+        d[i][i] = p
+    return SmithForm(u, d, _transpose(v_t), _transpose(ui_t), vi)
 
 
 # ---------------------------------------------------------------------------

@@ -166,21 +166,23 @@ def vc_str(vc: VcShape) -> str:
     return _VC_FIELDS[kind][1].format(*names)
 
 
-def nil_classify(vc: VcShape) -> NilValue:
+def nil_classify(vc: VcShape, canonical=canonical_group_name) -> NilValue:
     """Bundled Nil results for the virtually-cyclic shapes in scope.
 
-    Anything outside the ledger comes back Unknown rather than guessed.
+    `canonical` resolves a group name; an assembly spec passes its own,
+    which parses each distinct name once.  Anything outside the ledger
+    comes back Unknown rather than guessed.
     """
     kind, names = vc
     if kind == "product":
-        f = canonical_group_name(names[0])
+        f = canonical(names[0])
         if f == "cyclic:2":
             return NilValue(NIL_ZERO, "NK of Z[Z/2] vanishes in low degrees (Weibel 2009)")
         if f == "cyclic:4":
             return NilValue(NIL_COUNTABLE_SUM_Z2, "NK of Z[Z/4] (Weibel 2009)")
     elif kind == "amalgam":
-        left, right = sorted((canonical_group_name(names[0]), canonical_group_name(names[2])))
-        key = (left, canonical_group_name(names[1]), right)
+        left, right = sorted((canonical(names[0]), canonical(names[2])))
+        key = (left, canonical(names[1]), right)
         if key == ("cyclic:4", "cyclic:2", "cyclic:4"):
             return NilValue(NIL_ZERO, "reduces to NK of Z/2 x Z (Lafont-Ortiz 2008; Weibel 2009)")
         if key == ("quaternion:8", "cyclic:4", "quaternion:8"):
@@ -226,9 +228,11 @@ class AssemblySpec(Record):
     """An amalgam A *_C B with its cited K-sheets, one map per degree, and
     the (vc, cite) pairs of its Nil ledger entries.  Each group name is
     canonicalized once: a sheet's own name maps to its key, and any other
-    name is parsed on first lookup and remembered."""
+    name is parsed on first lookup and remembered.  Each Nil entry is
+    classified when the spec is built, into `nil_values`."""
 
-    __slots__ = ("name", "group_a", "group_b", "group_c", "sheets", "maps", "nils", "_keys")
+    __slots__ = ("name", "group_a", "group_b", "group_c", "sheets", "maps", "nils",
+                 "nil_values", "_keys")
 
     def __init__(self, name: str, group_a: str, group_b: str, group_c: str,
                  sheets: dict[str, KSheet], maps: dict[str, MapSpec],
@@ -236,6 +240,7 @@ class AssemblySpec(Record):
         self.name, self.group_a, self.group_b, self.group_c = name, group_a, group_b, group_c
         self.sheets, self.maps, self.nils = sheets, maps, nils
         self._keys = {sheet.group: key for key, sheet in sheets.items()}
+        self.nil_values = [nil_classify(vc, self._key) for vc, _ in nils]
 
     def _key(self, group: str) -> str:
         key = self._keys.get(group) if isinstance(group, str) else None
@@ -401,7 +406,6 @@ def amalgam_k_assemble(spec: AssemblySpec) -> dict[str, AssembledDegree]:
     Building a degree map checks that it is well defined.
     """
     maps = {deg: _degree_map(spec, deg) for deg in DEGREES}
-    nil_values = [nil_classify(vc) for vc, _ in spec.nils]
     out = {}
     for deg in DEGREES:
         coker = TRIVIAL_GROUP if maps[deg] is None else cokernel(maps[deg])
@@ -413,7 +417,7 @@ def amalgam_k_assemble(spec: AssemblySpec) -> dict[str, AssembledDegree]:
         else:
             ker_shift = kernel(maps[lower])
         if deg in _NIL_DEGREES:
-            nil = nil_sum(nil_values)
+            nil = nil_sum(spec.nil_values)
         else:
             nil = NilValue(NIL_ZERO, "twisted Nil groups vanish below degree 0 in this range")
         out[deg] = AssembledDegree(coker, ker_shift, nil)

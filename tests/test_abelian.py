@@ -117,6 +117,16 @@ def test_snf_refuses_an_entry_that_is_not_an_int(bad):
         smith_normal_form([[bad]])
 
 
+@pytest.mark.parametrize("mat, cols", [([[1, 2]], 5), ([[1, 2]], 0), ([[], []], 1),
+                                       ([], -1), ([], 2.0), ([[1]], True)])
+def test_snf_refuses_a_cols_that_disagrees_with_the_rows(mat, cols):
+    # cols only fixes the width of a matrix with no rows; given with rows it
+    # must be their length, and it is never coerced
+    with pytest.raises(ValueError, match="cols"):
+        smith_normal_form(mat, cols=cols)
+    assert smith_normal_form([[1, 2]], cols=2).diagonal == [1]
+
+
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
        st.data())
 def test_snf_hypothesis_postconditions(r, c, data):
@@ -732,11 +742,34 @@ def test_lattice_path_matches_seed_oracle_on_finite_maps():
         _assert_matches_seed(_random_finite_map(rng)[2])
 
 
-@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6), st.data())
-def test_snf_matches_seed_oracle(r, c, data):
-    mat = [[data.draw(st.integers(min_value=-9, max_value=9)) for _ in range(c)]
-           for _ in range(r)]
-    assert smith_normal_form(mat, cols=c) == _seed_smith_normal_form(mat, cols=c)
+@st.composite
+def _snf_matrices(draw):
+    """Shapes 0 to 8 each way, so tall, wide and square; dense, sparse or of
+    low rank, a product of r x k and k x c factors with k <= min(r, c)."""
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["dense", "sparse", "low rank"]))
+    entry = lambda: draw(st.integers(-9, 9))
+    if kind == "low rank":
+        k = draw(st.integers(0, min(r, c)))
+        left = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(r)]
+        right = [[draw(st.integers(-3, 3)) for _ in range(c)] for _ in range(k)]
+        return [[sum(left[i][l] * right[l][j] for l in range(k)) for j in range(c)]
+                for i in range(r)], c
+    sparse = kind == "sparse"
+    return [[0 if sparse and draw(st.integers(0, 3)) else entry() for _ in range(c)]
+            for _ in range(r)], c
+
+
+@given(_snf_matrices())
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[0] * 3 for _ in range(5)], 3))
+@example(([[2, 0], [0, 3]], 2))      # pivots 2 and 3, Smith diagonal 1 and 6
+def test_snf_matches_seed_oracle(case):
+    # transforms are not unique, so the seed's are not pinned: d is, and
+    # the new transforms must satisfy every postcondition on their own
+    mat, c = case
+    assert snf_postconditions(mat, cols=c).d == _seed_smith_normal_form(mat, cols=c).d
 
 
 def _b3_degree_maps():
@@ -750,7 +783,7 @@ def test_lattice_path_runs_without_the_full_smith_form(monkeypatch):
     # transform each; none of them may pay for the four-transform form
     rng = random.Random("dense-12")
     dense = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
-    assert smith_normal_form(dense) == _seed_smith_normal_form(dense)
+    assert snf_postconditions(dense).d == _seed_smith_normal_form(dense).d
     maps = [(AbelianPresentation(12), AbelianPresentation(12), tuple(map(tuple, dense)))]
     maps += [(f.source, f.target, f.matrix) for f in _b3_degree_maps()]
 
@@ -893,3 +926,32 @@ def test_eliminate_row_operation_count(monkeypatch):
     diag = abelian._eliminate(dense)
     assert diag == [1] * 10 + [3, 575770694972]
     assert (len(ops), sum(ops)) == (172, 1092)
+
+
+@pytest.mark.parametrize("rows, cols, ops_entries, bits", [
+    (16, 32, (2075, 53266), 205),
+    (32, 16, (2063, 52655), 268),
+])
+def test_snf_row_operation_count(monkeypatch, rows, cols, ops_entries, bits):
+    # every update of a, u, u_inv, v or v_inv zips two rows (u_inv and v are
+    # kept transposed), and a tall map is eliminated as its transpose, so the
+    # two shapes cost about the same.  The seed's Smith form made 299 row
+    # additions and 1316 column operations, each walking all 48 rows of a
+    # and v, on the wide draw; 1293 and 281 on the tall one; and its largest
+    # transform entries had 300 and 205 bits.
+    rng = random.Random(f"snf-{rows}x{cols}")
+    dense = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    ops = []
+
+    def counting_zip(*args):
+        if len(args) == 2:      # a row update; a transpose zips every row
+            ops.append(len(args[0]))
+        return zip(*args)
+
+    monkeypatch.setattr(abelian, "zip", counting_zip, raising=False)
+    s = smith_normal_form(dense)
+    monkeypatch.undo()
+    assert (len(ops), sum(ops)) == ops_entries
+    assert max(abs(x).bit_length() for m in (s.u, s.d, s.v, s.u_inv, s.v_inv)
+               for row in m for x in row) == bits
+    assert snf_postconditions(dense).d == _seed_smith_normal_form(dense).d

@@ -296,6 +296,32 @@ def test_a_nil_free_spec_parses_each_group_name_once(monkeypatch, spec):
     assert calls == [other]
 
 
+@pytest.mark.parametrize("spec", ["pb3rp2", "b3rp2", "mcg_rp2_3"])
+def test_a_spec_parses_each_group_name_once_with_its_nils(monkeypatch, spec):
+    # each Nil entry is classified when the spec is parsed, through the
+    # spec's own names: a sheet's name is not parsed again, any other name
+    # once, and assembling, however often, parses nothing
+    from lowerk import groups
+
+    raw = bundled_spec_json(spec)
+    names = {sheet["group"] for sheet in raw["sheets"]}
+    names |= {name for nil in raw["nils"] for key, name in nil["vc"].items() if key != "type"}
+    calls = []
+    real_parse = groups._parse
+
+    def counting(name):
+        calls.append(name)
+        return real_parse(name)
+
+    monkeypatch.setattr(groups, "_parse", counting)
+    parsed = assembly_spec_from_json(raw)
+    assert sorted(calls) == sorted(names)
+    calls.clear()
+    for _ in range(2):
+        amalgam_k_assemble(parsed)
+    assert calls == []
+
+
 def test_unlisted_vc_type_propagates_as_unknown():
     raw = copy.deepcopy(bundled_spec_json("pb3rp2"))
     raw["nils"].append({"vc": {"type": "product", "finite": "cyclic:16"},
