@@ -14,11 +14,13 @@ D y' = u M r for the pivots D of R_T.  The map keeps these lifts in
 `_lifted`.  Its kernel is Z^(m + rank R_T) modulo the lifts, with
 rank [M | R_T] fewer free summands.  Only `smith_normal_form` keeps the
 four transforms of a Smith form, which no library path reads.  It runs
-Euclid at each pivot with quotients rounded to the nearest integer,
-updates every transform by row operations, and eliminates along the
-shorter side: a tall matrix is solved as its transpose.  All arithmetic
-uses Python's arbitrary-precision integers; entry growth during
-elimination is harmless.
+Euclid at each pivot with quotients rounded to the nearest integer and
+eliminates along the shorter side: a tall matrix is solved as its
+transpose.  It updates u, u_inv and v_inv as it eliminates, reading a
+row that is still a unit vector as its one entry, and builds v last from
+its log of column operations.  All arithmetic uses Python's
+arbitrary-precision integers; entry growth during elimination is
+harmless.
 """
 from __future__ import annotations
 
@@ -53,9 +55,9 @@ class SmithForm(Record):
 
     d has the shape of m.  Its diagonal is nonnegative and forms a
     divisibility chain, zeros last, so d is unique; u and v are not.
-    u_inv and v_inv are the inverses of u and v, kept by the same
-    elimination.  Only `smith_normal_form` builds one: the library reads
-    diagonal forms from `_eliminate` instead.
+    u_inv and v_inv are the inverses of u and v.  Only
+    `smith_normal_form` builds one: the library reads diagonal forms from
+    `_eliminate` instead.
     """
 
     __slots__ = ("u", "d", "v", "u_inv", "v_inv")
@@ -154,8 +156,16 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
     alone, clear its row.  Quotients are rounded to the nearest integer,
     and a remainder becomes the pivot by one swap.  A pivot that misses
     an entry left gets that entry's row added to its own, and Euclid
-    resumes (Cohen, GTM 138, section 2.4).  u_inv and v are kept
-    transposed, so every transform update is a row operation.
+    resumes (Cohen, GTM 138, section 2.4).
+
+    Each row operation is mirrored on u and on u_inv, kept transposed, and
+    each column operation on v_inv, so every update is a row operation.
+    A row of u_inv or v_inv that is still a unit vector is read as its one
+    entry.  v is built last from the identity and the log of column
+    operations, last operation first, so its row w is still e_w, read as
+    its one entry, unless column w was the pivot of a later operation.  So
+    the row of a kernel column, which is never a pivot, is always read as
+    one entry.
     """
     r = len(mat)
     if cols is not None and (type(cols) is not int or cols < 0 or (r and cols != len(mat[0]))):
@@ -170,7 +180,10 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
     tall = r > c
     if tall:
         a, r, c = _transpose(a), c, r
-    u, ui_t, v_t, vi = eye(r), eye(r), eye(c), eye(c)
+    u, ui_t, vi = eye(r), eye(r), eye(c)
+    unit = list(range(r))   # where each row of ui_t holds its 1, None once it is no unit vector
+    bare = [True] * c       # whether row w of vi is still e_w
+    log = []                # each column operation (x, w, q): v column w -= q v column x
     live = list(range(c))   # the v column of each column left in a
     order = []              # the v column of each pivot, in turn
     diag = []
@@ -189,8 +202,9 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
                 a[t], a[k] = a[k], a[t]
                 u[t], u[k] = u[k], u[t]
                 ui_t[t], ui_t[k] = ui_t[k], ui_t[t]
+                unit[t], unit[k] = unit[k], unit[t]
                 k = t
-            at, ut = a[t], u[t]
+            at, ut, uit = a[t], u[t], ui_t[t]
             p, rem = at[j], 0
             for i in range(t + 1, r):
                 x = a[i][j]
@@ -199,7 +213,11 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
                     if q:
                         a[i] = [y - q * z for y, z in zip(a[i], at)]
                         u[i] = [y - q * z for y, z in zip(u[i], ut)]
-                        ui_t[t] = [y + q * z for y, z in zip(ui_t[t], ui_t[i])]
+                        if unit[i] is None:
+                            ui_t[t] = uit = [y + q * z for y, z in zip(uit, ui_t[i])]
+                        else:
+                            uit[unit[i]] += q
+                        unit[t] = None
                         x -= q * p
                     if x and (not rem or abs(x) < rem):
                         rem, k = abs(x), i
@@ -213,8 +231,12 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
                     q = (2 * x + p) // (2 * p)
                     if q:
                         w = live[jj]
-                        v_t[w] = [y - q * z for y, z in zip(v_t[w], v_t[vj])]
-                        vi[vj] = [y + q * z for y, z in zip(vi[vj], vi[w])]
+                        log.append((vj, w, q))
+                        if bare[w]:
+                            vi[vj][w] += q
+                        else:
+                            vi[vj] = [y + q * z for y, z in zip(vi[vj], vi[w])]
+                        bare[vj] = False
                         x -= q * p
                         at[jj] = x
                     if x and (not rem or abs(x) < rem):
@@ -229,8 +251,10 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
                 break
             a[t] = [y + z for y, z in zip(at, a[k])]
             u[t] = [y + z for y, z in zip(ut, u[k])]
-            ui_t[k] = [y - z for y, z in zip(ui_t[k], ui_t[t])]
+            ui_t[k] = [y - z for y, z in zip(ui_t[k], uit)]
+            unit[k] = None
             k = t
+        # row t of ui_t is read no more, so its unit entry is left stale
         if p < 0:
             p, u[t], ui_t[t] = -p, [-x for x in u[t]], [-x for x in ui_t[t]]
         diag.append(p)
@@ -238,14 +262,24 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithForm:
         for row in a[t + 1:]:
             del row[j]
     order += live
-    v_t, vi = [v_t[w] for w in order], [vi[w] for w in order]
+    # v = E_1 ... E_N for the logged column operations E_n, built from the
+    # right: row x -= q row w, and row w is still e_w unless column w is
+    # the pivot of a later operation
+    v, bare = eye(c), [True] * c
+    for x, w, q in reversed(log):
+        if bare[w]:
+            v[x][w] -= q
+        else:
+            v[x] = [y - q * z for y, z in zip(v[x], v[w])]
+        bare[x] = False
+    v, vi = [[row[w] for w in order] for row in v], [vi[w] for w in order]
     if tall:    # u m^T v = d gives v^T m u^T = d^T
         r, c = c, r
-        u, ui_t, v_t, vi = v_t, vi, u, ui_t
+        u, v, ui_t, vi = _transpose(v), _transpose(u), vi, ui_t
     d = [[0] * c for _ in range(r)]
     for i, p in enumerate(diag):
         d[i][i] = p
-    return SmithForm(u, d, _transpose(v_t), _transpose(ui_t), vi)
+    return SmithForm(u, d, v, _transpose(ui_t), vi)
 
 
 # ---------------------------------------------------------------------------

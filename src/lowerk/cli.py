@@ -3,10 +3,11 @@ assembly of amalgam specs, and one-shot case verification.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
 3 data gap (missing bundled data, ill-formed map, cited K-data that a
-theorem rules out or whose K_-1 the engine computes otherwise).  A
-command refuses by raising: `main` prints one `error:` line and takes the
-code from the error's family in `errors` (`UsageError` 2, `DataGap` 3,
-any other `LowerKError` 1).  Only `verify` imports the casebook, and with
+theorem rules out, whose Wh free rank is not Bass's r_R - r_Q, or whose
+K_-1 the engine computes otherwise).  A command refuses by raising:
+`main` prints one `error:` line and takes the code from the error's
+family in `errors` (`UsageError` 2, `DataGap` 3, any other
+`LowerKError` 1).  Only `verify` imports the casebook, and with
 it the amalgams layer.
 """
 
@@ -205,6 +206,14 @@ _THEOREMS = (("K0t", lambda g: g.free_rank == 0, "reduced K_0(ZG) is finite (Swa
              ("Km2", lambda g: g.is_trivial, "K_-2(ZG) = 0 (Carter)"))
 
 
+def _wh_rank(G) -> int:
+    """The free rank of Wh(G), r_R - r_Q (Bass): r_R counts the classes of
+    G up to inversion, r_Q the rationally fused classes."""
+    inv = G.invariants()
+    r_r = sum(1 for k, cls in enumerate(inv.classes) if inv.class_of[G.inv(cls[0])] >= k)
+    return r_r - fused_classes(G, Rational()).count
+
+
 def cmd_assemble(args) -> int:
     raw = _resolve_spec(args.spec)
     spec = assembly_spec_from_json(raw)
@@ -213,7 +222,12 @@ def cmd_assemble(args) -> int:
             if not holds(sheet.entries[deg]):
                 raise DataGap(f"the {sheet.group} sheet cites {deg} = {sheet.entries[deg]}, "
                               f"but {theorem}")
-        G, cited = build_group(key), sheet.entries["Km1"]
+        G = build_group(key)
+        cited, rank = sheet.entries["Wh"], _wh_rank(G)
+        if cited.free_rank != rank:
+            raise DataGap(f"the {sheet.group} sheet cites Wh = {cited}, "
+                          f"but its free rank is r_R - r_Q = {rank} (Bass)")
+        cited = sheet.entries["Km1"]
         try:
             computed = k_minus1(G)
             agrees = cited == computed

@@ -772,6 +772,40 @@ def test_snf_matches_seed_oracle(case):
     assert snf_postconditions(mat, cols=c).d == _seed_smith_normal_form(mat, cols=c).d
 
 
+@pytest.mark.parametrize("mat, u, d, v, u_inv, v_inv", [
+    # the column phase moves the pivot from 6 to the remainder -2, then to
+    # 1, so v_inv rows 0 and 1 are each summed into before they are read
+    ([[6, 10, 15]], [[1]], [[1, 0, 0]], [[1, -5, 0], [-2, 3, -3], [1, 0, 2]], [[1]],
+     [[6, 10, 15], [1, 2, 3], [-3, -5, -7]]),
+    # wide, of rank 2: the kernel columns of v are never pivots
+    ([[2, 4, 6, 8, 10], [1, 3, 5, 7, 9], [3, 7, 11, 15, 19]],
+     [[0, 1, 0], [-1, 2, 0], [-1, -1, 1]],
+     [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 0, 0, 0]],
+     [[1, -3, 1, 2, 3], [0, 1, -2, -3, -4], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+     [[2, -1, 0], [1, 0, 0], [3, -1, 1]],
+     [[1, 3, 5, 7, 9], [0, 1, 2, 3, 4], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+    # tall: solved as its transpose, with the transforms swapped back
+    ([[3, 5], [7, 2], [-4, 6], [0, 9], [8, -1]],
+     [[0, 0, 0, 0, 1], [1, 2, -2, 0, -3], [-1, -23, 13, 0, 27], [2, 2, -3, 0, -4],
+      [-1, -7, 3, 1, 8]],
+     [[1, 0], [0, 1], [0, 0], [0, 0], [0, 0]],
+     [[0, 1], [-1, 8]],
+     [[-5, 43, 2, -20, 0], [-2, 23, 1, -11, 0], [-6, 44, 2, -21, 0], [-9, 72, 3, -34, 1],
+      [1, 0, 0, 0, 0]],
+     [[8, -1], [1, 0]]),
+    # pivot 2 misses the 3 below it: the fix-up adds row 1 to row 0, and
+    # the u_inv row it changed is read by the next row operation
+    ([[2, 0], [0, 3]], [[-1, -1], [3, 4]], [[1, 0], [0, 6]], [[-2, -3], [1, 2]],
+     [[-4, -1], [3, 1]], [[-2, -3], [1, 2]]),
+])
+def test_snf_transforms_are_pinned(mat, u, d, v, u_inv, v_inv):
+    # the transforms are not unique, but the order of the operations fixes
+    # them.  Pinned from a Smith form that zipped every transform row in
+    # full, so reading a unit row as its one entry, and building v from the
+    # log, must change no entry
+    assert snf_postconditions(mat) == SmithForm(u, d, v, u_inv, v_inv)
+
+
 def _b3_degree_maps():
     spec = assembly_spec_from_json(bundled_spec_json("b3rp2"))
     # a map into the trivial group is None: zero, and built from no vector
@@ -929,16 +963,20 @@ def test_eliminate_row_operation_count(monkeypatch):
 
 
 @pytest.mark.parametrize("rows, cols, ops_entries, bits", [
-    (16, 32, (2075, 53266), 205),
-    (32, 16, (2063, 52655), 268),
+    (16, 32, (1214, 27746), 205),
+    (32, 16, (1147, 26159), 268),
 ])
 def test_snf_row_operation_count(monkeypatch, rows, cols, ops_entries, bits):
-    # every update of a, u, u_inv, v or v_inv zips two rows (u_inv and v are
-    # kept transposed), and a tall map is eliminated as its transpose, so the
-    # two shapes cost about the same.  The seed's Smith form made 299 row
-    # additions and 1316 column operations, each walking all 48 rows of a
-    # and v, on the wide draw; 1293 and 281 on the tall one; and its largest
-    # transform entries had 300 and 205 bits.
+    # a tall map is eliminated as its transpose, so the two shapes cost
+    # about the same.  Every row operation zips a row of a and a row of u.
+    # A row of u_inv (kept transposed), of v_inv or of v is zipped only when
+    # it is no longer a unit vector; otherwise it is read as its one entry.
+    # On the wide draw that is 335 row operations (670 zips) and 208 full
+    # u_inv rows; of the 535 column operations, 50 read a v_inv row and 286
+    # a v row in full.  The seed's Smith form made 299 row additions and
+    # 1316 column operations, each walking all 48 rows of a and v, on the
+    # wide draw; 1293 and 281 on the tall one; and its largest transform
+    # entries had 300 and 205 bits.
     rng = random.Random(f"snf-{rows}x{cols}")
     dense = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
     ops = []

@@ -10,6 +10,7 @@ from lowerk import casebook, cli, errors
 from lowerk.abelian import FgAbelianGroup
 from lowerk.cli import main
 from lowerk.errors import AssemblySpecError, IllFormedMap
+from lowerk.groups import build_group
 from lowerk.ktheory import amalgam_k_assemble, assembly_spec_from_json, bundled_ksheets
 
 
@@ -443,18 +444,51 @@ def test_assemble_refuses_a_cited_km1_the_engine_contradicts(name, group, comput
     assert err == f"error: the {group} sheet cites Km1 = {cited}, but the engine computes {computed}\n"
 
 
+@pytest.mark.parametrize("name", ["b3rp2", "pb3rp2", "mcg_rp2_3"])
+def test_every_bundled_sheet_cites_the_wh_rank_of_bass(name):
+    # r_R - r_Q is 1 for O* (8 classes, all closed under inversion, in 7
+    # rational blocks) and for Dic24 (9 and 8), and 0 for the other seven
+    for sheet in casebook.bundled_spec_json(name)["sheets"]:
+        rank = cli._wh_rank(build_group(sheet["group"]))
+        assert rank == sheet["Wh"]["rank"], sheet["group"]
+        assert rank == (sheet["group"] in ("binary-octahedral", "dicyclic:24"))
+
+
+@pytest.mark.parametrize("sheet, rank, wh_matrix, assembled", [
+    (1, 0, [[]], "Z + (Z/2)^(oo)"),
+    (0, 2, [[], [], []], "Z^3 + (Z/2)^(oo)"),
+], ids=["dicyclic:24", "binary-octahedral"])
+def test_assemble_refuses_a_cited_wh_rank_that_contradicts_bass(sheet, rank, wh_matrix, assembled,
+                                                                capsys, tmp_path):
+    # b3's Wh is Z^2 + (Z/2)^(oo).  With the Wh map reshaped to the cited
+    # rank, the library parses and assembles the spec; the command refuses it
+    raw = casebook.bundled_spec_json("b3rp2")
+    group = raw["sheets"][sheet]["group"]
+    raw["sheets"][sheet]["Wh"] = {"rank": rank, "torsion": []}
+    raw["maps"][0]["matrix"] = wh_matrix
+    assert str(amalgam_k_assemble(assembly_spec_from_json(raw))["Wh"]) == assembled
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert code == 3 and out == ""
+    assert err == (f"error: the {group} sheet cites Wh = {FgAbelianGroup(rank)}, "
+                   "but its free rank is r_R - r_Q = 1 (Bass)\n")
+
+
 @pytest.mark.parametrize("rank, code", [(1, 0), (2, 3)])
 def test_assemble_holds_a_sheet_without_schur_data_to_the_carter_rank(rank, code, capsys,
                                                                       tmp_path):
     # no bundled sheet gives binary-tetrahedral's Schur data, so its cited
     # torsion stands and its free rank must be Carter's, 1.  It stands in
     # for b3's A, O*, whose cited Km1 is Z + Z/2: with rank 1 the Km1 map
-    # keeps its shape and the spec assembles.
+    # keeps its shape and the spec assembles.  Its Wh has Bass's rank 0,
+    # not O*'s 1, so the Wh map loses O*'s row.
     raw = casebook.bundled_spec_json("b3rp2")
     assert raw["sheets"][0]["group"] == raw["A"] == "binary-octahedral"
     raw["A"] = "binary-tetrahedral"
     raw["sheets"][0] = dict(raw["sheets"][0], group="binary-tetrahedral",
-                            Km1={"rank": rank, "torsion": [3]})
+                            Wh={"rank": 0, "torsion": []}, Km1={"rank": rank, "torsion": [3]})
+    raw["maps"][0]["matrix"] = [[]]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(raw))
     got, out, err = run_cli(capsys, "assemble", str(path))
