@@ -7,8 +7,10 @@ theorem rules out, whose Wh free rank is not Bass's r_R - r_Q, or whose
 K_-1 the engine computes otherwise).  A command refuses by raising:
 `main` prints one `error:` line and takes the code from the error's
 family in `errors` (`UsageError` 2, `DataGap` 3, any other
-`LowerKError` 1).  Only `verify` imports the casebook, and with
-it the amalgams layer.
+`LowerKError` 1).  `parse_args` reads argv by hand, so a misused
+command line is one `error:` line too, an abbreviated option is refused,
+and no process imports argparse.  Only `verify` imports the casebook,
+and with it the amalgams layer.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from .ktheory import (
 )
 
 # after the library, whose import peak then has less beneath it (lower peak RSS)
-import argparse
 import json
 import os
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 
 def rows_to_table(rows: list[tuple[str, ...]]) -> str:
@@ -274,57 +276,58 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # common flags are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json"),
-                        default=argparse.SUPPRESS)
+# each command's words, and the name of the one argument that follows them
+_COMMANDS = {("group", "info"): "name", ("classes",): "name", ("ksheet",): "name",
+             ("assemble",): "spec", ("verify",): "case"}
+_USAGE = """usage: lowerk [--format table|json] COMMAND, where COMMAND is one of
+  group info NAME          order, center, classes, element orders
+  classes NAME --fusion F  fused or p-singular classes; F is q, qp:p, fp:p or singular:p
+  ksheet NAME              representation counts and K_-1 data
+  assemble SPEC            K-theory of a spec file or a bundled spec
+  verify CASE              run a bundled verification case, or all
+--format may also follow the command; options are not abbreviated."""
 
-    parser = argparse.ArgumentParser(
-        prog="lowerk",
-        description="Lower K-theory of integral group rings of amalgams of finite groups.")
-    parser.add_argument("--format", choices=("table", "json"), default="table")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    group = sub.add_parser("group", help="group inspection", parents=[common])
-    group_sub = group.add_subparsers(dest="subcommand", required=True)
-    info = group_sub.add_parser("info", help="order, center, classes, element orders",
-                                parents=[common])
-    info.add_argument("name")
-    info.set_defaults(func=cmd_group_info)
-
-    classes = sub.add_parser("classes", help="fused or p-singular class tables",
-                             parents=[common])
-    classes.add_argument("name")
-    classes.add_argument("--fusion", required=True,
-                         help="q | qp:<p> | fp:<p> | singular:<p>")
-    classes.set_defaults(func=cmd_classes)
-
-    ksheet = sub.add_parser("ksheet", help="representation counts and K_-1 data",
-                            parents=[common])
-    ksheet.add_argument("name")
-    ksheet.set_defaults(func=cmd_ksheet)
-
-    assemble = sub.add_parser("assemble", help="assemble K-theory from a spec file",
-                              parents=[common])
-    assemble.add_argument("spec")
-    assemble.set_defaults(func=cmd_assemble)
-
-    verify = sub.add_parser("verify", help="run a bundled verification case",
-                            parents=[common])
-    verify.add_argument("case", help="a bundled case name, or all")
-    verify.set_defaults(func=cmd_verify)
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """argv as `command` (its words), its one argument by name, `format` and
+    `fusion`, the last of each option winning; None when -h or --help asks
+    for the usage.  Any misuse raises UsageError."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    words, opts = [], {"format": "table", "fusion": None}
+    for word in (rest := iter(argv)):
+        if word[:1] != "-" or word == "-":
+            words.append(word)
+            continue
+        opt, eq, value = word.partition("=")
+        if opt != "--format" and (opt != "--fusion" or words[:1] != ["classes"]):
+            raise UsageError(f"unknown option {opt!r} here (see lowerk --help)")
+        if not eq:
+            value = next(rest, "--")    # the end of argv reads as an option word
+            if value[:1] == "-" and value != "-":
+                raise UsageError(f"{opt} takes a value")
+        if opt == "--format" and value not in ("table", "json"):
+            raise UsageError(f"--format is table or json, not {value!r}")
+        opts[opt[2:]] = value
+    head = next((h for h in _COMMANDS if tuple(words[:len(h)]) == h), None)
+    if head is None:
+        raise UsageError("expected a command: group info, classes, ksheet, assemble or verify")
+    if len(words) != len(head) + 1:
+        raise UsageError(f"{' '.join(head)} takes one {_COMMANDS[head].upper()}")
+    if head == ("classes",) and opts["fusion"] is None:
+        raise UsageError("classes takes --fusion F")
+    return SimpleNamespace(command=head, **opts, **{_COMMANDS[head]: words[-1]})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_USAGE)
+            return 0
+        # the names are looked up at each call, so a replaced function is the one run
+        return {"group": cmd_group_info, "classes": cmd_classes, "ksheet": cmd_ksheet,
+                "assemble": cmd_assemble, "verify": cmd_verify}[args.command[0]](args)
     except LowerKError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 3 if isinstance(exc, DataGap) else 1

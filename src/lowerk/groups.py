@@ -5,7 +5,9 @@ index 0 the identity.  Constructors cover the cyclic, dihedral, dicyclic,
 symmetric and binary polyhedral families; the binary octahedral group and
 its index-2 binary tetrahedral subgroup are realized by coset enumeration
 of their standard presentations (Wolf, Spaces of constant curvature,
-p. 198).  Every table, these and quotients and subgroups alike, comes from
+p. 198), and the binary icosahedral group by that of <2, 3, 5> =
+<s, t | (st)^2 = s^3 = t^5> (Coxeter and Moser, Generators and Relations
+for Discrete Groups).  Every table, these and quotients and subgroups alike, comes from
 one constructor that closes labelled generator rows and checks the group
 axioms, once the rows are closed, by testing that each generator column
 commutes with each generator row; its breadth-first tree is the label
@@ -572,6 +574,15 @@ def _binary_octahedral() -> FiniteGroup:
     return group_from_coset_table(ct, "binary-octahedral")
 
 
+_BINARY_ICOSAHEDRAL_PRESENTATION = Presentation(
+    ("s", "t"), (parse_word("s t s t s^-3"), parse_word("s^3 t^-5")))   # (st)^2 = s^3 = t^5
+
+
+def _binary_icosahedral() -> FiniteGroup:
+    ct = todd_coxeter(_BINARY_ICOSAHEDRAL_PRESENTATION)
+    return group_from_coset_table(ct, "binary-icosahedral")
+
+
 def _binary_tetrahedral() -> FiniteGroup:
     big = build_group("binary-octahedral")
     labels = {s: big.generator_labels[s] for s in ("P", "Q", "X")}
@@ -594,6 +605,7 @@ _FAMILIES = {
 _PRESENTED = {
     "binary-octahedral": (48, _binary_octahedral),
     "binary-tetrahedral": (24, _binary_tetrahedral),
+    "binary-icosahedral": (120, _binary_icosahedral),
 }
 _ALIASES = {"dicyclic:8": "quaternion:8"}
 
@@ -639,8 +651,8 @@ def build_group(spec: str) -> FiniteGroup:
     """Build a group from its name; each name gives one cached group.
 
     Grammar: cyclic:n | dicyclic:4n | quaternion:8 | binary-octahedral |
-    binary-tetrahedral | symmetric:n | dihedral:n, with n in ASCII digits
-    and resulting order <= 10000.
+    binary-tetrahedral | binary-icosahedral | symmetric:n | dihedral:n,
+    with n in ASCII digits and resulting order <= 10000.
     """
     return _build(canonical_group_name(spec))
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -124,6 +125,14 @@ def test_ksheet_unknown_schur_data_exits_3(capsys):
     code, out, _ = run_cli(capsys, "ksheet", "binary-tetrahedral")
     assert code == 3
     assert "carter rank" in out  # the rank is still printed
+
+
+def test_ksheet_of_the_binary_icosahedral_group_exits_3(capsys):
+    # no bundled sheet gives its Schur data, so only the free rank is printed
+    code, out, _ = run_cli(capsys, "ksheet", "binary-icosahedral")
+    assert code == 3
+    assert ["carter", "rank", "2"] in [line.split() for line in out.splitlines()]
+    assert "Z^2 + unknown torsion (no bundled Schur data)" in out
 
 
 def test_ksheet_looks_schur_data_up_by_isomorphism_class(capsys):
@@ -255,13 +264,63 @@ def test_module_entry_point():
 
 
 def test_coset_limit_flag_is_unrecognized():
-    # the one enumeration the CLI runs is the bundled binary-octahedral
-    # presentation, so no flag bounds it
+    # the enumerations the CLI runs are those of the bundled binary polyhedral
+    # presentations, so no flag bounds them
     for argv in (["--coset-limit", "5", "group", "info", "binary-octahedral"],
                  ["ksheet", "binary-octahedral", "--coset-limit", "500"]):
         proc = _run_module(*argv)
         assert proc.returncode == 2 and not proc.stdout
-        assert "lowerk: error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
+# an unknown option, an abbreviated one, a format outside the choices,
+# --fusion missing, misplaced or given to another command, an unknown
+# subcommand, an extra word, a missing value: each is one error line and
+# exit 2, as a missing command is (test_usage_error)
+@pytest.mark.parametrize("argv", [
+    ["--form", "json", "verify", "all"], ["ksheet", "cyclic:2", "--fus", "q"],
+    ["--format", "xml", "verify", "all"], ["classes", "cyclic:4"],
+    ["ksheet", "cyclic:4", "--fusion", "q"], ["ksheet", "a", "b"], ["ksheet", "--format"],
+    ["--fusion", "q", "classes", "cyclic:4"], ["group", "list", "cyclic:4"],
+    ["classes", "cyclic:4", "--fusion"], ["ksheet", "cyclic:4", "--format=xml"],
+], ids=" ".join)
+def test_a_misused_command_line_is_one_error_line(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "verify", "all"],
+                                  ["verify", "all", "--help"], ["--format", "xml", "-h"]],
+                         ids=" ".join)
+def test_help_anywhere_prints_the_usage(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: lowerk") and "classes NAME --fusion F" in out
+
+
+def test_options_take_their_value_either_way_and_the_last_wins(capsys):
+    want = run_cli(capsys, "--format", "json", "classes", "dicyclic:24", "--fusion", "q")
+    assert want[0] == 0 and json.loads(want[1])["count"] == 8
+    for argv in (["classes", "--fusion", "q", "dicyclic:24", "--format=json"],
+                 ["--format=table", "classes", "--fusion=fp:3", "dicyclic:24",
+                  "--fusion", "q", "--format", "json"]):
+        assert run_cli(capsys, *argv) == want
+
+
+def test_no_process_imports_argparse():
+    # a fresh interpreter, since pytest itself imports argparse
+    done = _run_python("-c", """if True:
+        import sys
+        import lowerk.cli
+        loaded = {"argparse", "gettext"} & set(sys.modules)
+        lowerk.cli.main(["--format", "json", "ksheet", "cyclic:4"])
+        loaded |= {"argparse", "gettext"} & set(sys.modules)
+        print(sorted(loaded), file=sys.stderr)
+    """)
+    assert done.returncode == 0 and json.loads(done.stdout)["group"] == "cyclic:4"
+    assert done.stderr == "[]\n"
 
 
 def test_reports_identical_bytes_across_processes():
@@ -275,8 +334,10 @@ def test_reports_identical_bytes_across_processes():
 
 
 def test_usage_error(capsys):
-    assert main([]) == 2
-    assert main(["group"]) == 2
+    for argv in ([], ["group"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_table_and_json_contain_same_check_count(capsys):
@@ -738,7 +799,8 @@ _COMMANDS = {("group", "info"): _GROUP_NAMES, ("classes",): _GROUP_NAMES,
              ("ksheet",): _GROUP_NAMES, ("assemble",): _SPEC_NAMES,
              ("verify",): [*casebook.CASES, "all"]}
 _WORDS = sorted({w for head, args in _COMMANDS.items() for w in (*head, *args)}
-                | {"--format", "table", "json", "--fusion", "--help", *_FUSION_FLAGS})
+                | {"--format", "table", "json", "--fusion", "--help", "-h", "-", "--coset-limit",
+                   *_FUSION_FLAGS})
 
 
 def _token(words=_WORDS):
@@ -762,3 +824,91 @@ def test_main_exits_0_to_3_on_any_argv(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the earlier argparse parser, kept as an oracle for the hand parser
+# ---------------------------------------------------------------------------
+
+def _seed_build_parser():
+    import argparse
+
+    # common flags are accepted both before and after the subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("table", "json"),
+                        default=argparse.SUPPRESS)
+
+    parser = argparse.ArgumentParser(
+        prog="lowerk",
+        description="Lower K-theory of integral group rings of amalgams of finite groups.")
+    parser.add_argument("--format", choices=("table", "json"), default="table")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    group = sub.add_parser("group", help="group inspection", parents=[common])
+    group_sub = group.add_subparsers(dest="subcommand", required=True)
+    info = group_sub.add_parser("info", help="order, center, classes, element orders",
+                                parents=[common])
+    info.add_argument("name")
+
+    classes = sub.add_parser("classes", help="fused or p-singular class tables",
+                             parents=[common])
+    classes.add_argument("name")
+    classes.add_argument("--fusion", required=True,
+                         help="q | qp:<p> | fp:<p> | singular:<p>")
+
+    ksheet = sub.add_parser("ksheet", help="representation counts and K_-1 data",
+                            parents=[common])
+    ksheet.add_argument("name")
+
+    assemble = sub.add_parser("assemble", help="assemble K-theory from a spec file",
+                              parents=[common])
+    assemble.add_argument("spec")
+
+    verify = sub.add_parser("verify", help="run a bundled verification case",
+                            parents=[common])
+    verify.add_argument("case", help="a bundled case name, or all")
+    return parser
+
+
+def _seed_reading(argv):
+    """The seed parser's reading of argv: "help", "error", or the command's
+    words, its argument, the format and the fusion flag."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ns = _seed_build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return "help" if exc.code == 0 else "error"
+    head = (ns.command, ns.subcommand) if ns.command == "group" else (ns.command,)
+    arg = next(getattr(ns, dest) for dest in ("name", "spec", "case") if hasattr(ns, dest))
+    return head, arg, ns.format, getattr(ns, "fusion", None)
+
+
+def _read_as_the_seed_did(argv):
+    """False when argparse reads a word in a way the hand parser refuses by
+    design: an abbreviated option, `--`, which ends argparse's options, or
+    a dash word it takes as a value, for holding a space or looking like a
+    negative number (a rule that Python 3.13 widened)."""
+    for word in argv:
+        opt = word.partition("=")[0]
+        if (word == "--" or len(opt) > 2 and any(
+                full != opt and full.startswith(opt) for full in ("--format", "--fusion", "--help"))
+                or word[:1] == "-" and (" " in word or re.match(r"-\.?\d", word))):
+            return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_token(), max_size=6), _COMMAND).filter(_read_as_the_seed_did))
+def test_parse_args_reads_argv_as_the_seed_parser(argv):
+    seed = _seed_reading(argv)
+    if "-h" in argv or "--help" in argv:
+        # help wins anywhere; the seed let an earlier misuse win instead
+        assert cli.parse_args(argv) is None and seed in ("help", "error")
+        return
+    try:
+        args = cli.parse_args(argv)
+    except errors.UsageError:
+        assert seed == "error"
+    else:
+        assert seed == (args.command, getattr(args, cli._COMMANDS[args.command]),
+                        args.format, args.fusion)

@@ -31,7 +31,7 @@ BUNDLED = [
     "dihedral:2", "dihedral:3", "dihedral:6",
     "quaternion:8", "dicyclic:12", "dicyclic:16", "dicyclic:24",
     "symmetric:3", "symmetric:4",
-    "binary-tetrahedral", "binary-octahedral",
+    "binary-tetrahedral", "binary-octahedral", "binary-icosahedral",
 ]
 
 
@@ -54,7 +54,7 @@ def test_expected_orders():
     for name, order in [("cyclic:1", 1), ("cyclic:7", 7), ("dihedral:6", 12),
                         ("quaternion:8", 8), ("dicyclic:24", 24),
                         ("symmetric:4", 24), ("binary-octahedral", 48),
-                        ("binary-tetrahedral", 24)]:
+                        ("binary-tetrahedral", 24), ("binary-icosahedral", 120)]:
         assert group_order(name) == build_group(name).order == order
 
 
@@ -265,7 +265,7 @@ def test_over_cap_names_are_refused_before_any_order():
 
 
 FAMILIES = ["cyclic", "dihedral", "dicyclic", "quaternion", "symmetric",
-            "binary-octahedral", "binary-tetrahedral", "so"]
+            "binary-octahedral", "binary-tetrahedral", "binary-icosahedral", "so"]
 DIGITS = "0123456789"
 digit_strings = st.one_of(
     st.text(DIGITS, min_size=1, max_size=12),

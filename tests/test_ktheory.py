@@ -91,6 +91,23 @@ def test_k_minus1_unknown_schur_data():
         schur_even_count(build_group("dicyclic:16"))
 
 
+def test_binary_icosahedral_group_and_its_central_quotient():
+    # <s, t | (st)^2 = s^3 = t^5> closes at 120 with a centre of order 2;
+    # its quotient is A5, of Carter rank 0, whose 5 classes are all real and
+    # whose two classes of 5-cycles fuse rationally, so r_R - r_Q = 1
+    from lowerk.cli import _wh_rank
+
+    G = build_group("binary-icosahedral")
+    assert G.order == 120 and len(G.invariants().classes) == 9 and center(G).order == 2
+    assert carter_rank(G) == 2 and _wh_rank(G) == 2
+    with pytest.raises(UnknownSchurData):   # no bundled sheet of its class
+        k_minus1(G)
+    A5 = quotient(G, center(G))
+    assert A5.order == 60 and center(A5).order == 1
+    assert sorted(map(len, A5.invariants().classes)) == [1, 12, 12, 15, 20]
+    assert carter_rank(A5) == 0 and _wh_rank(A5) == 1
+
+
 def test_schur_count_is_looked_up_by_isomorphism_class():
     # a quotient's name such as 'binary-octahedral/N2' is no group name; the
     # count is that of its class, S4
