@@ -2,20 +2,19 @@
 assembly of amalgam specs, and one-shot case verification.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 data gap (missing bundled data, ill-formed map, cited K-data that a
-theorem rules out, whose Wh free rank is not Bass's r_R - r_Q, or whose
-K_-1 the engine computes otherwise).  A command refuses by raising:
-`main` prints one `error:` line and takes the code from the error's
-family in `errors` (`UsageError` 2, `DataGap` 3, any other
-`LowerKError` 1).  `parse_args` reads argv by hand, so a misused
-command line is one `error:` line too, an abbreviated option is refused,
-and no process imports argparse.  Only `verify` imports the casebook,
-and with it the amalgams layer.
+3 data gap (missing bundled data, ill-formed map, or a K-sheet, of a
+spec or bundled for `ksheet`, that `ktheory.check_sheet` refuses).  A
+command refuses by raising: `main` prints one `error:` line and takes
+the code from the error's family in `errors` (`UsageError` 2, `DataGap`
+3, any other `LowerKError` 1).  `parse_args` reads argv by hand, so a
+misused command line is one `error:` line too, an abbreviated option is
+refused, and no process imports argparse.  Only `verify` imports the
+casebook, and with it the amalgams layer.
 """
 
 from __future__ import annotations
 
-from .abelian import FgAbelianGroup, prime_factors
+from .abelian import FgAbelianGroup
 from .errors import (
     AssemblySpecError,
     DataGap,
@@ -24,14 +23,7 @@ from .errors import (
     UnknownSpec,
     UsageError,
 )
-from .fusion import (
-    ModP,
-    Padic,
-    Rational,
-    fused_classes,
-    p_singular_classes,
-    sc_rank,
-)
+from .fusion import ModP, Padic, Rational, fused_classes, p_singular_classes
 from .groups import build_group, center
 from .ktheory import (
     amalgam_k_assemble,
@@ -39,7 +31,10 @@ from .ktheory import (
     bundled_ksheets,
     bundled_spec_json,
     carter_rank,
+    carter_stages,
+    check_sheet,
     k_minus1,
+    spec_object,
     DEGREES,
 )
 
@@ -141,54 +136,43 @@ def cmd_classes(args) -> int:
 
 def cmd_ksheet(args) -> int:
     G = build_group(args.name)
-    r_q = fused_classes(G, Rational()).count
-    per_prime = {}
-    for p in prime_factors(G.order):
-        per_prime[p] = (fused_classes(G, Padic(p)).count, fused_classes(G, ModP(p)).count)
+    r_q, per_prime, sc = carter_stages(G)
     rank = carter_rank(G)
     sheet = bundled_ksheets().get(G.name)
-    try:
-        km1 = k_minus1(G)
+    try:    # a bundled sheet that the engine contradicts is refused here
+        km1 = k_minus1(G) if sheet is None else check_sheet(sheet)
     except UnknownSchurData:
         km1 = None
     data = {
         "group": G.name,
         "r_Q": r_q,
         "per_prime": {str(p): {"r_Qp": a, "r_Fp": b} for p, (a, b) in per_prime.items()},
-        "sc_rank": sc_rank(G),
+        "sc_rank": sc,
         "carter_rank": rank,
-        # a bundled sheet must cite the K_-1 that Carter's formula computes
-        "negk_consistent": sheet is None or km1 is None or sheet.entries["Km1"] == km1,
+        "negk_consistent": True,    # check_sheet has refused any other bundled sheet
     }
     rows = [("group", G.name), ("r_Q", str(r_q))]
-    for p, (a, b) in sorted(per_prime.items()):
-        rows.append((f"p = {p}", f"r_Qp = {a}  r_Fp = {b}"))
-    rows.append(("sc rank", str(data["sc_rank"])))
-    rows.append(("carter rank", str(rank)))
-    exit_code = 0
-    if km1 is not None:
-        data["K_-1"] = km1.to_json()
-        data["K_-1_pretty"] = str(km1)
-        rows.append(("K_-1", str(km1)))
-    else:
-        free = str(FgAbelianGroup(rank))
+    rows += [(f"p = {p}", f"r_Qp = {a}  r_Fp = {b}") for p, (a, b) in sorted(per_prime.items())]
+    rows += [("sc rank", str(sc)), ("carter rank", str(rank))]
+    if km1 is None:
         data["K_-1"] = "unknown torsion (no bundled Schur data)"
-        rows.append(("K_-1", f"{free} + unknown torsion (no bundled Schur data)"))
-        exit_code = 3
+        rows.append(("K_-1", f"{FgAbelianGroup(rank)} + {data['K_-1']}"))
+    else:
+        data["K_-1"], data["K_-1_pretty"] = km1.to_json(), str(km1)
+        rows.append(("K_-1", str(km1)))
     if sheet is not None:
         data["bundled"] = sheet.to_json()
-        for deg in ("Wh", "K0t"):
-            rows.append((f"bundled {deg}", str(sheet.entries[deg])))
-    rows.append(("negk consistent", "yes" if data["negk_consistent"] else "NO"))
+        rows += [(f"bundled {deg}", str(sheet.entries[deg])) for deg in ("Wh", "K0t")]
+    rows.append(("negk consistent", "yes"))
     _emit(data, args.format, rows_to_table(rows))
-    return exit_code
+    return 3 if km1 is None else 0
 
 
 def _resolve_spec(path: str) -> dict:
     if os.path.isfile(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                return json.load(fh, object_pairs_hook=spec_object)
         except OSError as exc:
             raise AssemblySpecError(f"cannot read {path}: {exc.strerror or exc}") from None
         except ValueError as exc:
@@ -203,43 +187,10 @@ def _resolve_spec(path: str) -> dict:
         raise AssemblySpecError(f"no such spec file or bundled spec: {path!r}") from None
 
 
-# cited values that a theorem rules out for every finite group G
-_THEOREMS = (("K0t", lambda g: g.free_rank == 0, "reduced K_0(ZG) is finite (Swan)"),
-             ("Km2", lambda g: g.is_trivial, "K_-2(ZG) = 0 (Carter)"))
-
-
-def _wh_rank(G) -> int:
-    """The free rank of Wh(G), r_R - r_Q (Bass): r_R counts the classes of
-    G up to inversion, r_Q the rationally fused classes."""
-    inv = G.invariants()
-    r_r = sum(1 for k, cls in enumerate(inv.classes) if inv.class_of[G.inv(cls[0])] >= k)
-    return r_r - fused_classes(G, Rational()).count
-
-
 def cmd_assemble(args) -> int:
-    raw = _resolve_spec(args.spec)
-    spec = assembly_spec_from_json(raw)
-    for key, sheet in spec.sheets.items():
-        for deg, holds, theorem in _THEOREMS:
-            if not holds(sheet.entries[deg]):
-                raise DataGap(f"the {sheet.group} sheet cites {deg} = {sheet.entries[deg]}, "
-                              f"but {theorem}")
-        G = build_group(key)
-        cited, rank = sheet.entries["Wh"], _wh_rank(G)
-        if cited.free_rank != rank:
-            raise DataGap(f"the {sheet.group} sheet cites Wh = {cited}, "
-                          f"but its free rank is r_R - r_Q = {rank} (Bass)")
-        cited = sheet.entries["Km1"]
-        try:
-            computed = k_minus1(G)
-            agrees = cited == computed
-        except UnknownSchurData:    # the free rank needs no Schur data
-            rank = carter_rank(G)
-            computed = f"{FgAbelianGroup(rank)} + unknown torsion (no bundled Schur data)"
-            agrees = cited.free_rank == rank
-        if not agrees:
-            raise DataGap(f"the {sheet.group} sheet cites Km1 = {cited}, "
-                          f"but the engine computes {computed}")
+    spec = assembly_spec_from_json(_resolve_spec(args.spec))
+    for sheet in spec.sheets.values():
+        check_sheet(sheet)
     assembled = amalgam_k_assemble(spec)
     data = {"name": spec.name,
             "amalgam": {"A": spec.group_a, "B": spec.group_b, "C": spec.group_c},

@@ -12,13 +12,13 @@ subgroup of (Z/d)*:
   field with p       <p> mod d on p-regular elements only.
 
 No representation is ever constructed; everything is table fusion.
+The ranks built from these counts, Carter's and Bass's, are `ktheory`'s.
 """
 
 from __future__ import annotations
 
 import math
 
-from .abelian import prime_factors
 from .errors import NotPrime, UnknownSpec
 from .groups import FiniteGroup
 from .records import Frozen
@@ -186,12 +186,3 @@ def p_singular_classes(G: FiniteGroup, p: int) -> list[tuple[int, tuple[int, ...
     out = [(d, cls) for cls, d in zip(inv.classes, inv.orders) if d % p == 0]
     out.sort(key=lambda t: (t[0], t[1][0]))
     return out
-
-
-def sc_rank(G: FiniteGroup) -> int:
-    """Rank of the singular-character group: sum over primes p dividing
-    the group order of (p-adic count minus mod-p count)."""
-    total = 0
-    for p in prime_factors(G.order):
-        total += fused_classes(G, Padic(p)).count - fused_classes(G, ModP(p)).count
-    return total

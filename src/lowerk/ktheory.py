@@ -1,6 +1,6 @@
-"""Lower K-theory of integral group rings: Carter's formula, bundled
-K-data for the groups in scope, the symbolic Nil ledger, and the
-per-degree assembly for amalgams of finite groups.
+"""Lower K-theory of integral group rings: Carter's formula, Bass's Wh
+rank, bundled K-data for the groups in scope and its check against both,
+the symbolic Nil ledger, and the per-degree assembly for amalgams.
 
 Carter's decomposition K_{-1}(Z[G]) = Z^r + (Z/2)^s has
 
@@ -24,14 +24,16 @@ from .abelian import (
     cokernel,
     kernel,
     presentation_of_sum,
+    prime_factors,
 )
 from .errors import (
     AssemblySpecError,
+    DataGap,
     IllFormedMap,
     MissingDegree,
     UnknownSchurData,
 )
-from .fusion import Rational, fused_classes, sc_rank
+from .fusion import ModP, Padic, Rational, fused_classes
 from .groups import FiniteGroup, build_group, canonical_group_name, group_order, is_isomorphic
 from .records import Frozen, Record
 
@@ -44,9 +46,26 @@ _NIL_DEGREES = {"Wh", "K0t"}
 # Carter's formula
 # ---------------------------------------------------------------------------
 
+def carter_stages(G: FiniteGroup) -> tuple[int, dict[int, tuple[int, int]], int]:
+    """Carter's counts: r_Q, (r_{Q_p}, r_{F_p}) for each prime p dividing
+    |G|, and the singular-character rank, the sum of their differences."""
+    per_prime = {p: (fused_classes(G, Padic(p)).count, fused_classes(G, ModP(p)).count)
+                 for p in prime_factors(G.order)}
+    return fused_classes(G, Rational()).count, per_prime, sum(a - b for a, b in per_prime.values())
+
+
 def carter_rank(G: FiniteGroup) -> int:
     """Free rank of K_{-1}(Z[G]) (Carter 1980)."""
-    return 1 - fused_classes(G, Rational()).count + sc_rank(G)
+    r_q, _, sc = carter_stages(G)
+    return 1 - r_q + sc
+
+
+def bass_rank(G: FiniteGroup) -> int:
+    """The free rank of Wh(G), r_R - r_Q (Bass): r_R counts the classes of
+    G up to inversion, r_Q the rationally fused classes."""
+    inv = G.invariants()
+    r_r = sum(1 for k, cls in enumerate(inv.classes) if inv.class_of[G.inv(cls[0])] >= k)
+    return r_r - fused_classes(G, Rational()).count
 
 
 def k_minus1(G: FiniteGroup) -> FgAbelianGroup:
@@ -102,6 +121,38 @@ def schur_even_count(G: FiniteGroup) -> int:
         if group_order(name) == G.order and is_isomorphic(G, build_group(name)):
             return len(sheet.entries["Km1"].torsion)
     raise UnknownSchurData(f"no bundled Schur-index data for {G.name}")
+
+
+# cited values that a theorem rules out for every finite group G
+_THEOREMS = (("K0t", lambda g: g.free_rank == 0, "reduced K_0(ZG) is finite (Swan)"),
+             ("Km2", lambda g: g.is_trivial, "K_-2(ZG) = 0 (Carter)"))
+
+
+def check_sheet(sheet: KSheet) -> FgAbelianGroup | None:
+    """The K_-1 of the sheet's group (None without Schur data), once cited
+    data that a theorem, Bass or the engine's K_-1 contradicts is refused
+    by DataGap.  The group is built only once the theorems hold."""
+    for deg, holds, theorem in _THEOREMS:
+        if not holds(sheet.entries[deg]):
+            raise DataGap(f"the {sheet.group} sheet cites {deg} = {sheet.entries[deg]}, "
+                          f"but {theorem}")
+    G = build_group(sheet.group)
+    cited, rank = sheet.entries["Wh"], bass_rank(G)
+    if cited.free_rank != rank:
+        raise DataGap(f"the {sheet.group} sheet cites Wh = {cited}, "
+                      f"but its free rank is r_R - r_Q = {rank} (Bass)")
+    cited = sheet.entries["Km1"]
+    try:
+        km1 = computed = k_minus1(G)
+        agrees = cited == km1
+    except UnknownSchurData:    # the free rank needs no Schur data
+        km1, rank = None, carter_rank(G)
+        computed = f"{FgAbelianGroup(rank)} + unknown torsion (no bundled Schur data)"
+        agrees = cited.free_rank == rank
+    if not agrees:
+        raise DataGap(f"the {sheet.group} sheet cites Km1 = {cited}, "
+                      f"but the engine computes {computed}")
+    return km1
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +389,22 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
 _SPECS_DIR = os.path.join(os.path.dirname(__file__), "specs")
 
 
+def spec_object(pairs: list[tuple[str, object]]) -> dict:
+    """json's `object_pairs_hook` for specs: a key given twice is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise AssemblySpecError(f"a spec object gives the key {key!r} twice")
+        obj[key] = value
+    return obj
+
+
 def bundled_spec_json(name: str) -> dict:
     """The bundled assembly spec of this name, as parsed JSON."""
     if not name.endswith(".json"):
         name = f"{name}.json"
     with open(os.path.join(_SPECS_DIR, name), encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=spec_object)
 
 
 @functools.cache

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowerk import casebook, cli, errors
-from lowerk.abelian import FgAbelianGroup
+from lowerk.abelian import FgAbelianGroup, TRIVIAL_GROUP
 from lowerk.cli import main
 from lowerk.errors import AssemblySpecError, IllFormedMap
 from lowerk.groups import build_group
-from lowerk.ktheory import amalgam_k_assemble, assembly_spec_from_json, bundled_ksheets
+from lowerk.ktheory import amalgam_k_assemble, assembly_spec_from_json, bass_rank, bundled_ksheets
 
 
 def run_cli(capsys, *argv):
@@ -108,17 +108,30 @@ def test_ksheet_trivial(capsys):
 
 
 def test_ksheet_flags_a_bundled_sheet_that_contradicts_carter(capsys, monkeypatch):
-    # Carter's formula gives Z + Z/2 for the binary octahedral group
+    # Carter's formula gives Z + Z/2 for the binary octahedral group: the
+    # sheet is refused in either format, as assemble refuses it
     sheet = bundled_ksheets()["binary-octahedral"]
     monkeypatch.setitem(sheet.entries, "Km1", FgAbelianGroup(1, (4,)))
-    code, out, _ = run_cli(capsys, "--format", "json", "ksheet", "binary-octahedral")
-    assert code == 0
-    data = json.loads(out)
-    assert data["negk_consistent"] is False
-    assert data["K_-1_pretty"] == "Z + Z/2"
-    code, out, _ = run_cli(capsys, "ksheet", "binary-octahedral")
-    assert code == 0
-    assert out.splitlines()[-1].split() == ["negk", "consistent", "NO"]
+    for fmt in ("json", "table"):
+        assert run_cli(capsys, "--format", fmt, "ksheet", "binary-octahedral") == (
+            3, "", "error: the binary-octahedral sheet cites Km1 = Z + Z/4, "
+                   "but the engine computes Z + Z/2\n")
+
+
+@pytest.mark.parametrize("name, degree, cited, why", [
+    ("dicyclic:24", "Wh", TRIVIAL_GROUP, "its free rank is r_R - r_Q = 1 (Bass)"),
+    ("binary-octahedral", "Km1", FgAbelianGroup(1, (4,)), "the engine computes Z + Z/2"),
+    ("dicyclic:12", "K0t", FgAbelianGroup(1), "reduced K_0(ZG) is finite (Swan)"),
+], ids=["Wh", "Km1", "K0t"])
+def test_ksheet_refuses_a_bundled_sheet_the_engine_contradicts(name, degree, cited, why,
+                                                               capsys, monkeypatch):
+    # the sheet check of assemble, on ksheet's own bundled sheet
+    monkeypatch.setitem(bundled_ksheets()[name].entries, degree, cited)
+    assert run_cli(capsys, "ksheet", name) == (
+        3, "", f"error: the {name} sheet cites {degree} = {cited}, but {why}\n")
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "--format", "json", "ksheet", name)
+    assert code == 0 and json.loads(out)["negk_consistent"] is True
 
 
 def test_ksheet_unknown_schur_data_exits_3(capsys):
@@ -307,6 +320,31 @@ def test_options_take_their_value_either_way_and_the_last_wins(capsys):
                  ["--format=table", "classes", "--fusion=fp:3", "dicyclic:24",
                   "--fusion", "q", "--format", "json"]):
         assert run_cli(capsys, *argv) == want
+
+
+_LIBRARY = ["lowerk", "lowerk.abelian", "lowerk.cli", "lowerk.errors", "lowerk.fusion",
+            "lowerk.groups", "lowerk.ktheory", "lowerk.presentations", "lowerk.records"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["group", "info", "dicyclic:24"], _LIBRARY),
+    (["classes", "dicyclic:24", "--fusion", "q"], _LIBRARY),
+    (["ksheet", "binary-octahedral"], _LIBRARY),
+    (["assemble", "b3rp2"], _LIBRARY),
+    (["verify", "pb3"], sorted(_LIBRARY + ["lowerk.amalgams", "lowerk.casebook"])),
+], ids=["group-info", "classes", "ksheet", "assemble", "verify"])
+def test_each_command_loads_its_pinned_modules(argv, loaded):
+    # a fresh interpreter per command; a change that widens a set says so here
+    done = _run_python("-c", """if True:
+        import json, sys
+        import lowerk.cli
+        code = lowerk.cli.main(json.loads(sys.argv[1]))
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "lowerk")),
+              file=sys.stderr)
+        sys.exit(code)
+    """, json.dumps(argv))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr) == loaded
 
 
 def test_no_process_imports_argparse():
@@ -505,12 +543,28 @@ def test_assemble_refuses_a_cited_km1_the_engine_contradicts(name, group, comput
     assert err == f"error: the {group} sheet cites Km1 = {cited}, but the engine computes {computed}\n"
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"name": ', '"name": "first", "name": ', "name"),
+    ('"Km1": ', '"Km1": {"rank": 7, "torsion": [2]}, "Km1": ', "Km1"),
+], ids=["name", "Km1"])
+def test_assemble_refuses_a_spec_key_given_twice(old, new, key, capsys, tmp_path):
+    # the first "Km1" of the text is in O*'s sheet; a plain JSON reader
+    # would keep the second value of each key silently
+    text = json.dumps(casebook.bundled_spec_json("b3rp2"))
+    twice = text.replace(old, new, 1)
+    assert json.loads(twice) == json.loads(text)
+    path = tmp_path / "spec.json"
+    path.write_text(twice)
+    assert run_cli(capsys, "assemble", str(path)) == (
+        2, "", f"error: a spec object gives the key {key!r} twice\n")
+
+
 @pytest.mark.parametrize("name", ["b3rp2", "pb3rp2", "mcg_rp2_3"])
 def test_every_bundled_sheet_cites_the_wh_rank_of_bass(name):
     # r_R - r_Q is 1 for O* (8 classes, all closed under inversion, in 7
     # rational blocks) and for Dic24 (9 and 8), and 0 for the other seven
     for sheet in casebook.bundled_spec_json(name)["sheets"]:
-        rank = cli._wh_rank(build_group(sheet["group"]))
+        rank = bass_rank(build_group(sheet["group"]))
         assert rank == sheet["Wh"]["rank"], sheet["group"]
         assert rank == (sheet["group"] in ("binary-octahedral", "dicyclic:24"))
 

@@ -11,7 +11,6 @@ from lowerk.fusion import (
     fused_classes,
     is_prime,
     p_singular_classes,
-    sc_rank,
 )
 from lowerk.groups import build_group, conjugacy_classes
 
@@ -150,18 +149,6 @@ def test_monotonicity():
             qp = fused_classes(G, Padic(p)).count
             assert fp <= qp <= nclasses
             assert r_q <= qp
-
-
-def test_sc_rank_values():
-    assert sc_rank(build_group("cyclic:1")) == 0
-    assert sc_rank(build_group("cyclic:2")) == 1
-    D12 = build_group("dicyclic:12")
-    r_q = fused_classes(D12, Rational()).count
-    # rank identity: singular rank = carter rank + (r_Q - 1)
-    assert sc_rank(D12) == 1 + (r_q - 1)
-    for name in ("cyclic:8", "quaternion:8", "dicyclic:24", "symmetric:4",
-                 "dihedral:3", "dihedral:6", "binary-octahedral"):
-        assert sc_rank(build_group(name)) >= 0
 
 
 def test_not_prime_rejected():

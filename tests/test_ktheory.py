@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lowerk import ktheory
 from lowerk.abelian import FgAbelianGroup, TRIVIAL_GROUP
 from lowerk.errors import (
     AssemblySpecError,
@@ -22,9 +24,11 @@ from lowerk.ktheory import (
     NilValue,
     amalgam_k_assemble,
     assembly_spec_from_json,
+    bass_rank,
     bundled_ksheets,
     bundled_spec_json,
     carter_rank,
+    carter_stages,
     k_minus1,
     nil_classify,
     nil_sum,
@@ -50,6 +54,37 @@ CARTER_TABLE = {
 @pytest.mark.parametrize("name,rank", sorted(CARTER_TABLE.items()))
 def test_carter_ranks(name, rank):
     assert carter_rank(build_group(name)) == rank
+
+
+def test_sc_rank_values():
+    def sc_rank(G):
+        return carter_stages(G)[2]
+
+    assert sc_rank(build_group("cyclic:1")) == 0
+    assert sc_rank(build_group("cyclic:2")) == 1
+    D12 = build_group("dicyclic:12")
+    r_q = carter_stages(D12)[0]
+    # rank identity: singular rank = carter rank + (r_Q - 1)
+    assert sc_rank(D12) == 1 + (r_q - 1)
+    for name in ("cyclic:8", "quaternion:8", "dicyclic:24", "symmetric:4",
+                 "dihedral:3", "dihedral:6", "binary-octahedral"):
+        assert sc_rank(build_group(name)) >= 0
+
+
+def _divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_bass_rank_of_cyclic_and_dihedral_groups(n):
+    # Z/n has floor(n/2) + 1 classes up to inversion and tau(n) rational
+    # classes, one per element order.  Every element of D_n is conjugate to
+    # its inverse; its rotations fuse into tau(n) rational classes and its
+    # reflections form 1 class for odd n, 2 for even n
+    assert bass_rank(build_group(f"cyclic:{n}")) == n // 2 + 1 - _divisor_count(n)
+    D = build_group(f"dihedral:{n}")
+    classes = len(D.invariants().classes)
+    assert bass_rank(D) == classes - (_divisor_count(n) + (1 if n % 2 else 2))
 
 
 def test_bundled_sheets_are_the_trivial_group_and_those_the_specs_cite():
@@ -95,17 +130,15 @@ def test_binary_icosahedral_group_and_its_central_quotient():
     # <s, t | (st)^2 = s^3 = t^5> closes at 120 with a centre of order 2;
     # its quotient is A5, of Carter rank 0, whose 5 classes are all real and
     # whose two classes of 5-cycles fuse rationally, so r_R - r_Q = 1
-    from lowerk.cli import _wh_rank
-
     G = build_group("binary-icosahedral")
     assert G.order == 120 and len(G.invariants().classes) == 9 and center(G).order == 2
-    assert carter_rank(G) == 2 and _wh_rank(G) == 2
+    assert carter_rank(G) == 2 and bass_rank(G) == 2
     with pytest.raises(UnknownSchurData):   # no bundled sheet of its class
         k_minus1(G)
     A5 = quotient(G, center(G))
     assert A5.order == 60 and center(A5).order == 1
     assert sorted(map(len, A5.invariants().classes)) == [1, 12, 12, 15, 20]
-    assert carter_rank(A5) == 0 and _wh_rank(A5) == 1
+    assert carter_rank(A5) == 0 and bass_rank(A5) == 1
 
 
 def test_schur_count_is_looked_up_by_isomorphism_class():
@@ -349,6 +382,17 @@ def test_unlisted_vc_type_propagates_as_unknown():
     # degrees at and below -1 never carry twisted summands
     assert out["Km1"].nil.tag == NIL_ZERO
     assert str(out["Wh"]) == "Nil?"
+
+
+def test_bundled_spec_reader_refuses_a_key_given_twice(tmp_path, monkeypatch):
+    # a plain JSON reader keeps the last value silently
+    text = (Path(ktheory.__file__).parent / "specs" / "b3rp2.json").read_text()
+    twice = text.replace('"name": ', '"name": "first", "name": ', 1)
+    assert json.loads(twice) == json.loads(text)
+    (tmp_path / "b3rp2.json").write_text(twice)
+    monkeypatch.setattr(ktheory, "_SPECS_DIR", str(tmp_path))
+    with pytest.raises(AssemblySpecError, match="gives the key 'name' twice"):
+        bundled_spec_json("b3rp2")
 
 
 def test_spec_schema_violations():
