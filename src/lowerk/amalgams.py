@@ -12,11 +12,14 @@ form makes equality a plain comparison (Serre, Trees).  An amalgam is
 read off its two embeddings of the edge group, and a word is read
 through one table of the vertex groups' labels.
 
-The first factorization of a step depends only on the vertex element x
-and the head h, so each side holds an action table of x * i(h) -> (c, t)
-for every x and h: |V| * |C| references to the factor pairs, no more
-than the vertex group's own Cayley table.  With the cyclic powers of
-each label, also tabled, a letter of a word costs one read of each.
+Each non-identity coset representative t of a side is one syllable
+object (side, t), built with the amalgam and shared by every normal form
+that holds it.  The first factorization of a step depends only on the
+vertex element x and the head h, so each side holds an action table of
+x * i(h) -> (c, syllable) for every x and h, the syllable None for the
+edge coset: |V| * |C| references, no more than the vertex group's own
+Cayley table.  With the cyclic powers of each label, also tabled, a
+letter of a word costs one read of each and allocates nothing.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ class AmalgamElement(Frozen):
     """Normal form: head in C, then alternating transversal syllables.
 
     Syllables are (side, vertex element index) pairs; no syllable is an
-    identity representative and consecutive syllables change sides.
+    identity representative and consecutive syllables change sides.  The
+    amalgam's operations write each coset's one shared pair.
     """
 
     __slots__ = ("head", "syllables")
@@ -87,9 +91,9 @@ class Amalgam:
         self.iA, self.iB = iA, iB
         self._vertex = (self.A, self.B)
         self._embed = (iA.full_map(), iB.full_map())
-        self._transversal, self._factor = zip(*map(self._cosets, (SIDE_A, SIDE_B)))
-        self._act = tuple(tuple(tuple([factor[row[i]] for i in image]) for row in V.table)
-                          for V, image, factor in zip(self._vertex, self._embed, self._factor))
+        self._transversal, self._factor, self._coset = zip(*map(self._cosets, (SIDE_A, SIDE_B)))
+        self._act = tuple(tuple(tuple([coset[row[i]] for i in image]) for row in V.table)
+                          for V, image, coset in zip(self._vertex, self._embed, self._coset))
         self._symbols = {sym: (SIDE_A, g) for sym, g in self.A.generator_labels.items()}
         for sym, g in self.B.generator_labels.items():
             first = self._symbols.setdefault(sym, (SIDE_B, g))
@@ -98,21 +102,24 @@ class Amalgam:
         self._powers = {sym: (side, _cyclic_powers(self._vertex[side], g))
                         for sym, (side, g) in self._symbols.items()}
 
-    def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple, tuple]:
         """Right-coset representatives of the embedded edge group, and for
-        each vertex element a the unique (c, t) with a = i(c) * t.  In one
-        ascending pass the first element not yet factored is the least of
-        its coset, so the identity (index 0) represents the edge coset."""
+        each vertex element a the unique (c, t) with a = i(c) * t, also as
+        (c, syllable): t's one shared (side, t), None when t is the
+        identity.  In one ascending pass the first element not yet factored
+        is the least of its coset, so the identity (index 0) represents the
+        edge coset."""
         V = self._vertex[side]
         image = self._embed[side]
         reps: list[int] = []
-        factor: list[tuple[int, int] | None] = [None] * V.order
+        factor: list = [None] * V.order
         for t in range(V.order):
             if factor[t] is None:
                 reps.append(t)
                 for c in range(self.C.order):
                     factor[V.table[image[c]][t]] = (c, t)
-        return tuple(reps), tuple(factor)  # type: ignore[arg-type]
+        shared = {t: (side, t) for t in reps[1:]}
+        return tuple(reps), tuple(factor), tuple((c, shared.get(t)) for c, t in factor)
 
     # -- basic data ---------------------------------------------------------
 
@@ -134,19 +141,20 @@ class Amalgam:
         (head, reversed(rev)).  Updates `rev`, whose last entry is the
         leftmost syllable, in place and returns the new head: one read of
         the action table for x * i(head), and a coset factorization where
-        x's side meets the first syllable."""
-        c, t = self._act[side][x][head]
-        if t == FiniteGroup.identity:
+        x's side meets the first syllable.  Both give (c, syllable), so
+        `rev` receives a shared syllable and nothing is allocated."""
+        c, syllable = self._act[side][x][head]
+        if syllable is None:
             return c
         if rev and rev[-1][0] == side:
-            c2, t = self._factor[side][self._vertex[side].table[t][rev[-1][1]]]
+            c2, syllable = self._coset[side][self._vertex[side].table[syllable[1]][rev[-1][1]]]
             c = self.C.table[c][c2]
-            if t == FiniteGroup.identity:
+            if syllable is None:
                 rev.pop()
             else:
-                rev[-1] = (side, t)
+                rev[-1] = syllable
         else:
-            rev.append((side, t))
+            rev.append(syllable)
         return c
 
     def mul(self, e1: AmalgamElement, e2: AmalgamElement) -> AmalgamElement:

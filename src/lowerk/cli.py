@@ -28,6 +28,7 @@ from .groups import build_group, center
 from .ktheory import (
     amalgam_k_assemble,
     assembly_spec_from_json,
+    bass_rank,
     bundled_ksheets,
     bundled_spec_json,
     carter_rank,
@@ -149,11 +150,11 @@ def cmd_ksheet(args) -> int:
         "per_prime": {str(p): {"r_Qp": a, "r_Fp": b} for p, (a, b) in per_prime.items()},
         "sc_rank": sc,
         "carter_rank": rank,
-        "negk_consistent": True,    # check_sheet has refused any other bundled sheet
+        "wh_rank": bass_rank(G),
     }
     rows = [("group", G.name), ("r_Q", str(r_q))]
     rows += [(f"p = {p}", f"r_Qp = {a}  r_Fp = {b}") for p, (a, b) in sorted(per_prime.items())]
-    rows += [("sc rank", str(sc)), ("carter rank", str(rank))]
+    rows += [("sc rank", str(sc)), ("carter rank", str(rank)), ("wh rank", str(data["wh_rank"]))]
     if km1 is None:
         data["K_-1"] = "unknown torsion (no bundled Schur data)"
         rows.append(("K_-1", f"{FgAbelianGroup(rank)} + {data['K_-1']}"))
@@ -163,7 +164,6 @@ def cmd_ksheet(args) -> int:
     if sheet is not None:
         data["bundled"] = sheet.to_json()
         rows += [(f"bundled {deg}", str(sheet.entries[deg])) for deg in ("Wh", "K0t")]
-    rows.append(("negk consistent", "yes"))
     _emit(data, args.format, rows_to_table(rows))
     return 3 if km1 is None else 0
 

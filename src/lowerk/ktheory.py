@@ -8,7 +8,8 @@ Carter's decomposition K_{-1}(Z[G]) = Z^r + (Z/2)^s has
 
 with the representation counts computed by class fusion; s (the number
 of rational irreducibles with even Schur index but odd local indices) is
-read off the cited K_{-1} of the bundled sheets, never guessed.
+0 for an abelian or a dihedral group, decided from the group, and read
+off the cited K_{-1} of the bundled sheets otherwise, never guessed.
 """
 
 from __future__ import annotations
@@ -70,12 +71,29 @@ def bass_rank(G: FiniteGroup) -> int:
 
 def k_minus1(G: FiniteGroup) -> FgAbelianGroup:
     """K_{-1}(Z[G]) = Z^carter_rank + (Z/2)^s, with s 0 for an abelian G
-    (its group algebra splits into fields) and read off the bundled sheets
-    otherwise."""
+    (its group algebra splits into fields) or a dihedral G (every simple
+    component of Q[D_2n] has Schur index 1; Curtis-Reiner), and read off
+    the bundled sheets otherwise."""
     gens = G.generators()
     abelian = all(G.table[a][b] == G.table[b][a] for a in gens for b in gens)
-    s = 0 if abelian else schur_even_count(G)
+    s = 0 if abelian or is_dihedral(G) else schur_even_count(G)
     return FgAbelianGroup.from_divisors(carter_rank(G), [2] * s)
+
+
+def is_dihedral(G: FiniteGroup) -> bool:
+    """Whether G is dihedral of order 2n: an element a of order n and an
+    element b outside <a> with b^2 = 1 and b a b^-1 = a^-1, so that every
+    element outside <a> is such an involution.  For n >= 3 the elements
+    of order n of a dihedral group all generate its rotations, so the
+    first a decides; a group of order at most 4 is abelian."""
+    inv = G.invariants()
+    n = G.order // 2
+    a = next((cls[0] for cls, d in zip(inv.classes, inv.orders) if d == n), None)
+    if G.order % 2 or a is None:
+        return False
+    rotations = {G.power(a, k) for k in range(n)}
+    b = min(set(range(G.order)) - rotations)
+    return G.table[b][b] == G.identity and G.conjugate(a, b) == G.inverses[a]
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,22 @@ def test_b3_words_and_products_call_no_group_power(monkeypatch):
     assert am.mul(am.inv(want), want) == am.identity_element
 
 
+def test_b3_normal_forms_share_one_syllable_per_coset():
+    # a syllable is its coset's one (side, t) of the amalgam, never a new
+    # tuple per letter, so however long a normal form it holds at most
+    # (index A - 1) + (index B - 1) distinct syllable objects
+    am = amalgam_named("b3")
+    bound = am.index(SIDE_A) - 1 + am.index(SIDE_B) - 1
+    assert bound == 4
+    u = am.evaluate(Word([("P" if i % 2 == 0 else "Y", 1) for i in range(2000)]))
+    v = am.evaluate(Word([("Y" if i % 2 == 0 else "Q", -1) for i in range(2000)]))
+    forms = {"word": u, "inverse": am.inv(u), "product": am.mul(u, v), "cube": am.power(u, 3)}
+    # the product cancels at its junction, where Y meets Y^-1
+    assert [len(e.syllables) for e in forms.values()] == [2000, 2000, 3997, 6000]
+    for what, e in forms.items():
+        assert len({id(s) for s in e.syllables}) <= bound, what
+
+
 _B3_SCALE = """
 from lowerk.amalgams import SIDE_A
 from lowerk.casebook import full_braid_amalgam

@@ -97,7 +97,7 @@ def test_ksheet_values(capsys):
     data = json.loads(out)
     assert data["carter_rank"] == 1
     assert data["K_-1_pretty"] == "Z"
-    assert data["negk_consistent"] is True
+    assert data["wh_rank"] == bass_rank(build_group("dicyclic:12"))
 
 
 def test_ksheet_trivial(capsys):
@@ -131,7 +131,7 @@ def test_ksheet_refuses_a_bundled_sheet_the_engine_contradicts(name, degree, cit
         3, "", f"error: the {name} sheet cites {degree} = {cited}, but {why}\n")
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "--format", "json", "ksheet", name)
-    assert code == 0 and json.loads(out)["negk_consistent"] is True
+    assert code == 0 and json.loads(out)["wh_rank"] == bass_rank(build_group(name))
 
 
 def test_ksheet_unknown_schur_data_exits_3(capsys):
@@ -146,6 +146,17 @@ def test_ksheet_of_the_binary_icosahedral_group_exits_3(capsys):
     assert code == 3
     assert ["carter", "rank", "2"] in [line.split() for line in out.splitlines()]
     assert "Z^2 + unknown torsion (no bundled Schur data)" in out
+
+
+def test_ksheet_derives_the_schur_count_of_a_dihedral_group(capsys, monkeypatch):
+    # s = 0 is decided from the group, not read off the bundled dihedral:3
+    # sheet, so a sheet citing Km1 = Z/2 is refused, and symmetric:3, which
+    # is D3 but has no sheet, still gets K_-1 = 0
+    monkeypatch.setitem(bundled_ksheets()["dihedral:3"].entries, "Km1", FgAbelianGroup(0, (2,)))
+    assert run_cli(capsys, "ksheet", "dihedral:3") == (
+        3, "", "error: the dihedral:3 sheet cites Km1 = Z/2, but the engine computes 0\n")
+    code, out, _ = run_cli(capsys, "--format", "json", "ksheet", "symmetric:3")
+    assert code == 0 and json.loads(out)["K_-1_pretty"] == "0"
 
 
 def test_ksheet_looks_schur_data_up_by_isomorphism_class(capsys):

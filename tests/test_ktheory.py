@@ -29,6 +29,7 @@ from lowerk.ktheory import (
     bundled_spec_json,
     carter_rank,
     carter_stages,
+    is_dihedral,
     k_minus1,
     nil_classify,
     nil_sum,
@@ -117,6 +118,25 @@ def test_k_minus1_of_abelian_groups_needs_no_lookup():
         assert k_minus1(G) == TRIVIAL_GROUP, G.name
     with pytest.raises(UnknownSchurData):   # the table holds no Klein group
         schur_even_count(klein)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_dihedral_groups_are_told_from_others_of_their_order(n):
+    # an element of order n and an involution outside it that inverts it:
+    # D_2n has them, Z/2n and (for even n) Dic_2n do not, and a dihedral
+    # group with no bundled sheet gets s = 0 without a lookup
+    D = build_group(f"dihedral:{n}")
+    assert is_dihedral(D) and k_minus1(D) == FgAbelianGroup(carter_rank(D))
+    others = [f"cyclic:{2 * n}"] + [f"dicyclic:{2 * n}"] * (n % 2 == 0 and n >= 4)
+    for name in others:
+        G = build_group(name)
+        assert G.order == D.order and not is_dihedral(G), name
+
+
+def test_only_dihedral_groups_are_dihedral():
+    assert is_dihedral(build_group("symmetric:3")) and is_dihedral(build_group("cyclic:2"))
+    for name in ("cyclic:1", "quaternion:8", "symmetric:4", "binary-octahedral"):
+        assert not is_dihedral(build_group(name)), name
 
 
 def test_k_minus1_unknown_schur_data():
