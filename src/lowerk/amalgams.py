@@ -91,7 +91,7 @@ class Amalgam:
         self.iA, self.iB = iA, iB
         self._vertex = (self.A, self.B)
         self._embed = (iA.full_map(), iB.full_map())
-        self._transversal, self._factor, self._coset = zip(*map(self._cosets, (SIDE_A, SIDE_B)))
+        self._transversal, self._coset = zip(*map(self._cosets, (SIDE_A, SIDE_B)))
         self._act = tuple(tuple(tuple([coset[row[i]] for i in image]) for row in V.table)
                           for V, image, coset in zip(self._vertex, self._embed, self._coset))
         self._symbols = {sym: (SIDE_A, g) for sym, g in self.A.generator_labels.items()}
@@ -102,9 +102,9 @@ class Amalgam:
         self._powers = {sym: (side, _cyclic_powers(self._vertex[side], g))
                         for sym, (side, g) in self._symbols.items()}
 
-    def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple, tuple]:
+    def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple]:
         """Right-coset representatives of the embedded edge group, and for
-        each vertex element a the unique (c, t) with a = i(c) * t, also as
+        each vertex element a the unique (c, t) with a = i(c) * t, as
         (c, syllable): t's one shared (side, t), None when t is the
         identity.  In one ascending pass the first element not yet factored
         is the least of its coset, so the identity (index 0) represents the
@@ -119,7 +119,7 @@ class Amalgam:
                 for c in range(self.C.order):
                     factor[V.table[image[c]][t]] = (c, t)
         shared = {t: (side, t) for t in reps[1:]}
-        return tuple(reps), tuple(factor), tuple((c, shared.get(t)) for c, t in factor)
+        return tuple(reps), tuple((c, shared.get(t)) for c, t in factor)
 
     # -- basic data ---------------------------------------------------------
 
@@ -237,8 +237,8 @@ class Amalgam:
         lo, hi = 0, len(syll) - 1
         while hi - lo >= 2 and syll[lo][0] == syll[hi][0]:
             V = self._vertex[side]
-            c, t = self._factor[side][V.table[syll[hi][1]][first]]
-            if t != V.identity:
+            c, syllable = self._coset[side][V.table[syll[hi][1]][first]]
+            if syllable is not None:
                 return INFINITE
             lo, hi = lo + 1, hi - 1
             side, x = syll[lo]

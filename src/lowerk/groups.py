@@ -185,15 +185,6 @@ class GroupHom(Record):
 # structural operations
 # ---------------------------------------------------------------------------
 
-def _check_group_axioms(G: FiniteGroup) -> None:
-    """`_group` on G's label rows must rebuild G's table and inverses."""
-    if len(G.table) != G.order or any(len(r) != G.order for r in G.table):
-        raise PresentationCollapse(f"{G.name}: table shape mismatch")
-    H = _group(G.name, {lab: G.table[s] for lab, s in G.generator_labels.items()}, G.element_names)
-    if (H.table, H.inverses) != (G.table, G.inverses):
-        raise PresentationCollapse(f"{G.name}: associativity or inverse fails")
-
-
 def _invariants(G: FiniteGroup) -> GroupInvariants:
     """Classes as orbits under conjugation by the generators, O(n k); one
     walk of g's powers gives ord(g^i) = m / gcd(i, m), m = ord(g)."""
@@ -612,9 +603,15 @@ _ALIASES = {"dicyclic:8": "quaternion:8"}
 
 def _parse(spec: str):
     """The canonical name of spec, the order of its group and a builder
-    taking no argument."""
+    taking no argument.  A non-string is refused ahead of the cache."""
     if not isinstance(spec, str):
         raise UnknownSpec(f"group name {spec!r} is not a string")
+    return _parse_text(spec)
+
+
+# bounded, for padding and leading zeros spell a name in endless ways
+@functools.lru_cache(maxsize=1024)
+def _parse_text(spec: str):
     text = spec.strip()
     if text in _PRESENTED:
         return (text, *_PRESENTED[text])
@@ -640,11 +637,6 @@ def _parse(spec: str):
 def canonical_group_name(spec: str) -> str:
     """Normalize a group-name string; raises UnknownSpec/OrderLimitExceeded."""
     return _parse(spec)[0]
-
-
-def group_order(spec: str) -> int:
-    """The order of the named group, known from its name before any build."""
-    return _parse(spec)[1]
 
 
 def build_group(spec: str) -> FiniteGroup:

@@ -9,7 +9,9 @@ Carter's decomposition K_{-1}(Z[G]) = Z^r + (Z/2)^s has
 with the representation counts computed by class fusion; s (the number
 of rational irreducibles with even Schur index but odd local indices) is
 0 for an abelian or a dihedral group, decided from the group, and read
-off the cited K_{-1} of the bundled sheets otherwise, never guessed.
+off the cited K_{-1} of the bundled sheet of the group's own name
+otherwise, never guessed.  The canonical name, whose parse `groups`
+caches, is the one way this module knows a group.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     UnknownSchurData,
 )
 from .fusion import ModP, Padic, Rational, fused_classes
-from .groups import FiniteGroup, build_group, canonical_group_name, group_order, is_isomorphic
+from .groups import FiniteGroup, build_group, canonical_group_name
 from .records import Frozen, Record
 
 DEGREES = ("Wh", "K0t", "Km1", "Km2")
@@ -132,13 +134,14 @@ class KSheet(Record):
 
 def schur_even_count(G: FiniteGroup) -> int:
     """The count s of rational irreducibles with even Schur index but odd
-    local indices: the torsion count of the cited K_{-1} of the bundled
-    sheet whose group is isomorphic to G.  Only sheet groups of G's order
-    are built."""
-    for name, sheet in bundled_ksheets().items():
-        if group_order(name) == G.order and is_isomorphic(G, build_group(name)):
-            return len(sheet.entries["Km1"].torsion)
-    raise UnknownSchurData(f"no bundled Schur-index data for {G.name}")
+    local indices: the torsion count of the cited K_{-1} on the bundled
+    sheet of G's own name.  A library-built group's name is free text, so
+    the sheet serves G only when its name builds G's very table; a
+    quotient, a subgroup or any other group is a data gap."""
+    sheet = bundled_ksheets().get(G.name)
+    if sheet is None or build_group(G.name).table != G.table:
+        raise UnknownSchurData(f"no bundled Schur-index data for {G.name}")
+    return len(sheet.entries["Km1"].torsion)
 
 
 # cited values that a theorem rules out for every finite group G
@@ -235,23 +238,19 @@ def vc_str(vc: VcShape) -> str:
     return _VC_FIELDS[kind][1].format(*names)
 
 
-def nil_classify(vc: VcShape, canonical=canonical_group_name) -> NilValue:
-    """Bundled Nil results for the virtually-cyclic shapes in scope.
-
-    `canonical` resolves a group name; an assembly spec passes its own,
-    which parses each distinct name once.  Anything outside the ledger
-    comes back Unknown rather than guessed.
-    """
+def nil_classify(vc: VcShape) -> NilValue:
+    """Bundled Nil results for the virtually-cyclic shapes in scope, by
+    canonical group name; anything outside the ledger is Unknown, not guessed."""
     kind, names = vc
     if kind == "product":
-        f = canonical(names[0])
+        f = canonical_group_name(names[0])
         if f == "cyclic:2":
             return NilValue(NIL_ZERO, "NK of Z[Z/2] vanishes in low degrees (Weibel 2009)")
         if f == "cyclic:4":
             return NilValue(NIL_COUNTABLE_SUM_Z2, "NK of Z[Z/4] (Weibel 2009)")
     elif kind == "amalgam":
-        left, right = sorted((canonical(names[0]), canonical(names[2])))
-        key = (left, canonical(names[1]), right)
+        left, right = sorted(map(canonical_group_name, (names[0], names[2])))
+        key = (left, canonical_group_name(names[1]), right)
         if key == ("cyclic:4", "cyclic:2", "cyclic:4"):
             return NilValue(NIL_ZERO, "reduces to NK of Z/2 x Z (Lafont-Ortiz 2008; Weibel 2009)")
         if key == ("quaternion:8", "cyclic:4", "quaternion:8"):
@@ -294,31 +293,22 @@ class MapSpec(Record):
 
 
 class AssemblySpec(Record):
-    """An amalgam A *_C B with its cited K-sheets, one map per degree, and
-    the (vc, cite) pairs of its Nil ledger entries.  Each group name is
-    canonicalized once: a sheet's own name maps to its key, and any other
-    name is parsed on first lookup and remembered.  Each Nil entry is
-    classified when the spec is built, into `nil_values`."""
+    """An amalgam A *_C B with its cited K-sheets, keyed by canonical group
+    name, one map per degree, and the (vc, cite) pairs of its Nil ledger
+    entries.  Each Nil entry is classified when the spec is built, into
+    `nil_values`."""
 
-    __slots__ = ("name", "group_a", "group_b", "group_c", "sheets", "maps", "nils",
-                 "nil_values", "_keys")
+    __slots__ = ("name", "group_a", "group_b", "group_c", "sheets", "maps", "nils", "nil_values")
 
     def __init__(self, name: str, group_a: str, group_b: str, group_c: str,
                  sheets: dict[str, KSheet], maps: dict[str, MapSpec],
                  nils: list[tuple[VcShape, str]]):
         self.name, self.group_a, self.group_b, self.group_c = name, group_a, group_b, group_c
         self.sheets, self.maps, self.nils = sheets, maps, nils
-        self._keys = {sheet.group: key for key, sheet in sheets.items()}
-        self.nil_values = [nil_classify(vc, self._key) for vc, _ in nils]
-
-    def _key(self, group: str) -> str:
-        key = self._keys.get(group) if isinstance(group, str) else None
-        if key is None:
-            key = self._keys[group] = canonical_group_name(group)
-        return key
+        self.nil_values = [nil_classify(vc) for vc, _ in nils]
 
     def sheet(self, group: str) -> KSheet:
-        key = self._key(group)
+        key = canonical_group_name(group)
         if key not in self.sheets:
             raise AssemblySpecError(f"spec {self.name!r} has no sheet for {group}")
         return self.sheets[key]
@@ -398,7 +388,7 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
             raise AssemblySpecError(f"spec {spec.name!r} has a sheet for {sheet.group}, "
                                     "which is none of A, B and C")
     for deg, ms in maps.items():
-        if spec._key(ms.source) != spec._key(spec.group_c):
+        if canonical_group_name(ms.source) != canonical_group_name(spec.group_c):
             raise AssemblySpecError(
                 f"map in degree {deg} has source {ms.source}, expected {spec.group_c}")
     return spec

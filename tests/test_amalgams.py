@@ -257,18 +257,25 @@ def test_vertex_words_agree_with_group_evaluation():
 # inverses and powers by repeated multiplication; cyclic reduction by
 # conjugating with the leading syllable until the ends differ.
 
+def seed_factor(am, side, u):
+    """The (c, t) with u = i(c) * t, t in the transversal, by search."""
+    V, image = am._vertex[side], am._embed[side]
+    return next((c, t) for t in am._transversal[side] for c in range(am.C.order)
+                if V.table[image[c]][t] == u)
+
+
 def seed_left_mul_vertex(am, side, x, e):
     V = am._vertex[side]
     image = am._embed[side]
     u = V.table[x][image[e.head]]
-    c1, s1 = am._factor[side][u]
+    c1, s1 = seed_factor(am, side, u)
     if s1 == V.identity:
         return AmalgamElement(c1, e.syllables)
     syll = e.syllables
     if not syll or syll[0][0] != side:
         return AmalgamElement(c1, ((side, s1),) + syll)
     v = V.table[s1][syll[0][1]]
-    c2, s2 = am._factor[side][v]
+    c2, s2 = seed_factor(am, side, v)
     head = am.C.table[c1][c2]
     rest = syll[1:]
     if s2 == V.identity:

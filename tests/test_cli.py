@@ -11,7 +11,7 @@ from lowerk import casebook, cli, errors
 from lowerk.abelian import FgAbelianGroup, TRIVIAL_GROUP
 from lowerk.cli import main
 from lowerk.errors import AssemblySpecError, IllFormedMap
-from lowerk.groups import build_group
+from lowerk.groups import build_group, canonical_group_name
 from lowerk.ktheory import amalgam_k_assemble, assembly_spec_from_json, bass_rank, bundled_ksheets
 
 
@@ -159,8 +159,8 @@ def test_ksheet_derives_the_schur_count_of_a_dihedral_group(capsys, monkeypatch)
     assert code == 0 and json.loads(out)["K_-1_pretty"] == "0"
 
 
-def test_ksheet_looks_schur_data_up_by_isomorphism_class(capsys):
-    # symmetric:3 is no table name, but its class is that of dihedral:3
+def test_ksheet_of_symmetric_3_matches_dihedral_3(capsys):
+    # symmetric:3 has no sheet, but it is dihedral, so its K_-1 is derived
     code, out, _ = run_cli(capsys, "--format", "json", "ksheet", "symmetric:3")
     assert code == 0
     s3 = json.loads(out)
@@ -756,6 +756,26 @@ def test_group_name_defects_exit_2(name):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
     assert repr(name) in done.stderr
+
+
+@pytest.mark.parametrize("path, value", [
+    (("A",), ["dicyclic:12"]), (("C",), {"cyclic:2": 1}), (("sheets", 0, "group"), ["cyclic:2"]),
+    (("maps", 0, "source"), ["cyclic:2"]), (("maps", 1, "source"), 2),
+], ids=["list-A", "object-C", "list-sheet-group", "list-map-source", "int-map-source"])
+def test_assemble_refuses_a_group_name_that_is_not_a_string(path, value, capsys, tmp_path):
+    # the refusal comes before the parse cache, which cannot hash a list
+    spec = tmp_path / "spec.json"
+    spec.write_text(_b3_with(_set(path, value)))
+    assert run_cli(capsys, "assemble", str(spec)) == (
+        2, "", f"error: group name {value!r} is not a string\n")
+
+
+@pytest.mark.parametrize("value", [["x"], {}, 8, None])
+def test_a_group_name_that_is_not_a_string_is_an_unknown_spec(value):
+    with pytest.raises(errors.UnknownSpec, match="is not a string"):
+        canonical_group_name(value)
+    with pytest.raises(errors.UnknownSpec, match="is not a string"):
+        build_group(value)
 
 
 @pytest.mark.parametrize("path", [("C",), ("sheets", 2, "group"), ("maps", 0, "source")],

@@ -9,22 +9,31 @@ from hypothesis import given, settings, strategies as st
 from lowerk.errors import (
     NotNormal,
     OrderLimitExceeded,
+    PresentationCollapse,
     UnknownSpec,
 )
 from lowerk.groups import (
     GroupHom,
-    _check_group_axioms,
+    _group,
     build_group,
     canonical_group_name,
     center,
     conjugacy_classes,
     dicyclic_group,
-    group_order,
     is_isomorphic,
     quotient,
     subgroup_as_group,
     subgroup_generated,
 )
+
+
+def _check_group_axioms(G):
+    """`_group` on G's label rows must rebuild G's table and inverses."""
+    if len(G.table) != G.order or any(len(r) != G.order for r in G.table):
+        raise PresentationCollapse(f"{G.name}: table shape mismatch")
+    H = _group(G.name, {lab: G.table[s] for lab, s in G.generator_labels.items()}, G.element_names)
+    if (H.table, H.inverses) != (G.table, G.inverses):
+        raise PresentationCollapse(f"{G.name}: associativity or inverse fails")
 
 BUNDLED = [
     "cyclic:1", "cyclic:2", "cyclic:4", "cyclic:5", "cyclic:8", "cyclic:12",
@@ -51,11 +60,13 @@ def test_axioms_and_class_equation(name):
 
 
 def test_expected_orders():
+    from lowerk import groups
+
     for name, order in [("cyclic:1", 1), ("cyclic:7", 7), ("dihedral:6", 12),
                         ("quaternion:8", 8), ("dicyclic:24", 24),
                         ("symmetric:4", 24), ("binary-octahedral", 48),
                         ("binary-tetrahedral", 24), ("binary-icosahedral", 120)]:
-        assert group_order(name) == build_group(name).order == order
+        assert groups._parse(name)[1] == build_group(name).order == order
 
 
 def test_each_name_builds_one_group_and_o_star_is_enumerated_once(monkeypatch):
@@ -333,9 +344,14 @@ def test_presentation_collapse_guard(monkeypatch):
 
     _, build = groups._PRESENTED["binary-tetrahedral"]
     monkeypatch.setitem(groups._PRESENTED, "binary-tetrahedral", (23, build))
+    # the parse of the name is cached, with the order it stated then
+    groups._parse_text.cache_clear()
     groups._build.cache_clear()
-    with pytest.raises(PresentationCollapse, match="order 24, expected 23"):
-        build_group("binary-tetrahedral")
+    try:
+        with pytest.raises(PresentationCollapse, match="order 24, expected 23"):
+            build_group("binary-tetrahedral")
+    finally:
+        groups._parse_text.cache_clear()
 
 
 @pytest.mark.parametrize("relators,subgroup", [

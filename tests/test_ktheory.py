@@ -15,7 +15,15 @@ from lowerk.errors import (
     MissingDegree,
     UnknownSchurData,
 )
-from lowerk.groups import build_group, canonical_group_name, center, dicyclic_group, quotient
+from lowerk.groups import (
+    build_group,
+    canonical_group_name,
+    center,
+    dicyclic_group,
+    quotient,
+    subgroup_as_group,
+    subgroup_generated,
+)
 from lowerk.ktheory import (
     DEGREES,
     NIL_COUNTABLE_SUM_Z2,
@@ -161,34 +169,76 @@ def test_binary_icosahedral_group_and_its_central_quotient():
     assert carter_rank(A5) == 0 and bass_rank(A5) == 1
 
 
-def test_schur_count_is_looked_up_by_isomorphism_class():
-    # a quotient's name such as 'binary-octahedral/N2' is no group name; the
-    # count is that of its class, S4
+def test_schur_count_is_looked_up_by_name():
+    # a quotient's name such as 'binary-octahedral/N2' is no group name, so
+    # the quotient, though it is S4, has no sheet: a data gap, not a guess
     O = build_group("binary-octahedral")
     S4 = quotient(O, center(O))
-    assert schur_even_count(S4) == 0
-    assert k_minus1(S4) == k_minus1(build_group("symmetric:4")) == TRIVIAL_GROUP
-    assert schur_even_count(build_group("symmetric:3")) == 0
+    with pytest.raises(UnknownSchurData):
+        schur_even_count(S4)
+    with pytest.raises(UnknownSchurData):
+        k_minus1(S4)
+    assert k_minus1(build_group("symmetric:4")) == TRIVIAL_GROUP
+    # S3 has no sheet of its own; it is dihedral, so k_minus1 needs none
+    with pytest.raises(UnknownSchurData):
+        schur_even_count(build_group("symmetric:3"))
     assert k_minus1(build_group("symmetric:3")) == k_minus1(build_group("dihedral:3"))
+    # other labels, the same name and the same table
     assert schur_even_count(dicyclic_group(24, ("Y", "Z"))) == 1
-    # same order as S4 and Dic24, neither class
     with pytest.raises(UnknownSchurData):
         schur_even_count(build_group("binary-tetrahedral"))
 
 
+def test_a_misnamed_group_gets_no_sheet():
+    # the binary tetrahedral subgroup of O* has Dic24's name and order, not
+    # its table: the sheet of that name does not serve it (s = 1 would)
+    O = build_group("binary-octahedral")
+    labels = {s: O.generator_labels[s] for s in ("P", "Q", "X")}
+    T, _ = subgroup_as_group(subgroup_generated(O, labels.values()), "dicyclic:24", labels)
+    assert T.name == "dicyclic:24" and T.order == 24
+    with pytest.raises(UnknownSchurData):
+        k_minus1(T)
+    with pytest.raises(UnknownSchurData):
+        schur_even_count(T)
+
+
+def test_the_schur_lookup_runs_no_isomorphism_search(monkeypatch, capsys):
+    # with the search gone, each bundled sheet's ksheet and each bundled
+    # spec's assembly print their goldens, and binary-tetrahedral still
+    # exits 3
+    from lowerk import groups
+    from lowerk.cli import main
+
+    def refuse(*args):
+        raise AssertionError("is_isomorphic was called")
+
+    # every loaded module that holds the search by name gets the refusal
+    search = groups.is_isomorphic
+    for module in [m for name, m in sys.modules.items() if name.startswith("lowerk")]:
+        if getattr(module, "is_isomorphic", None) is search:
+            monkeypatch.setattr(module, "is_isomorphic", refuse)
+    golden = Path(__file__).parent / "golden"
+    argvs = [["ksheet", name] for name in sorted(bundled_ksheets())]
+    argvs += [["assemble", f"{spec}.json"] for spec in ("b3rp2", "mcg_rp2_3", "pb3rp2")]
+    for argv in argvs:
+        want = (golden / ("_".join(argv).replace(":", "-") + ".json")).read_text()
+        assert main(["--format", "json", *argv]) == 0, argv
+        assert capsys.readouterr().out == want, argv
+    assert main(["ksheet", "binary-tetrahedral"]) == 3
+
+
 def test_bundled_sheets_match_carter():
     # every bundled sheet cites the K_-1 that Carter's formula computes; the
-    # torsion half is the sheet's own, read back through the isomorphism class
+    # torsion half is the sheet's own, read back by the group's name
     for name, sheet in bundled_ksheets().items():
         G = build_group(name)
         assert sheet.entries["Km1"] == k_minus1(G), name
         assert sheet.entries["Km2"] == TRIVIAL_GROUP
 
 
-# the lookup builds only the sheet groups whose order, known from the name,
-# is the order of the group looked up, so no group of order other than 48
-# builds the binary octahedral group, the one bundled group made by coset
-# enumeration
+# the lookup builds no group but the one of the looked-up name, which the
+# probe has built already, so only building the binary octahedral group,
+# the one bundled group made by coset enumeration, runs an enumeration
 _ENUMERATIONS_OF_A_LOOKUP = """
 from lowerk import groups, presentations
 from lowerk.ktheory import k_minus1
@@ -216,7 +266,7 @@ def test_schur_lookup_of_a_dicyclic_group_runs_no_coset_enumeration(name, enumer
 
 @pytest.mark.parametrize("name", ["symmetric:4", "dihedral:3", "dihedral:6", "symmetric:3"])
 def test_schur_lookup_builds_no_sheet_group_of_another_order(name):
-    # these sheets follow the binary octahedral one, which is skipped unbuilt
+    # these sheets follow the binary octahedral one, which is never built
     assert _enumerations_of_a_lookup(name) == 0
 
 
@@ -340,56 +390,49 @@ def test_identity_maps_give_zero_cokernels():
         assert out[deg].coker == TRIVIAL_GROUP
 
 
+def _spellings(raw):
+    """Every group name a spec spells: sheets, A, B, C, map sources, vcs."""
+    names = {sheet["group"] for sheet in raw["sheets"]} | {raw[key] for key in "ABC"}
+    names |= {entry["source"] for entry in raw["maps"]}
+    return names | {name for nil in raw["nils"] for key, name in nil["vc"].items() if key != "type"}
+
+
 @pytest.mark.parametrize("spec", ["pb3rp2", "b3rp2", "mcg_rp2_3"])
-def test_a_nil_free_spec_parses_each_group_name_once(monkeypatch, spec):
-    # the three sheet names are parsed once each; A, B, C and every map
-    # source resolve through them, however often the assembly looks them up
+def test_a_nil_free_spec_parses_each_group_name_once(spec):
+    # each spelling is parsed once; A, B, C and every map source hit the
+    # cache however often the assembly looks them up
     from lowerk import groups
 
     raw = copy.deepcopy(bundled_spec_json(spec))
     raw["nils"] = []
-    calls = []
-    real_parse = groups._parse
-
-    def counting(name):
-        calls.append(name)
-        return real_parse(name)
-
-    monkeypatch.setattr(groups, "_parse", counting)
+    groups._parse_text.cache_clear()
     parsed = assembly_spec_from_json(raw)
-    amalgam_k_assemble(parsed)
-    assert len(calls) <= 4, calls
+    for _ in range(2):
+        amalgam_k_assemble(parsed)
+    assert groups._parse_text.cache_info().misses == len(_spellings(raw))
+    assembly_spec_from_json(raw)
+    assert groups._parse_text.cache_info().misses == len(_spellings(raw))
     # a name spelt otherwise than its sheet is parsed on its first lookup only
-    calls.clear()
     other = f" {parsed.group_c}"
     assert parsed.sheet(other) is parsed.sheet(other) is parsed.sheet(parsed.group_c)
-    assert calls == [other]
+    assert groups._parse_text.cache_info().misses == len(_spellings(raw)) + 1
 
 
 @pytest.mark.parametrize("spec", ["pb3rp2", "b3rp2", "mcg_rp2_3"])
-def test_a_spec_parses_each_group_name_once_with_its_nils(monkeypatch, spec):
-    # each Nil entry is classified when the spec is parsed, through the
-    # spec's own names: a sheet's name is not parsed again, any other name
-    # once, and assembling, however often, parses nothing
+def test_a_spec_parses_each_group_name_once_with_its_nils(spec):
+    # each Nil entry is classified when the spec is parsed: its names miss
+    # the cache once each, like every other spelling of the spec, and
+    # assembling, however often, or parsing the spec again misses nothing
     from lowerk import groups
 
     raw = bundled_spec_json(spec)
-    names = {sheet["group"] for sheet in raw["sheets"]}
-    names |= {name for nil in raw["nils"] for key, name in nil["vc"].items() if key != "type"}
-    calls = []
-    real_parse = groups._parse
-
-    def counting(name):
-        calls.append(name)
-        return real_parse(name)
-
-    monkeypatch.setattr(groups, "_parse", counting)
+    groups._parse_text.cache_clear()
     parsed = assembly_spec_from_json(raw)
-    assert sorted(calls) == sorted(names)
-    calls.clear()
+    assert groups._parse_text.cache_info().misses == len(_spellings(raw))
     for _ in range(2):
         amalgam_k_assemble(parsed)
-    assert calls == []
+    assembly_spec_from_json(raw)
+    assert groups._parse_text.cache_info().misses == len(_spellings(raw))
 
 
 def test_unlisted_vc_type_propagates_as_unknown():
