@@ -99,7 +99,7 @@ class Amalgam:
             first = self._symbols.setdefault(sym, (SIDE_B, g))
             if self.embed_vertex(*first) != self.embed_vertex(SIDE_B, g):
                 del self._symbols[sym]
-        self._powers = {sym: (side, _cyclic_powers(self._vertex[side], g))
+        self._powers = {sym: (side, self._vertex[side].cyclic(g))
                         for sym, (side, g) in self._symbols.items()}
 
     def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple]:
@@ -246,15 +246,6 @@ class Amalgam:
         if hi > lo:
             return INFINITE
         return self._vertex[side].element_order(first)
-
-
-def _cyclic_powers(G: FiniteGroup, g: int) -> tuple[int, ...]:
-    """g^0, g^1, ..., g^(o-1) for o the order of g: one walk along g's row."""
-    powers, x = [G.identity], g
-    while x != G.identity:
-        powers.append(x)
-        x = G.table[g][x]
-    return tuple(powers)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def case_table(report) -> str:
     return f"case {report.case}: {'pass' if report.passed else 'FAIL'}\n" + rows_to_table(rows)
 
 
-def _emit(data: dict, fmt: str, table: str) -> None:
+def _emit(data: dict | list, fmt: str, table: str) -> None:
     if fmt == "json":
         print(json.dumps(data, indent=2))
     else:
@@ -217,13 +217,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown case {args.case!r}; choose from {choices}")
     names = list(casebook.CASES) if args.case == "all" else [args.case]
     reports = [casebook.run_case(name) for name in names]
-    if args.format == "json":
-        payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in reports:
-            print(case_table(r))
-            print()
+    payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
+    _emit(payload, args.format, "\n\n".join(map(case_table, reports)) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -155,8 +155,8 @@ def fused_classes(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
 def _fuse(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
     """The exponents acting on order d form a subgroup of (Z/d)*, so the
     block of a class with representative g is the classes of g^e over
-    those exponents e, and every class lies in the block of its first
-    member."""
+    those exponents e, read off g's cyclic subgroup, and every class lies
+    in the block of its first member."""
     inv = G.invariants()
     units: dict[int, set[int]] = {}
     done = [False] * len(inv.classes)
@@ -166,8 +166,8 @@ def _fuse(G: FiniteGroup, spec: FusionSpec) -> FusedClasses:
             continue
         if d not in units:
             units[d] = _unit_exponents(d, spec)
-        g = inv.classes[k][0]
-        members = sorted({inv.class_of[G.power(g, e)] for e in units[d]})
+        powers = G.cyclic(inv.classes[k][0])
+        members = sorted({inv.class_of[powers[e]] for e in units[d]})
         for m in members:
             done[m] = True
         blocks.append(tuple(inv.classes[m] for m in members))

@@ -18,6 +18,9 @@ One generator test serves every check of a map: `_respects` asks f(a s)
 == act_s(f(a)) for every element a and generator s, and `_walk` defines f
 along a Schreier tree by f(g s) = act_s(f(g)).  `GroupHom`, the leaf of
 `is_isomorphic` and the amalgams layer's graph actions use the two.
+
+`FiniteGroup.cyclic` is the one walk of an element's powers; element and
+class orders, fusion, the dihedral test and amalgam words all read it.
 """
 
 from __future__ import annotations
@@ -80,12 +83,6 @@ class FiniteGroup:
         self.label_tree = label_tree
         self._invariants: GroupInvariants | None = None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def power(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inverses[a], -n
@@ -101,13 +98,16 @@ class FiniteGroup:
         """h g h^-1."""
         return self.table[self.table[h][g]][self.inverses[h]]
 
-    def element_order(self, g: int) -> int:
-        row = self.table[g]
-        k, x = 1, g
+    def cyclic(self, g: int) -> tuple[int, ...]:
+        """g^0, g^1, ..., g^(o-1) for o the order of g: one walk along g's row."""
+        row, powers, x = self.table[g], [self.identity], g
         while x != self.identity:
+            powers.append(x)
             x = row[x]
-            k += 1
-        return k
+        return tuple(powers)
+
+    def element_order(self, g: int) -> int:
+        return len(self.cyclic(g))
 
     def evaluate(self, word: Word) -> int:
         """Evaluate a word over this group's generator labels."""
@@ -186,8 +186,8 @@ class GroupHom(Record):
 # ---------------------------------------------------------------------------
 
 def _invariants(G: FiniteGroup) -> GroupInvariants:
-    """Classes as orbits under conjugation by the generators, O(n k); one
-    walk of g's powers gives ord(g^i) = m / gcd(i, m), m = ord(g)."""
+    """Classes as orbits under conjugation by the generators, O(n k); the
+    cyclic subgroup of g gives ord(g^i) = m / gcd(i, m), m = ord(g)."""
     n = G.order
     conj = []
     for s in G.generators():
@@ -209,10 +209,8 @@ def _invariants(G: FiniteGroup) -> GroupInvariants:
                     orbit.append(y)
         classes.append(tuple(sorted(orbit)))
         if not order[g]:
-            powers = [g]
-            while powers[-1]:
-                powers.append(G.table[g][powers[-1]])
-            for i, x in enumerate(powers, 1):
+            powers = G.cyclic(g)
+            for i, x in enumerate(powers):
                 order[x] = len(powers) // math.gcd(i, len(powers))
         orders.append(order[g])
     return GroupInvariants(tuple(classes), tuple(cls_of), tuple(orders))
@@ -309,18 +307,16 @@ def quotient(G: FiniteGroup, N: Subgroup) -> FiniteGroup:
 
 
 def subgroup_as_group(S: Subgroup, name: str,
-                      labels: dict[str, int] | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
+                      labels: dict[str, int]) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Realize a subgroup as a FiniteGroup; returns (group, parent indices).
 
-    `labels` maps generator names to parent element indices; when omitted a
-    greedy generating set is chosen and labelled by parent element names.
-    A label outside S raises UnknownSymbol.
+    `labels` maps generator names to parent element indices; a label
+    outside S raises UnknownSymbol, and labels not generating S raise
+    PresentationCollapse.
     """
     parent = S.parent
     elems = tuple(sorted(S.elements))
     index_of = {g: i for i, g in enumerate(elems)}
-    if labels is None:
-        labels = {parent.element_names[g]: g for g in _greedy_generators(parent, elems)}
     for lab, s in labels.items():
         if s not in index_of:
             raise UnknownSymbol(f"label {lab!r} of {name} is outside the subgroup")
@@ -479,8 +475,8 @@ def _metacyclic(m: int, t: int, letters: tuple[str, str], name: str) -> FiniteGr
     return _group(name, {ax: x_row, ay: y_row} if m > 1 else {ay: y_row}, names)
 
 
-def dicyclic_group(order: int, letters: tuple[str, str] = ("x", "y")) -> FiniteGroup:
-    """Dicyclic group of the given order (a multiple of 4, at least 8)."""
+def dicyclic_group(order: int, letters: tuple[str, str]) -> FiniteGroup:
+    """Dicyclic group of the given order (4k, k >= 2), generated by `letters`."""
     name = canonical_group_name(f"dicyclic:{order}")
     return _metacyclic(order // 2, order // 4, letters, name)
 

@@ -43,6 +43,11 @@ from .records import Frozen, Record
 DEGREES = ("Wh", "K0t", "Km1", "Km2")
 _NEXT_LOWER = {"Wh": "K0t", "K0t": "Km1", "Km1": "Km2", "Km2": None}
 _NIL_DEGREES = {"Wh", "K0t"}
+# the most torsion summands a cited K-group may list.  Each adds a relation,
+# which assembly eliminates in time cubic in their count: b3rp2 with 64 in
+# the Wh and K0t of every sheet and dense 0/1 maps assembles in about 0.5 s
+# (Python 3.11, 2-core Linux host).  A free summand adds no relation.
+TORSION_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ def bass_rank(G: FiniteGroup) -> int:
     """The free rank of Wh(G), r_R - r_Q (Bass): r_R counts the classes of
     G up to inversion, r_Q the rationally fused classes."""
     inv = G.invariants()
-    r_r = sum(1 for k, cls in enumerate(inv.classes) if inv.class_of[G.inv(cls[0])] >= k)
+    r_r = sum(1 for k, cls in enumerate(inv.classes) if inv.class_of[G.inverses[cls[0]]] >= k)
     return r_r - fused_classes(G, Rational()).count
 
 
@@ -93,7 +98,7 @@ def is_dihedral(G: FiniteGroup) -> bool:
     a = next((cls[0] for cls, d in zip(inv.classes, inv.orders) if d == n), None)
     if G.order % 2 or a is None:
         return False
-    rotations = {G.power(a, k) for k in range(n)}
+    rotations = set(G.cyclic(a))
     b = min(set(range(G.order)) - rotations)
     return G.table[b][b] == G.identity and G.conjugate(a, b) == G.inverses[a]
 
@@ -346,6 +351,9 @@ def _spec_str(value, what: str) -> str:
 def _group_from_json(data, what: str) -> FgAbelianGroup:
     _require(data, ("rank", "torsion"), what)
     torsion = _spec_list(data["torsion"], f"{what} torsion")
+    if len(torsion) > TORSION_CAP:
+        raise AssemblySpecError(f"{what} cites {len(torsion)} torsion summands, "
+                                f"over the cap {TORSION_CAP}")
     return FgAbelianGroup.from_divisors(_spec_int(data["rank"], f"{what} rank", 0),
                                         [_spec_int(d, f"{what} torsion", 2) for d in torsion])
 
@@ -457,7 +465,7 @@ def _degree_map(spec: AssemblySpec, degree: str) -> AbelianMap | None:
     target = [spec.sheet(g).entries[degree] for g in (spec.group_a, spec.group_b)]
     matrix = spec.maps[degree].matrix
     # the shape is checked before any relation vector is built, so a cited
-    # rank costs no more than the matrix it must match
+    # rank builds no vector longer than the matrix; torsion is capped
     rows, cols = (sum(len(g.torsion) + g.free_rank for g in gs) for gs in (target, source))
     if len(matrix) != rows or any(len(row) != cols for row in matrix):
         raise IllFormedMap(f"{degree} matrix does not have the {rows} x {cols} shape of the sheets")

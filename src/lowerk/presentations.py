@@ -65,6 +65,10 @@ class Word(Frozen):
     def inverse(self) -> "Word":
         return Word(tuple((s, -e) for s, e in reversed(self.entries)))
 
+    def substitute(self, images: dict) -> "Word":
+        """The image under s -> images[s], a Word: each s^e becomes images[s]^e."""
+        return Word([entry for sym, exp in self.entries for entry in (images[sym] ** exp).entries])
+
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.entries + other.entries)
 
@@ -430,27 +434,20 @@ class HomReport(Record):
 def verify_homomorphism(pres: Presentation, target, images: dict) -> HomReport:
     """Check that generator images kill every relator of `pres`.
 
-    `target` is any word-evaluable group: it must expose `evaluate(word)`,
-    `mul` and `power`, and evaluates the empty word to its identity.
-    `images` maps each generator of `pres`, and no other key, to a Word
-    over the target's own generator labels; an image that is not a Word
-    raises ValueError.
+    `target` needs only `evaluate(word)` over its own generator labels,
+    the empty word giving its identity.  `images` maps each generator, and
+    no other key, to a Word over those labels, else ValueError; each is
+    evaluated once, so one the target cannot read is refused even if no
+    relator uses it.  Each relator's `rel.substitute(images)` is evaluated.
     """
     if images.keys() != set(pres.generators):
         sym = min(images.keys() ^ set(pres.generators), key=repr)
         raise UnknownSymbol(f"{sym!r} is not a generator of the presentation" if sym in images
                             else f"no image given for generator {sym!r}")
-    resolved = {}
     for sym, img in images.items():
         if not isinstance(img, Word):
             raise ValueError(f"image {img!r} of {sym!r} is not a Word")
-        resolved[sym] = target.evaluate(img)
+        target.evaluate(img)
     identity = target.evaluate(Word())
-    failing = []
-    for rel in pres.relators:
-        acc = identity
-        for sym, exp in rel.entries:
-            acc = target.mul(acc, target.power(resolved[sym], exp))
-        if acc != identity:
-            failing.append(rel)
-    return HomReport(failing)
+    return HomReport([rel for rel in pres.relators
+                      if target.evaluate(rel.substitute(images)) != identity])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lowerk import casebook
 from lowerk.casebook import (
     CASES,
     CaseReport,
@@ -24,6 +25,33 @@ def test_every_case_passes(name):
     report = run_case(name)
     failing = [c for c in report.checks if not c.passed]
     assert report.passed, failing
+
+
+def test_b3_case_runs_no_isomorphism_search(monkeypatch):
+    # the amalgam's constructor already proved i_A an injective homomorphism
+    # of the edge group, dicyclic:12, into the octahedral side
+    def refuse(*args):
+        raise AssertionError("is_isomorphic was called")
+
+    monkeypatch.setattr(casebook, "is_isomorphic", refuse)
+    report = case_b3()
+    assert report.passed
+    row = next(c for c in report.checks if c.name.startswith("octahedral side contains"))
+    assert row.computed == "yes"
+
+
+def test_seven_casebook_checks_make_eight_isomorphism_searches(monkeypatch):
+    # pb3's "vertex stabilizers" check searches for both vertex groups
+    calls = []
+
+    def count(G, H):
+        calls.append((G.order, H.name))
+        return search(G, H)
+
+    search = casebook.is_isomorphic
+    monkeypatch.setattr(casebook, "is_isomorphic", count)
+    assert all(run_case(name).passed for name in CASES)
+    assert len(calls) == 8
 
 
 def test_case_list_is_exactly_the_four_desk_cases():

@@ -12,7 +12,14 @@ from lowerk.abelian import FgAbelianGroup, TRIVIAL_GROUP
 from lowerk.cli import main
 from lowerk.errors import AssemblySpecError, IllFormedMap
 from lowerk.groups import build_group, canonical_group_name
-from lowerk.ktheory import amalgam_k_assemble, assembly_spec_from_json, bass_rank, bundled_ksheets
+from lowerk.ktheory import (
+    DEGREES,
+    TORSION_CAP,
+    amalgam_k_assemble,
+    assembly_spec_from_json,
+    bass_rank,
+    bundled_ksheets,
+)
 
 
 def run_cli(capsys, *argv):
@@ -496,6 +503,43 @@ def test_assemble_holds_a_cited_rank_to_the_matrix_shape(rank, capsys, tmp_path)
     assert code == 3 and out == ""
     assert err == (f"error: the binary-octahedral sheet cites Km1 = Z^{rank} + Z/2, "
                    "but the engine computes Z + Z/2\n")
+
+
+def _pb3_with_torsion(degree, torsion):
+    """pb3rp2 whose cyclic:4 sheet cites `torsion` in `degree`, against
+    the empty rows its shape asks for (the edge group's sheet is trivial
+    there)."""
+    raw = casebook.bundled_spec_json("pb3rp2")
+    raw["sheets"][0][degree] = {"rank": 0, "torsion": torsion}
+    rows = len(torsion) + len(raw["sheets"][1][degree]["torsion"])
+    raw["maps"][DEGREES.index(degree)]["matrix"] = [[] for _ in range(rows)]
+    return raw
+
+
+@pytest.mark.parametrize("degree", ["Wh", "K0t"])
+def test_assemble_refuses_a_sheet_one_summand_over_the_torsion_cap(degree, capsys, tmp_path):
+    # eliminating the relations costs time cubic in the torsion count, even
+    # against empty rows; one summand over the cap exits 2 while parsing
+    n = TORSION_CAP + 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_pb3_with_torsion(degree, [2] * n)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "assemble", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: cyclic:4 {degree} cites {n} torsion summands, over the cap {TORSION_CAP}\n"
+    # at the cap the same spec assembles
+    path.write_text(json.dumps(_pb3_with_torsion(degree, [2] * TORSION_CAP)))
+    code, out, _ = run_cli(capsys, "assemble", str(path))
+    assert code == 0 and f"(Z/2)^{TORSION_CAP + (degree == 'K0t')}" in out
+
+
+def test_the_torsion_cap_is_read_before_any_summand():
+    # the count is refused before the entries are read or combined, so a
+    # long list costs no pass over its entries
+    raw = _pb3_with_torsion("K0t", [2] * TORSION_CAP + ["not a divisor"])
+    with pytest.raises(AssemblySpecError, match=f"cites {TORSION_CAP + 1} torsion summands"):
+        assembly_spec_from_json(raw)
 
 
 def test_assemble_kernel_of_a_map_into_the_trivial_group_is_its_source(capsys, tmp_path):

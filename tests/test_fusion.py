@@ -8,6 +8,8 @@ from lowerk.fusion import (
     ModP,
     Padic,
     Rational,
+    _fuse,
+    _unit_exponents,
     fused_classes,
     is_prime,
     p_singular_classes,
@@ -190,3 +192,26 @@ def test_is_prime_refuses_beyond_its_bound():
             is_prime(p)
     with pytest.raises(UnknownSpec):
         ModP(PRIME_BOUND)
+
+
+def _fuse_by_power(G, spec):
+    """The blocks with each g^e computed by square-and-multiply."""
+    inv = G.invariants()
+    done, blocks = [False] * len(inv.classes), []
+    for k, d in enumerate(inv.orders):
+        if done[k] or (isinstance(spec, ModP) and d % spec.p == 0):
+            continue
+        g = inv.classes[k][0]
+        members = sorted({inv.class_of[G.power(g, e)] for e in _unit_exponents(d, spec)})
+        for m in members:
+            done[m] = True
+        blocks.append(tuple(inv.classes[m] for m in members))
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("name", ["cyclic:12", "cyclic:30", "dihedral:6", "dicyclic:24",
+                                  "symmetric:4", "binary-octahedral", "binary-icosahedral"])
+def test_fuse_reads_the_powers_that_square_and_multiply_gives(name):
+    G = build_group(name)
+    for spec in (Rational(), Padic(2), Padic(3), Padic(5), ModP(2), ModP(3), ModP(5)):
+        assert _fuse(G, spec).blocks == _fuse_by_power(G, spec)

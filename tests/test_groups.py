@@ -14,6 +14,7 @@ from lowerk.errors import (
 )
 from lowerk.groups import (
     GroupHom,
+    _greedy_generators,
     _group,
     build_group,
     canonical_group_name,
@@ -25,6 +26,13 @@ from lowerk.groups import (
     subgroup_as_group,
     subgroup_generated,
 )
+
+
+def greedy_labels(S):
+    """The labels `subgroup_as_group` once chose when given none: the
+    greedy generators of S, each named by its parent element name."""
+    G = S.parent
+    return {G.element_names[g]: g for g in _greedy_generators(G, sorted(S.elements))}
 
 
 def _check_group_axioms(G):
@@ -55,8 +63,28 @@ def test_axioms_and_class_equation(name):
         assert G.order % len(c) == 0
         # class size equals index of the centralizer
         g = c[0]
-        centralizer = sum(1 for h in range(G.order) if G.mul(g, h) == G.mul(h, g))
+        centralizer = sum(1 for h in range(G.order) if G.table[g][h] == G.table[h][g])
         assert G.order // centralizer == len(c)
+
+
+def _family_members_up_to(order):
+    from lowerk import groups
+
+    for family, (least, size, _) in groups._FAMILIES.items():
+        for n in range(least, order + 1):
+            if size(n) is not None and size(n) <= order:
+                yield build_group(f"{family}:{n}")
+
+
+def test_cyclic_lists_the_powers_of_every_element_up_to_order_64():
+    members = list(_family_members_up_to(64))
+    assert len(members) > 50
+    for G in members:
+        for g in range(G.order):
+            # the order by square-and-multiply, the least k >= 1 with g^k = 1
+            order = next(k for k in range(1, G.order + 1) if G.power(g, k) == G.identity)
+            assert G.cyclic(g) == tuple(G.power(g, k) for k in range(order))
+            assert G.element_order(g) == len(G.cyclic(g)) == order
 
 
 def test_expected_orders():
@@ -96,7 +124,7 @@ def test_dicyclic24_structure():
     assert G.element_order(x) == 12
     assert G.element_order(y) == 4
     assert G.power(x, 6) == G.power(y, 2)
-    assert G.mul(G.mul(y, x), G.inv(y)) == G.inv(x)
+    assert G.table[G.table[y][x]][G.inverses[y]] == G.inverses[x]
     classes = conjugacy_classes(G)
     assert len(classes) == 9
     names = [{G.element_names[i] for i in c} for c in classes]
@@ -189,7 +217,7 @@ def test_subgroup_generated():
     assert subgroup_generated(D24, [D24.identity]).order == 1
     sub = subgroup_generated(D24, [D24.power(x, 2), y])
     assert sub.order == 12
-    H, _ = subgroup_as_group(sub, "inner-dicyclic")
+    H, _ = subgroup_as_group(sub, "inner-dicyclic", greedy_labels(sub))
     assert is_isomorphic(H, build_group("dicyclic:12"))
 
 
@@ -243,7 +271,7 @@ def test_binary_tetrahedral_is_index_two_subgroup():
     T = build_group("binary-tetrahedral")
     gens = [O.generator_labels[s] for s in ("P", "Q", "X")]
     sub = subgroup_generated(O, gens)
-    H, _ = subgroup_as_group(sub, "pqx")
+    H, _ = subgroup_as_group(sub, "pqx", greedy_labels(sub))
     assert T.order == 24 and is_isomorphic(T, H)
     assert not is_isomorphic(T, build_group("symmetric:4"))
 
@@ -332,9 +360,9 @@ def test_computed_subgroups_satisfy_the_invariants():
             members = set(S.elements)
             assert G.identity in members
             for a in members:
-                assert G.inv(a) in members
+                assert G.inverses[a] in members
                 for b in members:
-                    assert G.mul(a, b) in members
+                    assert G.table[a][b] in members
 
 
 def test_presentation_collapse_guard(monkeypatch):
@@ -456,7 +484,7 @@ def _every_construction():
     yield quotient(G, center(G)), None
     sub = subgroup_generated(G, [G.generator_labels[s] for s in ("P", "Q", "X")])
     yield subgroup_as_group(sub, "labelled", {s: G.generator_labels[s] for s in "PQX"})[0], None
-    yield subgroup_as_group(sub, "greedy")[0], None
+    yield subgroup_as_group(sub, "greedy", greedy_labels(sub))[0], None
     presentations = [van_buskirk(2)] + [
         Presentation(("a", "b"), tuple(parse_word(r) for r in rels.split(";")))
         for rels in _TRIANGLE_RELATORS]
@@ -620,7 +648,8 @@ def test_is_homomorphism_matches_all_pairs(source, target, inner, data):
         images = {lab: data.draw(st.integers(0, H.order - 1)) for lab in G.generator_labels}
     hom = GroupHom(G, H, images)
     f = hom.full_map()
-    law = all(f[G.mul(a, b)] == H.mul(f[a], f[b]) for a in range(G.order) for b in range(G.order))
+    law = all(f[G.table[a][b]] == H.table[f[a]][f[b]]
+              for a in range(G.order) for b in range(G.order))
     assert hom.is_homomorphism() == law
 
 
@@ -806,11 +835,11 @@ def test_graph_action_matches_all_pairs(name, star, data):
     act, queue = {G.identity: tuple(range(nv))}, [G.identity]
     for g in queue:
         for lab in sorted(G.generator_labels):
-            h = G.mul(g, G.generator_labels[lab])
+            h = G.table[g][G.generator_labels[lab]]
             if h not in act:
                 act[h] = tuple(act[g][v] for v in vertex[lab])
                 queue.append(h)
-    law = all(act[G.mul(a, b)] == tuple(act[a][v] for v in act[b])
+    law = all(act[G.table[a][b]] == tuple(act[a][v] for v in act[b])
               for a in range(G.order) for b in range(G.order))
     if not law:
         with pytest.raises(NotAnAction, match="inconsistent"):

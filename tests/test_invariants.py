@@ -21,6 +21,7 @@ from lowerk.fusion import ModP, Padic, Rational, fused_classes
 from lowerk.ktheory import bundled_ksheets
 from lowerk.groups import (
     GroupHom,
+    _greedy_generators,
     build_group,
     center,
     conjugacy_classes,
@@ -224,15 +225,15 @@ def oracle_fused_blocks(G, spec):
 def oracle_quotient(G, N):
     """(table, inverses, labels, names, coset_of) with cosets numbered by
     sorting them on their least member."""
-    cosets = sorted({tuple(sorted(G.mul(g, x) for x in N.elements)) for g in range(G.order)})
+    cosets = sorted({tuple(sorted(G.table[g][x] for x in N.elements)) for g in range(G.order)})
     coset_of = [0] * G.order
     for i, coset in enumerate(cosets):
         for x in coset:
             coset_of[x] = i
     reps = [c[0] for c in cosets]
     n = len(cosets)
-    table = tuple(tuple(coset_of[G.mul(reps[a], reps[b])] for b in range(n)) for a in range(n))
-    inverses = tuple(coset_of[G.inv(r)] for r in reps)
+    table = tuple(tuple(coset_of[G.table[reps[a]][reps[b]]] for b in range(n)) for a in range(n))
+    inverses = tuple(coset_of[G.inverses[r]] for r in reps)
     labels = {lab: coset_of[g] for lab, g in G.generator_labels.items()}
     names = tuple(f"[{G.element_names[r]}]" for r in reps)
     return table, inverses, labels, names, tuple(coset_of)
@@ -249,7 +250,7 @@ def oracle_full_map(hom):
         nxt = []
         for g in frontier:
             for lab, elem in labels:
-                h = G.mul(g, elem)
+                h = G.table[g][elem]
                 if h not in words:
                     words[h] = words[g] + (lab,)
                     nxt.append(h)
@@ -258,7 +259,7 @@ def oracle_full_map(hom):
     for g in range(G.order):
         acc = hom.target.identity
         for lab in words[g]:
-            acc = hom.target.mul(acc, hom.images[lab])
+            acc = hom.target.table[acc][hom.images[lab]]
         out.append(acc)
     return tuple(out)
 
@@ -273,6 +274,13 @@ def oracle_subgroup_labels(S):
         if len(closure) == len(elems):
             break
     return {parent.element_names[g]: elems.index(g) for g in chosen}
+
+
+def greedy_labels(S):
+    """The labels `subgroup_as_group` once chose when given none: the
+    greedy generators of S, each named by its parent element name."""
+    G = S.parent
+    return {G.element_names[g]: g for g in _greedy_generators(G, sorted(S.elements))}
 
 
 def assert_quotient_matches(G, N):
@@ -332,7 +340,7 @@ def test_quotients_by_the_center_match_direct_routines(name):
     G = build_group(name)
     Z = center(G)
     assert Z.elements == tuple(g for g in range(G.order)
-                               if all(G.mul(g, h) == G.mul(h, g) for h in range(G.order)))
+                               if all(G.table[g][h] == G.table[h][g] for h in range(G.order)))
     Q = assert_quotient_matches(G, Z)
     assert_invariants_match(Q)
     assert quotient(G, Z).table == Q.table
@@ -364,9 +372,9 @@ def test_subgroups_as_groups_match_direct_routines(name, data):
     G = build_group(name)
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
     S = subgroup_generated(G, gens)
-    H, elems = subgroup_as_group(S, "sub")
+    H, elems = subgroup_as_group(S, "sub", greedy_labels(S))
     index_of = {g: i for i, g in enumerate(elems)}
-    assert H.table == tuple(tuple(index_of[G.mul(a, b)] for b in elems) for a in elems)
+    assert H.table == tuple(tuple(index_of[G.table[a][b]] for b in elems) for a in elems)
     assert H.generator_labels == oracle_subgroup_labels(S)
     assert_invariants_match(H)
 

@@ -180,6 +180,53 @@ def test_verify_homomorphism_reports_failures():
     assert report.failing_relators == [parse_word("x^5")]
 
 
+class _EvaluateOnly:
+    """A target that exposes `evaluate` and nothing else."""
+
+    __slots__ = ("evaluate",)
+
+    def __init__(self, group):
+        self.evaluate = group.evaluate
+
+
+def test_verify_homomorphism_needs_only_evaluate_in_the_b3_amalgam():
+    from lowerk.casebook import PHI_IMAGES, full_braid_amalgam
+
+    target = _EvaluateOnly(full_braid_amalgam())
+    assert verify_homomorphism(van_buskirk(3), target, PHI_IMAGES).ok
+    images = dict(PHI_IMAGES, s1=PHI_IMAGES["s2"])
+    assert not verify_homomorphism(van_buskirk(3), target, images).ok
+
+
+def test_verify_homomorphism_needs_only_evaluate_in_a_finite_group():
+    pres = Presentation(("x", "y"), (parse_word("x^6 y^-2"), parse_word("y x y^-1 x")))
+    D24 = _EvaluateOnly(build_group("dicyclic:24"))
+    assert verify_homomorphism(pres, D24, {g: parse_word(g) for g in ("x", "y")}).ok
+    report = verify_homomorphism(pres, D24, {"x": parse_word("x"), "y": parse_word("x")})
+    assert report.failing_relators == list(pres.relators)
+
+
+def test_verify_homomorphism_reads_an_image_that_no_relator_uses():
+    pres = Presentation(("x", "z"), (parse_word("x^4"),))
+    with pytest.raises(UnknownSymbol):
+        verify_homomorphism(pres, build_group("cyclic:4"), {"x": parse_word("g"),
+                                                            "z": parse_word("nope")})
+
+
+image_words = st.lists(st.tuples(st.sampled_from("xy"), st.integers(-3, 3)), max_size=4).map(Word)
+
+
+@given(entries, entries, st.fixed_dictionaries({s: image_words for s in "abc"}))
+def test_substitute_respects_products_and_inverses(raw1, raw2, images):
+    w1, w2 = Word(raw1), Word(raw2)
+    assert (w1 * w2).substitute(images) == w1.substitute(images) * w2.substitute(images)
+    assert w1.inverse().substitute(images) == w1.substitute(images).inverse()
+    assert Word().substitute(images) == Word()
+    for sym in "abc":
+        assert parse_word(sym).substitute(images) == images[sym]
+    assert w1.substitute({s: parse_word(s) for s in "abc"}) == w1
+
+
 @pytest.mark.parametrize("image", [-1, 9, 3, True, "x"])
 def test_verify_homomorphism_refuses_an_image_that_is_not_a_word(image):
     # -1 would read as element 3 of Z/4 and 9 would index past the table
