@@ -10,7 +10,9 @@ at the junction, a power squares and multiplies, and an element order
 comes from one two-pointer pass of cyclic reduction.  Uniqueness of the
 form makes equality a plain comparison (Serre, Trees).  An amalgam is
 read off its two embeddings of the edge group, and a word is read
-through one table of the vertex groups' labels.
+through one table of the vertex groups' labels.  The kernel of a map of
+an amalgam onto a finite group that its edge group already covers is
+again an amalgam, of the three kernels.
 
 Each non-identity coset representative t of a side is one syllable
 object (side, t), built with the amalgam and shared by every normal form
@@ -26,22 +28,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import (
-    EdgeInversion,
-    NotAnAction,
-    NotHomomorphism,
-    NotInjective,
-    UnknownSymbol,
-)
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    Subgroup,
-    _greedy_generators,
-    _respects,
-    _walk,
-    subgroup_as_group,
-)
+from .errors import NotHomomorphism, NotInjective, UnknownSymbol, UsageError
+from .groups import FiniteGroup, GroupHom, Subgroup, _greedy_generators, subgroup_as_group
 from .presentations import Word
 from .records import Frozen
 
@@ -49,9 +37,6 @@ INFINITE = math.inf
 
 SIDE_A = 0
 SIDE_B = 1
-
-VERTICES = 0
-EDGES = 1
 
 
 class AmalgamElement(Frozen):
@@ -249,123 +234,48 @@ class Amalgam:
 
 
 # ---------------------------------------------------------------------------
-# finite group actions on finite graphs
+# kernels of maps onto finite groups
 # ---------------------------------------------------------------------------
 
-class GraphWithAction:
-    """A finite group acting on an oriented graph without edge inversions.
+def kernel_amalgam(am: Amalgam, on_a: GroupHom, on_b: GroupHom) -> Amalgam:
+    """The kernel K of the map of A *_C B to T that the vertex maps on_a:
+    A -> T and on_b: B -> T define, when C maps onto T.
 
-    `generator_action` maps the generator labels of the group, and no other
-    key, to pairs (vertex permutation, edge permutation).  Each generator
-    is checked to be a permutation preserving incidence and reversal;
-    products of such permutations are again such, so the action of every
-    element, walked along the group's label tree as act(g s) = act(g) o
-    act(s) and checked by the generator test, is one too.
-    """
-
-    def __init__(self, group: FiniteGroup, num_vertices: int,
-                 edge_endpoints: tuple[tuple[int, int], ...],
-                 edge_reverse: tuple[int, ...],
-                 generator_action: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]):
-        self.group = group
-        self.num_vertices = num_vertices
-        self.edge_endpoints = edge_endpoints
-        self.edge_reverse = edge_reverse
-        ne = len(edge_endpoints)
-        if len(edge_reverse) != ne:
-            raise NotAnAction("reversal table length mismatch")
-        for e in range(ne):
-            r = edge_reverse[e]
-            if r == e or edge_reverse[r] != e:
-                raise NotAnAction("edge reversal must be a fixed-point-free involution")
-            o, t = edge_endpoints[e]
-            if edge_endpoints[r] != (t, o):
-                raise NotAnAction("reversal must swap endpoints")
-        if generator_action.keys() != group.generator_labels.keys():
-            lab = min(generator_action.keys() ^ group.generator_labels.keys(), key=repr)
-            raise NotAnAction(f"{lab!r} is not a generator label of {group.name}" if lab in
-                              generator_action else f"no action given for generator {lab!r}")
-        for lab in group.generator_labels:
-            self._check_generator(*generator_action[lab])
-        labels = sorted(group.generator_labels)
-        acts = [_then(*generator_action[lab]) for lab in labels]
-        self._perm = _walk(group.label_tree, (tuple(range(num_vertices)), tuple(range(ne))), acts)
-        if not _respects(group, self._perm, [group.generator_labels[lab] for lab in labels], acts):
-            raise NotAnAction("generator permutations are inconsistent")
-        for g, (_, ep) in enumerate(self._perm):
-            for e in range(ne):
-                if ep[e] == edge_reverse[e]:
-                    raise EdgeInversion(f"element {g} maps edge {e} to its own reversal")
-
-    def _check_generator(self, vp, ep) -> None:
-        if sorted(vp) != list(range(self.num_vertices)):
-            raise NotAnAction(f"{vp} is not a permutation of the vertices")
-        if sorted(ep) != list(range(len(self.edge_endpoints))):
-            raise NotAnAction(f"{ep} is not a permutation of the edges")
-        for e, (o, t) in enumerate(self.edge_endpoints):
-            if self.edge_endpoints[ep[e]] != (vp[o], vp[t]):
-                raise NotAnAction("action does not preserve incidence")
-            if ep[self.edge_reverse[e]] != self.edge_reverse[ep[e]]:
-                raise NotAnAction("action does not commute with reversal")
-
-    # -- the quotient graph ----------------------------------------------------
-
-    def stabilizer(self, kind: int, x: int) -> Subgroup:
-        """The elements fixing vertex or edge x, as `kind` says."""
-        return Subgroup(self.group, tuple(g for g, perm in enumerate(self._perm)
-                                          if perm[kind][x] == x))
-
-    def orbit(self, kind: int, x: int) -> tuple[int, ...]:
-        return tuple(sorted({perm[kind][x] for perm in self._perm}))
-
-    def orbits(self, kind: int) -> list[tuple[int, tuple[int, ...], Subgroup]]:
-        """(representative, orbit, stabilizer) per orbit of the vertices or
-        edges, each orbit represented by its least member."""
-        out, seen = [], set()
-        for x in range((self.num_vertices, len(self.edge_endpoints))[kind]):
-            if x not in seen:
-                orbit = self.orbit(kind, x)
-                seen.update(orbit)
-                out.append((x, orbit, self.stabilizer(kind, x)))
-        return out
-
-    def is_segment(self) -> bool:
-        """Two vertex orbits joined by a single geometric edge orbit."""
-        vertices = self.orbits(VERTICES)
-        if len(vertices) != 2 or len(self.orbits(EDGES)) != 2:
-            return False
-        # reversal commutes with every generator, so it permutes the edge
-        # orbits, and it fixes none, for an element sending an edge to its
-        # own reversal is refused as an EdgeInversion: two edge orbits are
-        # each other's reversal, and a loop fails only the endpoint test
-        o, t = self.edge_endpoints[0]
-        first = set(vertices[0][1])
-        return (o in first) != (t in first)
-
-    def segment_amalgam(self) -> Amalgam:
-        """The induced amalgam Stab(origin) *_Stab(edge) Stab(target) of
-        edge 0, which represents the first edge orbit.  The stabilizers'
-        generators are labelled e1, e2, ... (edge), o1, ... (origin) and
-        t1, ... (target), so a word reaches each of them by its label."""
-        if not self.is_segment():
-            raise NotAnAction("quotient graph is not a single segment")
-        C, c_elems = _stabilizer_group(self.stabilizer(EDGES, 0), "edge-stabilizer", "e")
-        embeddings = []
-        for v, name, prefix in zip(self.edge_endpoints[0],
-                                   ("origin-stabilizer", "target-stabilizer"), "ot"):
-            V, v_elems = _stabilizer_group(self.stabilizer(VERTICES, v), name, prefix)
-            index = {g: i for i, g in enumerate(v_elems)}
-            embeddings.append(GroupHom(C, V, {lab: index[c_elems[g]]
-                                              for lab, g in C.generator_labels.items()}))
-        return Amalgam(*embeddings)
+    K acts on the amalgam's tree with the stabilizers K n A, K n C and
+    K n B; as G = K C, it has one orbit of each kind of vertex and one of
+    edges, so its quotient graph is a segment and K = (K n A) *_(K n C)
+    (K n B) (Serre, Trees, I.4.1, Thm 6).  The three kernels' generators
+    are labelled o1, o2, ... (A), t1, ... (B) and e1, ... (C), so a word
+    reaches each of them by its label."""
+    if on_a.source is not am.A or on_b.source is not am.B:
+        raise NotHomomorphism("the vertex maps do not start at the amalgam's vertex groups")
+    if on_a.target is not on_b.target:
+        raise NotHomomorphism("the two vertex maps have different targets")
+    for hom in (on_a, on_b):
+        if not hom.is_homomorphism():
+            raise NotHomomorphism(f"the map of {hom.source.name} is not a homomorphism")
+    on_c = [on_a.full_map()[a] for a in am._embed[SIDE_A]]
+    if on_c != [on_b.full_map()[b] for b in am._embed[SIDE_B]]:
+        raise NotHomomorphism("the two vertex maps disagree on the edge group")
+    T = on_a.target
+    if len(set(on_c)) != T.order:
+        raise UsageError(f"the edge group maps onto {len(set(on_c))} of the {T.order} "
+                         f"elements of {T.name}, so the quotient graph is not a segment")
+    C, c_elems = _kernel_group(am.C, on_c, T, "e")
+    embeddings = []
+    for side, hom, prefix in ((SIDE_A, on_a, "o"), (SIDE_B, on_b, "t")):
+        V, v_elems = _kernel_group(hom.source, hom.full_map(), T, prefix)
+        index = {g: i for i, g in enumerate(v_elems)}
+        embeddings.append(GroupHom(C, V, {lab: index[am._embed[side][c_elems[g]]]
+                                          for lab, g in C.generator_labels.items()}))
+    return Amalgam(*embeddings)
 
 
-def _stabilizer_group(S: Subgroup, name: str, prefix: str) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """S as a group whose greedy generators are labelled prefix1, prefix2, ..."""
-    gens = _greedy_generators(S.parent, sorted(S.elements))
-    return subgroup_as_group(S, name, {f"{prefix}{k}": g for k, g in enumerate(gens, 1)})
-
-
-def _then(vp, ep):
-    """Precomposition with one generator's (vertex, edge) permutations."""
-    return lambda f: (tuple(map(f[0].__getitem__, vp)), tuple(map(f[1].__getitem__, ep)))
+def _kernel_group(G: FiniteGroup, image, T: FiniteGroup,
+                  prefix: str) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """The elements of G that `image` sends to T's identity, as a group
+    whose greedy generators are labelled prefix1, prefix2, ..."""
+    elems = [g for g in range(G.order) if image[g] == T.identity]
+    gens = _greedy_generators(G, elems)
+    return subgroup_as_group(Subgroup(G, tuple(elems)), f"{G.name} kernel",
+                             {f"{prefix}{k}": g for k, g in enumerate(gens, 1)})

@@ -75,13 +75,5 @@ class IllFormedMap(DataGap):
     """A matrix does not define a map between the given presented groups."""
 
 
-class EdgeInversion(LowerKError):
-    """A group element maps an oriented edge to its own reversal."""
-
-
-class NotAnAction(LowerKError):
-    """Generator permutations do not extend to a group action."""
-
-
 class AssemblySpecError(UsageError):
     """An assembly spec file violates the documented schema."""

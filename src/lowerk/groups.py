@@ -16,8 +16,8 @@ labelled rows alone.
 
 One generator test serves every check of a map: `_respects` asks f(a s)
 == act_s(f(a)) for every element a and generator s, and `_walk` defines f
-along a Schreier tree by f(g s) = act_s(f(g)).  `GroupHom`, the leaf of
-`is_isomorphic` and the amalgams layer's graph actions use the two.
+along a Schreier tree by f(g s) = act_s(f(g)).  `GroupHom` and the leaf
+of `is_isomorphic` use the two.
 
 `FiniteGroup.cyclic` is the one walk of an element's powers; element and
 class orders, fusion, the dihedral test and amalgam words all read it.

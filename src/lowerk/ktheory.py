@@ -127,14 +127,15 @@ class KSheet(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "KSheet":
-        _require(data, ("group", "cite"), "sheet")
+        _require(data, ("group",), "sheet")
+        _require(data, ("cite",), f"the {data['group']} sheet")
         entries = {}
         for deg in DEGREES:
             if deg in data:
                 entries[deg] = _group_from_json(data[deg], f"{data['group']} {deg}")
             elif deg != "Km2":
                 raise MissingDegree(f"sheet for {data['group']} lacks degree {deg}")
-        return cls(data["group"], entries, _spec_str(data["cite"], f"{data['group']} sheet cite"))
+        return cls(data["group"], entries, _spec_cite(data["cite"], f"the {data['group']} sheet"))
 
 
 def schur_even_count(G: FiniteGroup) -> int:
@@ -348,6 +349,13 @@ def _spec_str(value, what: str) -> str:
     return value
 
 
+def _spec_cite(value, what: str) -> str:
+    """A nonempty JSON string: K-data is cited data, and `what` cites it."""
+    if not _spec_str(value, f"{what} cite"):
+        raise AssemblySpecError(f"{what} has an empty cite; cited data needs its source")
+    return value
+
+
 def _group_from_json(data, what: str) -> FgAbelianGroup:
     _require(data, ("rank", "torsion"), what)
     torsion = _spec_list(data["torsion"], f"{what} torsion")
@@ -371,8 +379,6 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
     maps = {}
     for raw in _spec_list(data["maps"], "maps"):
         _require(raw, ("degree", "matrix", "source", "cite"), "map entry")
-        if not _spec_str(raw["cite"], "map cite"):
-            raise AssemblySpecError("maps are cited data; empty cite refused")
         if raw["degree"] not in DEGREES:
             raise AssemblySpecError(f"unknown degree {raw['degree']!r}")
         if raw["degree"] in maps:
@@ -380,14 +386,18 @@ def assembly_spec_from_json(data: dict) -> AssemblySpec:
         what = f"{raw['degree']} matrix"
         matrix = tuple(tuple(_spec_int(x, f"{what} entry") for x in _spec_list(row, f"{what} row"))
                        for row in _spec_list(raw["matrix"], what))
-        maps[raw["degree"]] = MapSpec(matrix, raw["source"], raw["cite"])
+        maps[raw["degree"]] = MapSpec(matrix, raw["source"],
+                                      _spec_cite(raw["cite"], f"the {raw['degree']} map"))
     for deg in DEGREES:
         if deg not in maps:
             raise MissingDegree(f"assembly spec lacks a map in degree {deg}")
     nils = []
     for raw in _spec_list(data["nils"], "nils"):
         _require(raw, ("vc",), "nil entry")
-        nils.append((vc_from_json(raw["vc"]), _spec_str(raw.get("cite", ""), "nil cite")))
+        vc = vc_from_json(raw["vc"])
+        what = f"the nil entry {vc_str(vc)}"
+        _require(raw, ("cite",), what)
+        nils.append((vc, _spec_cite(raw["cite"], what)))
     spec = AssemblySpec(_spec_str(data["name"], "spec name"), data["A"], data["B"], data["C"],
                         sheets, maps, nils)
     used = [spec.sheet(g) for g in (spec.group_a, spec.group_b, spec.group_c)]

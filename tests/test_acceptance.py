@@ -35,11 +35,11 @@ def test_criterion_1_pure_braid_case():
     assert by_name["reduced K0"].computed == "Z/2"
     assert by_name["K in degree -1"].computed == "0"
     assert by_name["K below degree -1"].computed == "0"
-    # stabilizers come from the graph action, not constants
+    # stabilizers come from the kernel of the strand permutation, not constants
     assert by_name["vertex stabilizers are Z/4 and the quaternion group"].passed
     assert by_name["edge stabilizer is Z/2"].passed
     _line(1, "pb3 case passes with Wh=0, K0~=Z/2, K=0 below, "
-          "stabilizers Z/4, Z/2, Q8 computed from the graph fixture")
+          "stabilizers Z/4, Z/2, Q8 computed as the kernel of the strand permutation")
 
 
 def test_criterion_2_full_braid_case():

@@ -12,15 +12,13 @@ from lowerk import presentations
 from lowerk.amalgams import (
     Amalgam,
     AmalgamElement,
-    EDGES,
-    GraphWithAction,
     INFINITE,
     SIDE_A,
     SIDE_B,
-    VERTICES,
+    kernel_amalgam,
 )
-from lowerk.casebook import PHI_IMAGES, full_braid_amalgam, phi, pure_braid_graph_fixture
-from lowerk.errors import EdgeInversion, NotAnAction, NotHomomorphism, NotInjective, UnknownSymbol
+from lowerk.casebook import PHI_IMAGES, full_braid_amalgam, phi, pure_braid_amalgam
+from lowerk.errors import NotHomomorphism, NotInjective, UnknownSymbol, UsageError
 from lowerk.groups import (
     FiniteGroup,
     GroupHom,
@@ -339,11 +337,11 @@ def seed_order_of(am, e):
 @functools.cache
 def amalgam_named(which):
     return {"pb3": pb3_amalgam, "b3": full_braid_amalgam, "degenerate": degenerate_amalgam,
-            "pb3-segment": lambda: pure_braid_graph_fixture().segment_amalgam(),
+            "pb3-segment": lambda: pure_braid_amalgam(full_braid_amalgam()),
             "identity-label": identity_label_amalgam}[which]()
 
 
-amalgam_names = st.sampled_from(["pb3", "b3", "degenerate"])
+amalgam_names = st.sampled_from(["pb3", "b3", "degenerate", "pb3-segment"])
 
 
 @st.composite
@@ -376,7 +374,7 @@ def test_evaluate_matches_seed_oracle(which, data):
     assert am.evaluate(w) == seed_evaluate(am, w)
 
 
-@pytest.mark.parametrize("which", ["pb3", "b3", "degenerate"])
+@pytest.mark.parametrize("which", ["pb3", "b3", "degenerate", "pb3-segment"])
 def test_embed_vertex_matches_seed_oracle(which):
     am = amalgam_named(which)
     for side, V in ((SIDE_A, am.A), (SIDE_B, am.B)):
@@ -545,122 +543,93 @@ def test_powers_and_phi_splices_reduce_their_entries_once(monkeypatch):
     assert sum(seen) <= 2 * spliced
 
 
-# --- quotients of graph actions ----------------------------------------------
+# --- kernels of maps onto finite groups ----------------------------------------
 
-def test_fixture_orbits_and_stabilizers():
-    gwa = pure_braid_graph_fixture()
-    assert len(gwa.orbits(VERTICES)) == 2
-    assert len(gwa.orbits(EDGES)) == 2
-    assert gwa.is_segment()
-    for _, orbit, stabilizer in gwa.orbits(VERTICES) + gwa.orbits(EDGES):
-        assert len(orbit) * stabilizer.order == 8
-    assert gwa.stabilizer(VERTICES, 0).order == 8
+def test_the_pure_braid_amalgam_is_the_kernel_of_the_strand_permutation():
+    # Q8 = <P, Q> in O* glued to Z/4 = <Y^3> in Dic24 along the centre of
+    # Dic12; each vertex group is every element whose braid word in
+    # RECOVERY moves no strand
+    from lowerk.casebook import RECOVERY, _STRANDS
 
-
-def test_fixture_segment_amalgam_matches_marked_graph():
-    am = pure_braid_graph_fixture().segment_amalgam()
-    types = {am.A.order: am.A, am.B.order: am.B}
-    assert set(types) == {4, 8}
-    assert is_isomorphic(types[4], build_group("cyclic:4"))
-    assert is_isomorphic(types[8], build_group("quaternion:8"))
+    b3, am = full_braid_amalgam(), amalgam_named("pb3-segment")
+    assert is_isomorphic(am.A, build_group("quaternion:8"))
+    assert is_isomorphic(am.B, build_group("cyclic:4"))
     assert is_isomorphic(am.C, build_group("cyclic:2"))
-    assert {am.index(SIDE_A), am.index(SIDE_B)} == {2, 4}
+    assert (am.index(SIDE_A), am.index(SIDE_B)) == (4, 2)
+    assert {lab: am.A.element_names[g] for lab, g in am.A.generator_labels.items()} == {
+        "o1": "P", "o2": "Q"}
+    assert {lab: am.B.element_names[g] for lab, g in am.B.generator_labels.items()} == {"t1": "Y^3"}
+    assert {lab: am.C.element_names[g] for lab, g in am.C.generator_labels.items()} == {"e1": "w^3"}
+    S3 = build_group("symmetric:3")
+    by_name = {name: g for g, name in enumerate(S3.element_names)}
+
+    def strand(word):
+        g = S3.identity
+        for sym, exp in word.entries:
+            g = S3.table[g][S3.power(by_name[_STRANDS[sym]], exp)]
+        return g
+
+    for V, K in ((b3.A, am.A), (b3.B, am.B)):
+        fixed = {name for name in V.element_names
+                 if strand(parse_word(name.replace("*", " ")).substitute(RECOVERY)) == S3.identity}
+        assert set(K.element_names) == fixed
 
 
-def test_trivial_group_on_single_edge():
-    triv = build_group("cyclic:1")
-    gwa = GraphWithAction(triv, 2, ((0, 1), (1, 0)), (1, 0), {})
-    assert gwa.is_segment()
-    am = gwa.segment_amalgam()
-    assert am.A.order == am.B.order == am.C.order == 1
+def test_a_kernel_whose_edge_group_covers_the_target():
+    # Q8 *_Q8 Q8 onto Z/2 by x -> g, y -> 1 on both sides: the kernel is
+    # <y> on each side and along the edge
+    Q8, Z2 = build_group("quaternion:8"), build_group("cyclic:2")
+    am = degenerate_amalgam()
+    onto = GroupHom(Q8, Z2, {"x": Z2.generator_labels["g"], "y": Z2.identity})
+    K = kernel_amalgam(am, onto, onto)
+    assert (K.A.order, K.B.order, K.C.order) == (4, 4, 4)
+    assert (K.index(SIDE_A), K.index(SIDE_B)) == (1, 1)
+    assert set(K.A.element_names) == {"1", "y", "x^2", "y*x^2"}
+    # the greedy generators over the ascending elements: x^2, then y
+    assert {lab: K.A.element_names[g] for lab, g in K.A.generator_labels.items()} == {
+        "o1": "x^2", "o2": "y"}
+    assert sorted(K.B.generator_labels) == ["t1", "t2"]
+    assert sorted(K.C.generator_labels) == ["e1", "e2"]
 
 
-@pytest.mark.parametrize("num_vertices, edges", [
-    (3, ((0, 1), (1, 0), (1, 2), (2, 1))),
-    (2, ((0, 1), (1, 0), (0, 1), (1, 0))),
-    (2, ((0, 0), (0, 0))),
-], ids=["path-of-three", "parallel-edges", "loop-and-isolated-vertex"])
-def test_trivial_group_quotient_that_is_not_a_segment(num_vertices, edges):
-    # with the trivial group the quotient is the graph itself: three
-    # vertices, two geometric edges, or one edge whose ends meet
-    reverse = tuple(e ^ 1 for e in range(len(edges)))
-    gwa = GraphWithAction(build_group("cyclic:1"), num_vertices, edges, reverse, {})
-    assert gwa.is_segment() is False
-    with pytest.raises(NotAnAction, match="quotient graph is not a single segment"):
-        gwa.segment_amalgam()
+def _q8_maps():
+    Q8, Z2, Z4 = build_group("quaternion:8"), build_group("cyclic:2"), build_group("cyclic:4")
+    g = Z2.generator_labels["g"]
+    return {
+        "x": GroupHom(Q8, Z2, {"x": g, "y": Z2.identity}),
+        "y": GroupHom(Q8, Z2, {"x": Z2.identity, "y": g}),
+        "trivial": GroupHom(Q8, Z2, {"x": Z2.identity, "y": Z2.identity}),
+        "into Z/4": GroupHom(Q8, Z4, {"x": Z4.power(Z4.generator_labels["g"], 2),
+                                      "y": Z4.identity}),
+        "not a homomorphism": GroupHom(Q8, Z4, {"x": Z4.generator_labels["g"],
+                                                "y": Z4.identity}),
+    }
 
 
-def test_edge_inversion_detected():
-    Z2 = build_group("cyclic:2")
-    # swapping an edge with its reversal while fixing both endpoints
-    with pytest.raises(EdgeInversion):
-        GraphWithAction(Z2, 2, ((0, 1), (1, 0)), (1, 0),
-                        {"g": ((1, 0), (1, 0))})
+@pytest.mark.parametrize("a, b, refusal, match", [
+    ("x", "y", NotHomomorphism, "disagree on the edge group"),
+    ("x", "into Z/4", NotHomomorphism, "different targets"),
+    ("not a homomorphism", "not a homomorphism", NotHomomorphism, "not a homomorphism"),
+    ("trivial", "trivial", UsageError, "maps onto 1 of the 2 elements"),
+])
+def test_kernel_refuses_maps_that_do_not_give_a_segment(a, b, refusal, match):
+    maps = _q8_maps()
+    with pytest.raises(refusal, match=match):
+        kernel_amalgam(degenerate_amalgam(), maps[a], maps[b])
 
 
-def test_inconsistent_action_detected():
-    Z4 = build_group("cyclic:4")
-    # the generator has order 4 but the permutation assignment forces
-    # its square to act nontrivially on a two-edge graph in a bad way
-    with pytest.raises((NotAnAction, EdgeInversion)):
-        GraphWithAction(Z4, 3, ((0, 1), (1, 0), (1, 2), (2, 1)), (1, 0, 3, 2),
-                        {"g": ((0, 2, 1), (2, 3, 0, 1))})
+def test_kernel_refuses_maps_of_other_groups():
+    maps = _q8_maps()
+    with pytest.raises(NotHomomorphism, match="vertex groups"):
+        kernel_amalgam(pb3_amalgam(), maps["x"], maps["x"])
 
 
-# one test per rejection; the generator checks run before the action is extended
+def test_kernel_refuses_a_strand_map_under_which_c_misses_s3(monkeypatch):
+    # every generator to the identity: the map is a homomorphism, but the
+    # edge group covers one of the six permutations
+    from lowerk import casebook
 
-def _z2_on_segment(vp, ep):
-    return GraphWithAction(build_group("cyclic:2"), 2, ((0, 1), (1, 0)), (1, 0), {"g": (vp, ep)})
-
-
-def test_action_refuses_a_key_that_is_not_a_generator_label():
-    with pytest.raises(NotAnAction, match="'h' is not a generator label"):
-        GraphWithAction(build_group("cyclic:2"), 2, ((0, 1), (1, 0)), (1, 0),
-                        {"g": ((0, 1), (0, 1)), "h": ((1, 0), (1, 0))})
-    with pytest.raises(NotAnAction, match="no action given for generator 'g'"):
-        GraphWithAction(build_group("cyclic:2"), 2, ((0, 1), (1, 0)), (1, 0), {})
-
-
-def test_action_rejects_non_permutation():
-    with pytest.raises(NotAnAction):
-        _z2_on_segment((0, 0), (0, 1))
-    with pytest.raises(NotAnAction):
-        _z2_on_segment((0, 1), (1, 1))
-
-
-def test_action_rejects_short_tuple():
-    with pytest.raises(NotAnAction):
-        _z2_on_segment((0,), (0, 1))
-    with pytest.raises(NotAnAction):
-        _z2_on_segment((0, 1), (0,))
-
-
-def test_action_rejects_broken_incidence():
-    # swapping the endpoints while fixing the edge 0 -> 1
-    with pytest.raises(NotAnAction):
-        _z2_on_segment((1, 0), (0, 1))
-
-
-def test_action_rejects_broken_reversal():
-    # two parallel edges 0 -> 1 (0 and 2) with reversals 1 and 3; swapping
-    # edges 0 and 2 alone preserves incidence but not reversal
-    Z2 = build_group("cyclic:2")
-    with pytest.raises(NotAnAction):
-        GraphWithAction(Z2, 2, ((0, 1), (1, 0), (0, 1), (1, 0)), (1, 0, 3, 2),
-                        {"g": ((0, 1), (2, 1, 0, 3))})
-
-
-def test_action_rejects_inconsistent_generator_permutations():
-    # the generator has order 2 but its vertex permutation has order 3
-    Z2 = build_group("cyclic:2")
-    with pytest.raises(NotAnAction, match="inconsistent"):
-        GraphWithAction(Z2, 3, (), (), {"g": ((1, 2, 0), ())})
-
-
-def test_edge_inverted_only_by_a_square():
-    # Z/4 turns the square 0 -> 1 -> 2 -> 3; its generator moves both
-    # diagonals, its square maps 0 -> 2 onto the reversal 2 -> 0
-    Z4 = build_group("cyclic:4")
-    with pytest.raises(EdgeInversion, match="element 2 "):
-        GraphWithAction(Z4, 4, ((0, 2), (2, 0), (1, 3), (3, 1)), (1, 0, 3, 2),
-                        {"g": ((1, 2, 3, 0), (2, 3, 1, 0))})
+    for sym in casebook._STRANDS:
+        monkeypatch.setitem(casebook._STRANDS, sym, "e")
+    with pytest.raises(UsageError, match="maps onto 1 of the 6 elements"):
+        casebook.pure_braid_amalgam(full_braid_amalgam())

@@ -17,6 +17,7 @@ from lowerk.casebook import (
     verify_word_identities,
 )
 from lowerk.cli import case_table
+from lowerk.errors import NotHomomorphism
 from lowerk.presentations import parse_word
 
 
@@ -114,6 +115,35 @@ def test_pb3_case_stabilizers_are_computed():
     by_name = {c.name: c for c in report.checks}
     assert by_name["reduced K0"].computed == "Z/2"
     assert by_name["Whitehead group"].computed == "0"
+
+
+_STRAND_ROW = "strand permutation read through phi agrees on s1, s2, r1, r2, r3"
+_SEGMENT_ROW = ("edge group maps onto the symmetric group of degree 3, so the quotient graph "
+                "is a segment")
+
+
+def test_pb3_case_reads_its_amalgam_off_the_strand_permutation():
+    by_name = {c.name: c for c in case_pb3().checks}
+    assert (by_name[_STRAND_ROW].computed, by_name[_STRAND_ROW].passed) == (
+        "(0 1), (1 2), e, e, e", True)
+    assert (by_name[_SEGMENT_ROW].computed, by_name[_SEGMENT_ROW].passed) == ("6", True)
+
+
+def test_pb3_strand_row_fails_when_phi_moves_the_image_of_s2(monkeypatch):
+    # s2 sent where s1 goes: the vertex maps are unchanged, so the kernel is
+    # still a segment, but phi then the strand map sends s2 to (0 1)
+    monkeypatch.setitem(casebook.PHI_IMAGES, "s2", parse_word("Z P Y^3"))
+    report = case_pb3()
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.name, c.computed) for c in failed] == [(_STRAND_ROW, "(0 1), (0 1), e, e, e")]
+
+
+def test_a_recovery_word_off_its_label_is_refused(monkeypatch):
+    # X read as a^3: the two vertex maps then disagree on the edge group,
+    # which holds Y^2 = P^2 X^-1
+    monkeypatch.setitem(casebook.RECOVERY, "X", parse_word("r3 s2 s1") ** 3)
+    with pytest.raises(NotHomomorphism, match="disagree on the edge group"):
+        case_pb3()
 
 
 def test_b3_case_values():

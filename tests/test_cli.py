@@ -446,6 +446,9 @@ MALFORMED_SPECS = {
     "list sheet cite": _b3_with(_set(("sheets", 0, "cite"), ["GJM"])),
     "list map cite": _b3_with(_set(("maps", 2, "cite"), ["GJM"])),
     "list nil cite": _b3_with(_set(("nils", 0, "cite"), ["Weibel 2009"])),
+    # K-data is cited data: a sheet or a nil entry without its source
+    "empty sheet cite": _b3_with(_set(("sheets", 0, "cite"), "")),
+    "nil entry without cite": _b3_with(lambda raw: raw["nils"][0].pop("cite")),
     "list semidirect vc group": _b3_with(_set(("nils", 0, "vc"),
                                               {"type": "semidirect", "finite": ["cyclic:2"]})),
 }
@@ -462,6 +465,19 @@ def test_assemble_refuses_malformed_spec(name, capsys, tmp_path):
     if name != "invalid json":
         with pytest.raises(AssemblySpecError):
             assembly_spec_from_json(json.loads(MALFORMED_SPECS[name]))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_set(("sheets", 0, "cite"), ""), "the binary-octahedral sheet has an empty cite"),
+    (lambda raw: raw["sheets"][0].pop("cite"), "the binary-octahedral sheet lacks 'cite'"),
+    (_set(("maps", 2, "cite"), ""), "the Km1 map has an empty cite"),
+    (_set(("nils", 0, "cite"), ""), "the nil entry cyclic:2 x Z has an empty cite"),
+    (lambda raw: raw["nils"][0].pop("cite"), "the nil entry cyclic:2 x Z lacks 'cite'"),
+], ids=["empty sheet cite", "sheet without cite", "empty map cite", "empty nil cite",
+        "nil without cite"])
+def test_an_uncited_entry_is_refused_by_its_name(edit, named):
+    with pytest.raises(AssemblySpecError, match=re.escape(named)):
+        assembly_spec_from_json(json.loads(_b3_with(edit)))
 
 
 def test_assemble_names_the_spec_that_lacks_a_sheet(capsys, tmp_path):
@@ -883,8 +899,7 @@ _EXIT_CODES = {
     "MissingDegree": 2, "AssemblySpecError": 2,
     "DataGap": 3, "UnknownSchurData": 3, "IllFormedMap": 3,
     "LowerKError": 1, "PresentationCollapse": 1, "NotNormal": 1, "NotInjective": 1,
-    "NotHomomorphism": 1, "LimitExceeded": 1, "UnknownSymbol": 1, "EdgeInversion": 1,
-    "NotAnAction": 1,
+    "NotHomomorphism": 1, "LimitExceeded": 1, "UnknownSymbol": 1,
 }
 
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 import time
 from operator import itemgetter
@@ -587,10 +586,10 @@ def test_group_hom_refuses_malformed_images():
 
 
 def test_the_label_tree_is_the_breadth_first_tree_over_sorted_labels():
-    from lowerk.casebook import pure_braid_graph_fixture
+    from lowerk.casebook import full_braid_amalgam, pure_braid_amalgam
     from lowerk.groups import spanning_tree
 
-    am = pure_braid_graph_fixture().segment_amalgam()
+    am = pure_braid_amalgam(full_braid_amalgam())
     for G in [G for G, _ in _every_construction()] + [am.A, am.B, am.C]:
         labels = G.generator_labels
         assert list(G.label_tree) == spanning_tree(G, [labels[lab] for lab in sorted(labels)]), G.name
@@ -624,9 +623,9 @@ def test_a_build_walks_no_tree_besides_its_closure(monkeypatch, name, trees):
 
 
 # --- the generator test against all-pairs oracles ----------------------------
-# GroupHom.is_homomorphism and GraphWithAction share one test on generators,
-# which the group constructor makes inside its closure and the axiom check
-# reruns; each is held here to a check over every pair or triple.
+# GroupHom.is_homomorphism makes one test on generators, which the group
+# constructor makes inside its closure and the axiom check reruns; each is
+# held here to a check over every pair or triple.
 
 SMALL = ["cyclic:1", "cyclic:2", "cyclic:4", "cyclic:6", "cyclic:12", "dihedral:2",
          "dihedral:3", "dihedral:4", "dihedral:6", "quaternion:8", "dicyclic:12",
@@ -807,69 +806,3 @@ def test_class_orders_come_from_power_walks(monkeypatch):
         G = groups._build.__wrapped__(canonical_group_name(name))
         orders = G.invariants().orders
         assert len(orders) == len(G.invariants().classes) and orders[0] == 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "dihedral:2",
-                        "dihedral:3", "symmetric:3", "quaternion:8", "dicyclic:12"]),
-       st.booleans(), st.data())
-def test_graph_action_matches_all_pairs(name, star, data):
-    """Three vertices, either joined pairwise or each joined to a fourth
-    that every element fixes; every permutation of the three carries edges
-    along, so each generator passes on its own, and only the complete graph
-    lets an element invert an edge."""
-    from lowerk.amalgams import EDGES, VERTICES, GraphWithAction
-    from lowerk.errors import EdgeInversion, NotAnAction
-
-    G = build_group(name)
-    nv = 4 if star else 3
-    edges = (tuple(p for i in range(3) for p in ((i, 3), (3, i))) if star else
-             tuple((i, j) for i in range(3) for j in range(3) if i != j))
-    index = {e: k for k, e in enumerate(edges)}
-    reverse = tuple(index[j, i] for i, j in edges)
-    perms = [p + (3,) * star for p in itertools.permutations(range(3))]
-    vertex = {lab: data.draw(st.sampled_from(perms)) for lab in sorted(G.generator_labels)}
-    action = {lab: (vp, tuple(index[vp[i], vp[j]] for i, j in edges))
-              for lab, vp in vertex.items()}
-    # oracle: each element acts as its breadth-first word, act(g s) = act(g) o act(s)
-    act, queue = {G.identity: tuple(range(nv))}, [G.identity]
-    for g in queue:
-        for lab in sorted(G.generator_labels):
-            h = G.table[g][G.generator_labels[lab]]
-            if h not in act:
-                act[h] = tuple(act[g][v] for v in vertex[lab])
-                queue.append(h)
-    law = all(act[G.table[a][b]] == tuple(act[a][v] for v in act[b])
-              for a in range(G.order) for b in range(G.order))
-    if not law:
-        with pytest.raises(NotAnAction, match="inconsistent"):
-            GraphWithAction(G, nv, edges, reverse, action)
-    elif any(act[g][i] == j and act[g][j] == i for g in act for i, j in edges):
-        with pytest.raises(EdgeInversion):
-            GraphWithAction(G, nv, edges, reverse, action)
-    else:
-        gwa = GraphWithAction(G, nv, edges, reverse, action)
-        for v in range(nv):
-            assert gwa.stabilizer(VERTICES, v).elements == tuple(
-                g for g in range(G.order) if act[g][v] == v)
-            assert gwa.orbit(VERTICES, v) == tuple(sorted({act[g][v] for g in act}))
-        for e, (i, j) in enumerate(edges):
-            assert gwa.stabilizer(EDGES, e).elements == tuple(
-                g for g in range(G.order) if (act[g][i], act[g][j]) == (i, j))
-            assert gwa.orbit(EDGES, e) == tuple(sorted({index[act[g][i], act[g][j]] for g in act}))
-
-
-def test_graph_action_composes_in_the_group_order():
-    # S3 permutes three leaves of a star by its own permutations; the
-    # stabilizer of leaf 0 is {1, (1 2)}, which acting in the opposite
-    # order would conjugate away
-    from lowerk.amalgams import VERTICES, GraphWithAction
-
-    S3 = build_group("symmetric:3")
-    edges = ((0, 3), (3, 0), (1, 3), (3, 1), (2, 3), (3, 2))
-    perm = {"t": (1, 0, 2, 3), "c": (1, 2, 0, 3)}
-    action = {lab: (vp, tuple(edges.index((vp[i], vp[j])) for i, j in edges))
-              for lab, vp in perm.items()}
-    gwa = GraphWithAction(S3, 4, edges, (1, 0, 3, 2, 5, 4), action)
-    assert [S3.element_names[g] for g in gwa.stabilizer(VERTICES, 0).elements] == ["e", "(1 2)"]
-    assert gwa.orbit(VERTICES, 0) == (0, 1, 2) and gwa.orbit(VERTICES, 3) == (3,)
