@@ -7,7 +7,8 @@ form, whose pivots need not divide one another: `_eliminate` makes it
 with row operations alone, reducing each pivot row in place, and
 `FgAbelianGroup.from_divisors` turns its pivots into invariant factors.
 A map eliminates [M | R_T] (its matrix beside the target relations) at
-most once for its kernel and cokernel together, carrying no transform.
+most once for its kernel and cokernel together, carrying no transform,
+and a tall matrix without a transform is eliminated as its transpose.
 Building a map whose source has relations eliminates R_T once, carrying
 its row transform u, and lifts each source relation r to (r, -y'), where
 D y' = u M r for the pivots D of R_T.  The map keeps these lifts in
@@ -82,6 +83,8 @@ class SmithForm(Record):
 def _eliminate(a: Matrix, u: Matrix | None = None) -> list[int]:
     """The rank-many positive pivots of a diagonal form of `a`, which is
     used up; each row operation is mirrored on u when it is given.
+    Without u, a tall `a` is eliminated as its transpose, whose diagonal
+    forms are those of `a` transposed, so the rows are the shorter side.
 
     Each pivot p is the smallest nonzero |entry| left.  Euclid row
     operations clear its column.  Then a column operation changes the
@@ -91,6 +94,8 @@ def _eliminate(a: Matrix, u: Matrix | None = None) -> list[int]:
     So u a v = D for a unimodular v never formed, pivot k in row k of D
     (Cohen, GTM 138, section 2.4).
     """
+    if u is None and a and len(a) > len(a[0]):
+        a = _transpose(a)
     r = len(a)
     diag = []
     for t in range(r):

@@ -20,8 +20,11 @@ that holds it.  The first factorization of a step depends only on the
 vertex element x and the head h, so each side holds an action table of
 x * i(h) -> (c, syllable) for every x and h, the syllable None for the
 edge coset: |V| * |C| references, no more than the vertex group's own
-Cayley table.  With the cyclic powers of each label, also tabled, a
-letter of a word costs one read of each and allocates nothing.
+Cayley table.  Each label keeps the action rows of its cyclic powers, so
+`evaluate` reads a letter in its own loop as one row read; products,
+inverses and vertex embeddings share one fold over vertex letters, one
+action-row read each.  Only a letter that meets a first syllable of its
+own side calls out, to one more coset read, and no step allocates.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ class Amalgam:
             first = self._symbols.setdefault(sym, (SIDE_B, g))
             if self.embed_vertex(*first) != self.embed_vertex(SIDE_B, g):
                 del self._symbols[sym]
-        self._powers = {sym: (side, self._vertex[side].cyclic(g))
-                        for sym, (side, g) in self._symbols.items()}
+        self._rows = {sym: (side, tuple(self._act[side][x] for x in self._vertex[side].cyclic(g)))
+                      for sym, (side, g) in self._symbols.items()}
 
     def _cosets(self, side: int) -> tuple[tuple[int, ...], tuple]:
         """Right-coset representatives of the embedded edge group, and for
@@ -120,79 +123,99 @@ class Amalgam:
 
     # -- arithmetic on normal forms ------------------------------------------
 
-    def _left_mul(self, side: int, x: int, head: int,
-                  rev: list[tuple[int, int]]) -> int:
-        """Left-multiply x (in vertex group `side`) onto the normal form
-        (head, reversed(rev)).  Updates `rev`, whose last entry is the
-        leftmost syllable, in place and returns the new head: one read of
-        the action table for x * i(head), and a coset factorization where
-        x's side meets the first syllable.  Both give (c, syllable), so
-        `rev` receives a shared syllable and nothing is allocated."""
-        c, syllable = self._act[side][x][head]
+    def _merge(self, side: int, c: int, syllable: tuple[int, int],
+               rev: list[tuple[int, int]]) -> int:
+        """The junction where the letter i(c) * t meets the first syllable,
+        rev[-1], on its own side: t * rev[-1] = i(c2) * t' is one coset
+        read, rev[-1] becomes t' or drops out when t' is the identity, and
+        the new head is c * c2."""
+        c2, syllable = self._coset[side][self._vertex[side].table[syllable[1]][rev[-1][1]]]
         if syllable is None:
-            return c
-        if rev and rev[-1][0] == side:
-            c2, syllable = self._coset[side][self._vertex[side].table[syllable[1]][rev[-1][1]]]
-            c = self.C.table[c][c2]
-            if syllable is None:
-                rev.pop()
-            else:
-                rev[-1] = syllable
+            rev.pop()
         else:
-            rev.append(syllable)
-        return c
+            rev[-1] = syllable
+        return self.C.table[c][c2]
+
+    def _fold(self, letters, head: int, rev: list[tuple[int, int]]) -> int:
+        """Left-multiply the vertex letters (side, x), in turn, onto the
+        normal form (head, reversed(rev)).  Updates `rev`, whose last entry
+        is the leftmost syllable, in place and returns the new head: per
+        letter one read of the action table for x * i(head), which gives
+        (c, syllable), so `rev` receives a shared syllable and nothing is
+        allocated, and `_merge` where the letter meets its own side."""
+        act = self._act
+        for side, x in letters:
+            c, syllable = act[side][x][head]
+            if syllable is None:
+                head = c
+            elif rev and rev[-1][0] == side:
+                head = self._merge(side, c, syllable, rev)
+            else:
+                rev.append(syllable)
+                head = c
+        return head
 
     def mul(self, e1: AmalgamElement, e2: AmalgamElement) -> AmalgamElement:
         """e1's syllables cancel against e2's only at the junction; once a
         representative survives, each further syllable of e1 costs one
         factorization carrying the edge element leftwards."""
         rev = list(reversed(e2.syllables))
-        head = e2.head
-        for side, x in reversed(e1.syllables):
-            head = self._left_mul(side, x, head, rev)
+        head = self._fold(reversed(e1.syllables), e2.head, rev)
         return AmalgamElement(self.C.table[e1.head][head], tuple(reversed(rev)))
 
     def inv(self, e: AmalgamElement) -> AmalgamElement:
         rev: list[tuple[int, int]] = []
-        head = self.C.inverses[e.head]
-        for side, x in e.syllables:
-            head = self._left_mul(side, self._vertex[side].inverses[x], head, rev)
+        inverses = (self.A.inverses, self.B.inverses)
+        letters = [(side, inverses[side][x]) for side, x in e.syllables]
+        head = self._fold(letters, self.C.inverses[e.head], rev)
         return AmalgamElement(head, tuple(reversed(rev)))
 
     def power(self, e: AmalgamElement, n: int) -> AmalgamElement:
-        """e^n by square-and-multiply; n is an int, not a bool."""
+        """e^n by square-and-multiply, n an int and not a bool: the first
+        set bit takes its square of e as it is, so |n| >= 1 costs
+        floor(log2 |n|) + popcount(|n|) - 1 products."""
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"exponent {n!r} is not an int")
         if n < 0:
             e, n = self.inv(e), -n
-        out = self.identity_element
+        out = None
         while n:
             if n & 1:
-                out = self.mul(out, e)
+                out = e if out is None else self.mul(out, e)
             n >>= 1
             if n:
                 e = self.mul(e, e)
-        return out
+        return self.identity_element if out is None else out
 
     def embed_vertex(self, side: int, x: int) -> AmalgamElement:
         rev: list[tuple[int, int]] = []
-        head = self._left_mul(side, x, self.C.identity, rev)
+        head = self._fold(((side, x),), self.C.identity, rev)
         return AmalgamElement(head, tuple(rev))
 
     def evaluate(self, word: Word) -> AmalgamElement:
-        """Normal form of a word over the vertex groups' generator labels:
-        per letter, one read of the label's power table and one junction
-        step, itself one action-table read unless it meets a syllable of
+        """Normal form of a word over the vertex groups' generator labels.
+        A label keeps the action rows of its cyclic powers, so a letter is
+        one row read, rows[exp % len(rows)][head], in this loop: the
+        (c, syllable) of the letter times i(head), absorbed into the edge
+        group, appended, or merged by `_merge` where it meets a syllable of
         its own side."""
         rev: list[tuple[int, int]] = []
         head = self.C.identity
+        label_rows = self._rows
         for sym, exp in reversed(word.entries):
             try:
-                side, powers = self._powers[sym]
+                side, rows = label_rows[sym]
             except KeyError:
                 raise UnknownSymbol(
                     f"{sym!r} does not label exactly one amalgam element") from None
-            head = self._left_mul(side, powers[exp % len(powers)], head, rev)
+            c, syllable = rows[exp % len(rows)][head]
+            if syllable is None:
+                head = c
+            elif rev and rev[-1][0] == side:
+                head = self._merge(side, c, syllable, rev)
+            else:
+                rev.append(syllable)
+                head = c
         return AmalgamElement(head, tuple(reversed(rev)))
 
     def describe(self, e: AmalgamElement) -> str:

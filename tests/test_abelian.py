@@ -898,15 +898,19 @@ def test_kernel_and_cokernel_eliminate_m_beside_rt_once(monkeypatch):
 
 def _check_eliminated(mat, cols):
     """_eliminate gives rank-many positive pivots presenting the seed's
-    group; with u, u is unimodular and u * mat has the diagonal form's
-    rows: row k divisible by pivot k, and zero past the rank."""
+    group, with u and without it; with u, u is unimodular and u * mat has
+    the diagonal form's rows: row k divisible by pivot k, and zero past
+    the rank.  Without u a tall matrix is eliminated as its transpose, so
+    the two pivot lists may differ."""
     want = [x for x in _seed_smith_normal_form(mat, cols=cols).diagonal if x]
+    group = FgAbelianGroup.from_divisors(cols - len(want), want)
     diag = abelian._eliminate([list(row) for row in mat])
     assert len(diag) == len(want) and all(d > 0 for d in diag)
-    assert (FgAbelianGroup.from_divisors(cols - len(diag), diag)
-            == FgAbelianGroup.from_divisors(cols - len(want), want))
+    assert FgAbelianGroup.from_divisors(cols - len(diag), diag) == group
     u = abelian.eye(len(mat))
-    assert abelian._eliminate([list(row) for row in mat], u=u) == diag
+    diag = abelian._eliminate([list(row) for row in mat], u=u)
+    assert len(diag) == len(want) and all(d > 0 for d in diag)
+    assert FgAbelianGroup.from_divisors(cols - len(diag), diag) == group
     assert determinant(u) in (1, -1)
     ua = mat_mul(u, [list(row) for row in mat])
     assert not any(any(row) for row in ua[len(diag):])
@@ -941,6 +945,36 @@ def test_eliminate_gives_a_diagonal_form_of_the_seed_group(case):
 def test_eliminate_on_large_dense_draws(rows, cols):
     rng = random.Random(f"eliminate-{rows}x{cols}")
     _check_eliminated([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+@pytest.mark.parametrize("rows, cols", [(9, 4), (16, 8), (32, 16), (24, 23)])
+def test_a_tall_map_and_its_transpose_give_one_group(monkeypatch, rows, cols):
+    # without a transform, a tall map is eliminated as its transpose, pivot
+    # for pivot, so each row operation spans all `rows` entries; with u it
+    # keeps its own rows, and the groups agree
+    widths = []
+
+    def counting_zip(*args):
+        if len(args) == 2:      # a row update; a transpose zips every row
+            widths.append(len(args[0]))
+        return zip(*args)
+
+    monkeypatch.setattr(abelian, "zip", counting_zip, raising=False)
+    rng = random.Random(f"tall-{rows}x{cols}")
+    for bound in (1, 9, 10 ** 6):
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        m[-1] = [x + y for x, y in zip(m[0], m[1])]
+        mt = [list(col) for col in zip(*m)]
+        widths.clear()
+        diag = abelian._eliminate([list(row) for row in m])
+        assert widths[0] == rows
+        assert diag == abelian._eliminate([list(row) for row in mt])
+        with_u = abelian._eliminate([list(row) for row in m], u=abelian.eye(rows))
+        assert (FgAbelianGroup.from_divisors(0, diag)
+                == FgAbelianGroup.from_divisors(0, with_u)
+                == FgAbelianGroup.from_divisors(
+                    0, [x for x in _seed_smith_normal_form(m, cols=cols).diagonal if x]))
+        assert len(diag) == len(with_u)
 
 
 def test_eliminate_row_operation_count(monkeypatch):

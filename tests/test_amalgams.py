@@ -435,10 +435,11 @@ def identity_label_amalgam():
 @pytest.mark.parametrize("which", ["pb3", "b3", "degenerate", "pb3-segment", "identity-label"])
 def test_evaluate_reads_any_exponent_like_the_seed_oracle(which):
     # exponents that are multiples of the order, negative, or at least 10^6
-    # wrap around the power tables as FiniteGroup.power reads them
+    # wrap around each label's rows of powers as FiniteGroup.power reads
+    # them; the identity's label keeps one row
     am = amalgam_named(which)
     if which == "identity-label":
-        assert am._powers["one"] == (SIDE_B, (am.B.identity,))
+        assert am._rows["one"] == (SIDE_B, (am._act[SIDE_B][am.B.identity],))
     letters = []
     for sym, (side, g) in sorted(am._symbols.items()):
         o = am._vertex[side].element_order(g)
@@ -454,8 +455,9 @@ def test_evaluate_reads_any_exponent_like_the_seed_oracle(which):
 
 
 def test_b3_words_and_products_call_no_group_power(monkeypatch):
-    # a letter reads its label's power table, and a junction step its side's
-    # action table, so no square-and-multiply runs per letter or syllable
+    # a letter reads one of its label's action rows, and a product step its
+    # side's action table, so no square-and-multiply runs per letter or
+    # syllable
     am = amalgam_named("b3")
     w = parse_word("P^5 Y^-3 Q^3 X^-1 Y^1000001 P^-7 Y^2 Q^-5")
     want = seed_evaluate(am, w)
@@ -541,6 +543,153 @@ def test_powers_and_phi_splices_reduce_their_entries_once(monkeypatch):
     seen.clear()
     phi(am, braid)
     assert sum(seen) <= 2 * spliced
+
+
+# --- the branches of a step, and growth in the syllables ----------------------
+# A step left-multiplies one vertex letter, i(c) * t, onto a normal form.
+# Its letter is absorbed into the edge group (t = 1), appended as a new
+# first syllable, or meets a first syllable of its own side and merges
+# with it, into a new representative or into the edge group (a pop).
+
+def _branches(forms):
+    """The branch of each step between consecutive normal forms, each one
+    letter longer than the last, read off their syllables: a merge changes
+    the first syllable, since t * s lies in the coset of s only when t
+    lies in the edge group."""
+    seen = set()
+    for before, after in zip(forms, forms[1:]):
+        b, a = before.syllables, after.syllables
+        seen.add({1: "appended", -1: "popped"}.get(
+            len(a) - len(b), "absorbed" if a == b else "merged"))
+    return seen
+
+
+_BRANCH_WORDS = {
+    "b3": ["Y P Q P^2 P^-1 Y X", "P^-1 Y^3 Q X^2 R Y^-1 Z Y"],
+    "pb3": ["x y^2 x y g x^-1 g^2 y", "g x y^2 x"],
+    "pb3-segment": ["o1 o2^2 o1 t1 o2 o1", "t1 o1 o2 o1^2 o1^-1 t1^-3 o2"],
+}
+
+
+@pytest.mark.parametrize("which", sorted(_BRANCH_WORDS))
+def test_each_branch_of_a_letter_matches_the_seed_oracle(which):
+    # evaluate's loop over label rows, on each suffix of crafted words
+    am = amalgam_named(which)
+    seen = set()
+    for text in _BRANCH_WORDS[which]:
+        entries = parse_word(text).entries
+        forms = [am.evaluate(Word(entries[i:])) for i in range(len(entries), -1, -1)]
+        assert forms == [seed_evaluate(am, Word(entries[i:]))
+                         for i in range(len(entries), -1, -1)]
+        seen |= _branches(forms)
+    assert seen == {"absorbed", "appended", "merged", "popped"}
+
+
+@pytest.mark.parametrize("which", sorted(_BRANCH_WORDS))
+def test_each_branch_of_the_fold_matches_the_seed_oracle(which):
+    # the fold under mul: e1's syllables, last first, onto e2; a syllable is
+    # never in the edge group, so embed_vertex gives the absorbed branch
+    am = amalgam_named(which)
+    seen = set()
+    words = [am.evaluate(parse_word(text)) for text in _BRANCH_WORDS[which]]
+    for e1 in words:
+        for e2 in words + [am.inv(e) for e in words]:
+            for f in (e2, am.mul(am.inv(e1), e2)):
+                syll = e1.syllables
+                forms = [am.mul(AmalgamElement(am.C.identity, syll[i:]), f)
+                         for i in range(len(syll), -1, -1)]
+                assert forms[-1] == seed_mul(am, AmalgamElement(am.C.identity, syll), f)
+                assert am.mul(e1, f) == seed_mul(am, e1, f)
+                seen |= _branches(forms)
+    assert seen == {"appended", "merged", "popped"}
+    for side, V in ((SIDE_A, am.A), (SIDE_B, am.B)):
+        for x in range(V.order):
+            e = am.embed_vertex(side, x)
+            assert e == seed_left_mul_vertex(am, side, x, am.identity_element)
+            seen |= _branches([am.identity_element, e])
+    assert "absorbed" in seen
+
+
+_GROWTH_SIZES = (100, 200, 400, 800, 1600)
+
+
+def _growth_violations(am, monkeypatch):
+    """Counts of one doubling sweep on the b3 amalgam, each against its
+    bound; the list of the ones that miss it.  An action-row read is a read
+    of a side's action table or of a label's rows; a product is a call of
+    mul."""
+    reads, products = [0], [0]
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    def counted_mul(e1, e2):
+        products[0] += 1
+        return type(am).mul(am, e1, e2)
+
+    monkeypatch.setattr(am, "_act", tuple(Counted(rows) for rows in am._act))
+    monkeypatch.setattr(am, "_rows", {sym: (side, Counted(rows))
+                                      for sym, (side, rows) in am._rows.items()})
+    monkeypatch.setattr(am, "mul", counted_mul)
+    g = am.evaluate(parse_word("P Y Q Y^3 P^-1 Y Q Y^-1"))
+    missed = []
+    for n in _GROWTH_SIZES:
+        w = Word([("P" if i % 2 == 0 else "Y", 1) for i in range(n)])
+        reads[0] = 0
+        e = am.evaluate(w)
+        if reads[0] != n:
+            missed.append(("evaluate", n, reads[0]))
+        f = am.evaluate(Word([("Y" if i % 2 == 0 else "Q", -1) for i in range(n)]))
+        for e2 in (f, am.inv(e), g):
+            reads[0] = 0
+            am.mul(e, e2)
+            if reads[0] > len(e.syllables) + 1:
+                missed.append(("mul", n, reads[0]))
+        products[0] = 0
+        am.power(g, n)
+        if products[0] != n.bit_length() - 1 + bin(n).count("1") - 1:
+            missed.append(("power", n, products[0]))
+    return missed
+
+
+def test_b3_evaluate_mul_and_power_grow_with_their_own_input_only(monkeypatch):
+    # evaluate reads one row per letter, mul one per syllable of its left
+    # factor however long its right one, and power(g, n) squares
+    # floor(log2 n) times and multiplies in each further set bit of n
+    assert _growth_violations(amalgam_named("b3"), monkeypatch) == []
+
+
+def _reduce_again(am, e1, e2):
+    """A product that reduces both factors again, letter by letter."""
+    letters = [(SIDE_A, am._embed[SIDE_A][e.head]) for e in (e1, e2)]
+    rev = []
+    head = am._fold(reversed([letters[0], *e1.syllables, letters[1], *e2.syllables]),
+                    am.C.identity, rev)
+    return AmalgamElement(head, tuple(reversed(rev)))
+
+
+def _from_the_identity(am, e, n):
+    """Square-and-multiply whose first set bit multiplies the identity."""
+    out = am.identity_element
+    while n:
+        if n & 1:
+            out = am.mul(out, e)
+        n >>= 1
+        if n:
+            e = am.mul(e, e)
+    return out
+
+
+@pytest.mark.parametrize("name, mutant", [("mul", _reduce_again),
+                                          ("power", _from_the_identity)])
+def test_the_growth_gate_catches_a_mutant_mul_or_power(monkeypatch, name, mutant):
+    am = amalgam_named("b3")
+    e = am.evaluate(parse_word("P Y Q Y^3 P^-1 Y Q"))
+    assert mutant(am, e, e if name == "mul" else 3) == am.power(e, 2 if name == "mul" else 3)
+    monkeypatch.setattr(Amalgam, name, mutant)
+    assert {kind for kind, _, _ in _growth_violations(am, monkeypatch)} == {name}
 
 
 # --- kernels of maps onto finite groups ----------------------------------------

@@ -1,6 +1,6 @@
-"""The library's public surface: the package re-exports nothing, and
-every public module-level function or class has a caller outside the
-tests."""
+"""The library's public surface: the package re-exports nothing, every
+public module-level function or class has a caller outside the tests,
+and the public names whose only caller is the benchmark are pinned."""
 
 import ast
 import json
@@ -109,6 +109,32 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in referenced]
     assert unused == []
+
+
+def _public_names():
+    """(qualified name, name) of each public module-level function or class
+    and of each public method of a public class."""
+    for path, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node.name
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub.name
+
+
+# the library code that only the benchmark calls: the benchmark is to move
+# off each name so that it can go, and a change that adds one says so
+BENCHMARK_ONLY = ["Amalgam.transversal", "Word.length", "abelian.smith_normal_form",
+                  "groups.conjugacy_classes"]
+
+
+def test_the_names_only_the_benchmark_calls_are_pinned():
+    in_package = {name for _, tree in _trees(PACKAGE) for name in _references(tree)}
+    in_bench = {name for _, tree in _trees(ROOT / "bench") for name in _references(tree)}
+    only = sorted(qual for qual, name in _public_names()
+                  if name not in in_package and name in in_bench)
+    assert only == BENCHMARK_ONLY
 
 
 def test_shared_records_refuse_assignment():
