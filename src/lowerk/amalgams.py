@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 
 from .errors import NotHomomorphism, NotInjective, UnknownSymbol, UsageError
-from .groups import FiniteGroup, GroupHom, Subgroup, _greedy_generators, subgroup_as_group
+from .groups import (FiniteGroup, GroupHom, Subgroup, _greedy_generators, quotient,
+                     subgroup_as_group)
 from .presentations import Word
 from .records import Frozen
 
@@ -257,7 +258,7 @@ class Amalgam:
 
 
 # ---------------------------------------------------------------------------
-# kernels of maps onto finite groups
+# kernels of maps onto finite groups, and quotients by edge subgroups
 # ---------------------------------------------------------------------------
 
 def kernel_amalgam(am: Amalgam, on_a: GroupHom, on_b: GroupHom) -> Amalgam:
@@ -302,3 +303,21 @@ def _kernel_group(G: FiniteGroup, image, T: FiniteGroup,
     gens = _greedy_generators(G, elems)
     return subgroup_as_group(Subgroup(G, tuple(elems)), f"{G.name} kernel",
                              {f"{prefix}{k}": g for k, g in enumerate(gens, 1)})
+
+
+def quotient_amalgam(am: Amalgam, N: Subgroup) -> Amalgam:
+    """(A *_C B)/N = A/N *_(C/N) B/N for a subgroup N of C whose images are
+    normal in A and in B: N is then normal in the amalgam, and dividing
+    the amalgam's presentation by N divides each factor (Serre, Trees,
+    I.1).  `quotient` refuses, with NotNormal, an N outside C or an image
+    that is not normal.  Each label of C/N goes to the projection of its
+    image in each vertex group."""
+    C = quotient(am.C, N)
+    embeddings = []
+    for side, V in ((SIDE_A, am.A), (SIDE_B, am.B)):
+        image = am._embed[side]
+        Q = quotient(V, Subgroup(V, tuple(sorted(image[c] for c in N.elements))))
+        project = GroupHom(V, Q, Q.generator_labels).full_map()
+        embeddings.append(GroupHom(C, Q, {lab: project[image[c]]
+                                          for lab, c in am.C.generator_labels.items()}))
+    return Amalgam(*embeddings)

@@ -16,14 +16,18 @@ from lowerk.amalgams import (
     SIDE_A,
     SIDE_B,
     kernel_amalgam,
+    quotient_amalgam,
 )
 from lowerk.casebook import PHI_IMAGES, full_braid_amalgam, phi, pure_braid_amalgam
-from lowerk.errors import NotHomomorphism, NotInjective, UnknownSymbol, UsageError
+from lowerk.errors import NotHomomorphism, NotInjective, NotNormal, UnknownSymbol, UsageError
 from lowerk.groups import (
     FiniteGroup,
     GroupHom,
+    Subgroup,
     build_group,
+    center,
     is_isomorphic,
+    is_normal,
     subgroup_as_group,
     subgroup_generated,
 )
@@ -334,14 +338,20 @@ def seed_order_of(am, e):
     return V.element_order(V.table[am._embed[side][e.head]][t])
 
 
+def mcg_amalgam():
+    b3 = full_braid_amalgam()
+    return quotient_amalgam(b3, center(b3.C))
+
+
 @functools.cache
 def amalgam_named(which):
     return {"pb3": pb3_amalgam, "b3": full_braid_amalgam, "degenerate": degenerate_amalgam,
             "pb3-segment": lambda: pure_braid_amalgam(full_braid_amalgam()),
+            "mcg": mcg_amalgam,
             "identity-label": identity_label_amalgam}[which]()
 
 
-amalgam_names = st.sampled_from(["pb3", "b3", "degenerate", "pb3-segment"])
+amalgam_names = st.sampled_from(["pb3", "b3", "degenerate", "pb3-segment", "mcg"])
 
 
 @st.composite
@@ -692,6 +702,59 @@ def test_the_growth_gate_catches_a_mutant_mul_or_power(monkeypatch, name, mutant
     assert {kind for kind, _, _ in _growth_violations(am, monkeypatch)} == {name}
 
 
+def _order_of_reads(am, monkeypatch):
+    """(syllables, table reads) of order_of on the conjugate (P Y)^k Q
+    (P Y)^-k, of 4k + 1 syllables, for k a quarter of each size of the
+    sweep; a table read is a read of a side's action table or of its coset
+    factorizations."""
+    reads = [0]
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    ab, q = am.evaluate(parse_word("P Y")), am.evaluate(parse_word("Q"))
+    conjugates = [am.mul(am.mul(h, q), am.inv(h))
+                  for h in (am.power(ab, n // 4) for n in _GROWTH_SIZES)]
+    monkeypatch.setattr(am, "_act", tuple(Counted(rows) for rows in am._act))
+    monkeypatch.setattr(am, "_coset", tuple(Counted(rows) for rows in am._coset))
+    counts = []
+    for conj in conjugates:
+        reads[0] = 0
+        assert am.order_of(conj) == 4
+        counts.append((len(conj.syllables), reads[0]))
+    return counts
+
+
+def test_b3_order_of_reads_one_coset_per_pair_of_end_syllables(monkeypatch):
+    # the cyclic reduction peels both ends of a conjugate in one coset read
+    # and reads no action row
+    assert _order_of_reads(amalgam_named("b3"), monkeypatch) == [
+        (n + 1, n // 2) for n in _GROWTH_SIZES]
+
+
+_ORDER_OF = Amalgam.order_of
+
+
+def _conjugate_by_mul(am, e):
+    """An element order that conjugates by the last syllable with mul, each
+    time copying the whole form, until the ends lie on two sides."""
+    while len(e.syllables) >= 2 and e.syllables[0][0] == e.syllables[-1][0]:
+        t = am.embed_vertex(*e.syllables[-1])
+        e = am.mul(t, am.mul(e, am.inv(t)))
+    return _ORDER_OF(am, e)
+
+
+def test_the_order_of_gate_catches_conjugation_by_mul(monkeypatch):
+    am = amalgam_named("b3")
+    monkeypatch.setattr(Amalgam, "order_of", _conjugate_by_mul)
+    counts = _order_of_reads(am, monkeypatch)
+    assert all(reads > syllables for syllables, reads in counts)
+    # quadratic: twice the syllables, nearly four times the reads
+    assert all(r2 > 3 * r1 for (_, r1), (_, r2) in zip(counts, counts[1:]))
+
+
 # --- kernels of maps onto finite groups ----------------------------------------
 
 def test_the_pure_braid_amalgam_is_the_kernel_of_the_strand_permutation():
@@ -782,3 +845,37 @@ def test_kernel_refuses_a_strand_map_under_which_c_misses_s3(monkeypatch):
         monkeypatch.setitem(casebook._STRANDS, sym, "e")
     with pytest.raises(UsageError, match="maps onto 1 of the 6 elements"):
         casebook.pure_braid_amalgam(full_braid_amalgam())
+
+
+# --- quotients by a normal subgroup of the edge group -------------------------
+
+def test_the_mcg_amalgam_is_the_central_quotient_of_b3():
+    # S4 *_D3 D6, the b3 amalgam divided by the centre of its edge group;
+    # the projections of C commute with both embeddings, and the braid
+    # relations and Delta^2 = 1 hold in it
+    b3, am = full_braid_amalgam(), amalgam_named("mcg")
+    assert (am.A.order, am.B.order, am.C.order) == (24, 12, 6)
+    assert (am.index(SIDE_A), am.index(SIDE_B)) == (4, 2)
+    on_c = GroupHom(b3.C, am.C, am.C.generator_labels).full_map()
+    for V, Q, i, j in ((b3.A, am.A, b3.iA, am.iA), (b3.B, am.B, b3.iB, am.iB)):
+        on_v = GroupHom(V, Q, Q.generator_labels).full_map()
+        assert [on_v[x] for x in i.full_map()] == [j.full_map()[y] for y in on_c]
+    assert verify_homomorphism(van_buskirk(3), am, PHI_IMAGES).ok
+    assert phi(am, parse_word("s1 s2 s1") ** 2) == am.identity_element
+    assert phi(b3, parse_word("s1 s2 s1") ** 2) != b3.identity_element
+
+
+def test_quotient_refuses_a_subgroup_whose_image_is_not_normal():
+    # <w^2> is normal in Dic12 and its image is normal in Dic24, but not in O*
+    b3 = full_braid_amalgam()
+    n = subgroup_generated(b3.C, [b3.C.power(b3.C.generator_labels["w"], 2)])
+    in_b = Subgroup(b3.B, tuple(sorted(b3.iB.full_map()[c] for c in n.elements)))
+    assert n.order == 3 and is_normal(n) and is_normal(in_b)
+    with pytest.raises(NotNormal, match="order 3 is not normal in binary-octahedral"):
+        quotient_amalgam(b3, n)
+
+
+def test_quotient_refuses_a_subgroup_outside_the_edge_group():
+    b3 = full_braid_amalgam()
+    with pytest.raises(NotNormal, match="does not live in the given group"):
+        quotient_amalgam(b3, center(b3.A))

@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
-from lowerk import casebook
+from lowerk import casebook, groups
 from lowerk.casebook import (
     CASES,
     CaseReport,
@@ -28,31 +29,20 @@ def test_every_case_passes(name):
     assert report.passed, failing
 
 
-def test_b3_case_runs_no_isomorphism_search(monkeypatch):
-    # the amalgam's constructor already proved i_A an injective homomorphism
-    # of the edge group, dicyclic:12, into the octahedral side
+def test_no_case_runs_an_isomorphism_search(monkeypatch):
+    # each isomorphism a case states is a cited map checked by the
+    # generator test; b3's edge group is the constructor's injective image
     def refuse(*args):
         raise AssertionError("is_isomorphic was called")
 
-    monkeypatch.setattr(casebook, "is_isomorphic", refuse)
-    report = case_b3()
-    assert report.passed
-    row = next(c for c in report.checks if c.name.startswith("octahedral side contains"))
-    assert row.computed == "yes"
-
-
-def test_seven_casebook_checks_make_eight_isomorphism_searches(monkeypatch):
-    # pb3's "vertex stabilizers" check searches for both vertex groups
-    calls = []
-
-    def count(G, H):
-        calls.append((G.order, H.name))
-        return search(G, H)
-
-    search = casebook.is_isomorphic
-    monkeypatch.setattr(casebook, "is_isomorphic", count)
-    assert all(run_case(name).passed for name in CASES)
-    assert len(calls) == 8
+    search = groups.is_isomorphic
+    for module in [m for name, m in sys.modules.items() if name.startswith("lowerk")]:
+        if getattr(module, "is_isomorphic", None) is search:
+            monkeypatch.setattr(module, "is_isomorphic", refuse)
+    reports = [run_case(name) for name in CASES]
+    assert all(report.passed for report in reports)
+    b3 = {c.name: c for c in reports[CASES.index("b3")].checks}
+    assert b3["octahedral side contains a dicyclic group of order 12"].computed == "yes"
 
 
 def test_case_list_is_exactly_the_four_desk_cases():
@@ -161,6 +151,43 @@ def test_mcg_case_values():
     assert by_name["K in degree -1"].computed == "Z"
     assert by_name["Whitehead group"].computed == "0"
     assert by_name["reduced K0"].computed == "0"
+
+
+_S4_ROW = "octahedral vertex maps onto the symmetric group of degree 4"
+
+
+def test_mcg_case_reads_its_amalgam_off_the_central_quotient_of_b3():
+    by_name = {c.name: c for c in case_mcg_rp2_3().checks}
+    assert "the central involutions match under both embeddings" not in by_name
+    assert by_name["vertex indices over the edge group"].computed == "[4, 2]"
+    delta = by_name["phi sends Delta^2, Delta = s1 s2 s1, to the central involution of the "
+                    "edge group"]
+    assert (delta.expected, delta.computed) == ("w^3", "w^3")
+    assert by_name[_S4_ROW].computed == (
+        "symmetric:4 by P -> (0 1)(2 3), Q -> (0 2)(1 3), R -> (1 3), X -> (1 2 3)")
+    assert by_name["Z/4 maps onto Z/2"].computed == "cyclic:2 by g -> g"
+
+
+def test_mcg_row_fails_when_q_takes_the_image_of_p(monkeypatch):
+    # Q -> (0 1)(2 3), where P goes: the cited map is then no homomorphism
+    real = casebook.certificate
+
+    def moved(source, target, images):
+        if target == "symmetric:4":
+            images = dict(images, Q="(0 1)(2 3)")
+        return real(source, target, images)
+
+    monkeypatch.setattr(casebook, "certificate", moved)
+    failed = [(c.name, c.computed) for c in case_mcg_rp2_3().checks if not c.passed]
+    assert failed == [(_S4_ROW, "not a homomorphism")]
+
+
+def test_a_certificate_between_groups_of_two_orders_is_no_bijection():
+    # g -> g^2 embeds Z/4 in Z/8 as its subgroup of order 4, not onto
+    from lowerk.groups import build_group
+
+    claim, found = casebook.certificate(build_group("cyclic:4"), "cyclic:8", {"g": "g^2"})
+    assert (claim, found) == ("cyclic:8 by g -> g^2", "not a bijection")
 
 
 def test_report_serialization_shapes():

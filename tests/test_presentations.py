@@ -118,6 +118,7 @@ def test_coset_enumeration_with_subgroup():
 
 def test_braid_group_indexes():
     assert todd_coxeter(van_buskirk(1)).index == 2
+    assert group_from_coset_table(todd_coxeter(van_buskirk(1)), "braid1").order == 2
     assert todd_coxeter(van_buskirk(2)).index == 16
     # the pure subgroup of the 2-strand group has index 2
     subgroup = (parse_word("r1"), parse_word("r2"), parse_word("s1^2"))
@@ -134,9 +135,23 @@ def test_braid_group_on_three_strands_is_infinite():
 
 
 def test_two_strand_group_is_generalized_quaternion():
-    ct = todd_coxeter(van_buskirk(2))
-    G = group_from_coset_table(ct, "braid2")
-    assert is_isomorphic(G, build_group("dicyclic:16"))
+    # B2(RP2) = Dic16, whose pure subgroup <r1, r2> is Q8 of index 2 and
+    # whose central quotient is the dihedral group of order 8 (van Buskirk
+    # 1966), each by a cited map that the generator test checks
+    from lowerk.casebook import certificate
+    from lowerk.groups import center, quotient, subgroup_as_group, subgroup_generated
+
+    G = group_from_coset_table(todd_coxeter(van_buskirk(2)), "braid2")
+    pure = {lab: G.generator_labels[lab] for lab in ("r1", "r2")}
+    P2 = subgroup_as_group(subgroup_generated(G, pure.values()), "pure braid2", pure)[0]
+    assert (G.order // P2.order, center(G).order) == (2, 2)
+    for source, target, images in (
+        (G, "dicyclic:16", {"r1": "y", "r2": "y*x^2", "s1": "y*x^3"}),
+        (P2, "quaternion:8", {"r1": "x", "r2": "y"}),
+        (quotient(G, center(G)), "dihedral:4", {"r1": "s", "r2": "s*r^2", "s1": "s*r"}),
+    ):
+        claim, found = certificate(source, target, images)
+        assert found == claim
 
 
 def _trace(ct, coset, word):
