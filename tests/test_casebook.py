@@ -29,9 +29,7 @@ def test_every_case_passes(name):
     assert report.passed, failing
 
 
-def test_no_case_runs_an_isomorphism_search(monkeypatch):
-    # each isomorphism a case states is a cited map checked by the
-    # generator test; b3's edge group is the constructor's injective image
+def _refuse_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("is_isomorphic was called")
 
@@ -39,10 +37,44 @@ def test_no_case_runs_an_isomorphism_search(monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.startswith("lowerk")]:
         if getattr(module, "is_isomorphic", None) is search:
             monkeypatch.setattr(module, "is_isomorphic", refuse)
-    reports = [run_case(name) for name in CASES]
-    assert all(report.passed for report in reports)
-    b3 = {c.name: c for c in reports[CASES.index("b3")].checks}
-    assert b3["octahedral side contains a dicyclic group of order 12"].computed == "yes"
+
+
+def test_no_case_runs_an_isomorphism_search(monkeypatch):
+    # each isomorphism a case states is a cited map checked by the
+    # generator test
+    _refuse_search(monkeypatch)
+    assert all(run_case(name).passed for name in CASES)
+
+
+def test_b3_case_runs_no_isomorphism_search(monkeypatch):
+    # the amalgam's constructor already proved i_A an injective homomorphism
+    # of the edge group, dicyclic:12, into the octahedral side
+    _refuse_search(monkeypatch)
+    report = case_b3()
+    assert report.passed
+    row = next(c for c in report.checks if c.name.startswith("octahedral side contains"))
+    assert row.computed == "yes"
+
+
+def test_seven_casebook_checks_make_eight_isomorphism_searches(monkeypatch):
+    # the eight isomorphisms once found by search are each a cited
+    # certificate now; pb3's "vertex stabilizers" check certifies both
+    # vertex groups
+    calls = []
+    rows = set()
+    real = casebook.certificate
+
+    def count(source, target, images):
+        calls.append((source.order, target))
+        return real(source, target, images)
+
+    monkeypatch.setattr(casebook, "certificate", count)
+    for name in CASES:
+        report = run_case(name)
+        assert report.passed
+        rows |= {(name, c.name) for c in report.checks if " by " in c.computed}
+    assert len(calls) == 8
+    assert len(rows) == 7
 
 
 def test_case_list_is_exactly_the_four_desk_cases():
